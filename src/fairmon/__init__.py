@@ -6,11 +6,10 @@ disparity between the two groups' expected well-being, valid under a
 known change function and sub-exponential feature tails.
 """
 
-from .discovery import (check_parameter_floor, eta, eta_interval,
-                        poisson_subexp_params)
+from .discovery import eta, eta_interval, poisson_subexp_params
 from .estimator import ShiftedMeanEstimator, SubExpParams, azuma_epsilon
 from .errors import AssumptionViolation, ConfigError, TraceFormatError
-from .intervals import ConfidenceInterval, interval_map_decreasing, interval_sub
+from .intervals import ConfidenceInterval, interval_sub
 from .monitors import (AttentionConfig, AttentionMonitor,
                        AttentionObservation, CoinMonitor, CoinMonitorConfig,
                        CoinObservation, LendingConfig, LendingMonitor,
@@ -26,7 +25,6 @@ __all__ = [
     "LendingConfig", "LendingMonitor", "LendingObservation",
     "MonitorOutput", "ShiftedMeanEstimator", "SubExpParams",
     "TraceFormatError", "attention_change", "azuma_epsilon",
-    "build_monitor", "check_parameter_floor", "coin_change", "eta",
-    "eta_interval", "interval_map_decreasing", "interval_sub",
+    "build_monitor", "coin_change", "eta", "eta_interval", "interval_sub",
     "lending_change", "poisson_subexp_params",
 ]

@@ -100,8 +100,6 @@ def build_parser():
                        required=True)
     bench.add_argument("--updates", type=int, default=100_000)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--compare-backends", action="store_true",
-                       help="benchmark every available kernel backend")
 
     exp = sub.add_parser("export", help="flatten an estimates file to CSV")
     exp.add_argument("--estimates", required=True)
@@ -167,22 +165,13 @@ def _cmd_run(args):
               f"{report['truth_steps']} steps")
 
 
-def _print_bench(summary):
-    backend = summary.get("backend", kernels.backend_name())
-    print(f"{summary['kind']}  backend={backend}  "
+def _cmd_bench(args):
+    summary = runner.bench(args.kind, args.updates, args.seed)
+    print(f"{summary['kind']}  backend={kernels.backend_name()}  "
           f"updates={summary['updates']}  "
           f"median={summary['median_us']:.2f} us  "
           f"p99={summary['p99_us']:.2f} us  "
           f"mean={summary['mean_us']:.2f} us")
-
-
-def _cmd_bench(args):
-    if args.compare_backends:
-        for summary in runner.bench_backends(args.kind, args.updates,
-                                             args.seed):
-            _print_bench(summary)
-    else:
-        _print_bench(runner.bench(args.kind, args.updates, args.seed))
 
 
 def _cmd_export(args):
@@ -205,7 +194,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.cmd](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         if isinstance(exc, TraceFormatError):
             print(f"fairmon: data error: {exc}", file=sys.stderr)
             return 2

@@ -47,16 +47,3 @@ def poisson_subexp_params(lambda_max):
     if lambda_max <= 0:
         raise ConfigError(f"rate bound must be positive, got {lambda_max}")
     return SubExpParams(2.0 * lambda_max, 2.0)
-
-
-def check_parameter_floor(lambda_min, cumulative_shifts):
-    """True iff the rate stays strictly positive at every prefix when
-    started from the configured lower bound lambda_min."""
-    if lambda_min <= 0:
-        raise ConfigError(f"rate floor must be positive, got {lambda_min}")
-    running = 0.0
-    for shift in cumulative_shifts:
-        running += shift
-        if lambda_min + running <= 0.0:
-            return False
-    return True

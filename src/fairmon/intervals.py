@@ -1,5 +1,5 @@
-"""Closed real intervals carrying a confidence level, plus the two
-directed operations the monitors need."""
+"""Closed real intervals carrying a confidence level, plus the
+difference operation the monitors need."""
 
 import math
 from dataclasses import dataclass
@@ -36,8 +36,3 @@ def interval_sub(a, b):
     """Difference a - b; the error budgets add (union bound)."""
     confidence = max(0.0, 1.0 - ((1.0 - a.confidence) + (1.0 - b.confidence)))
     return ConfidenceInterval(a.lo - b.hi, a.hi - b.lo, confidence)
-
-
-def interval_map_decreasing(f, ci):
-    """Image of ``ci`` under a strictly decreasing function ``f``."""
-    return ConfidenceInterval(f(ci.hi), f(ci.lo), ci.confidence)

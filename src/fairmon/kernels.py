@@ -1,11 +1,18 @@
-"""Pure-Python hot kernels.
+"""Hot numeric kernels: concentration bound, estimator step, discovery
+probability.
 
-Semantics (operation order, in particular) must stay identical to the
-compiled twin in ``_ext.pyx``: the two backends are interchangeable and
-a trace replayed under either must produce the same numbers.
+Operation order is part of the contract: estimates files are compared
+byte for byte across reruns and split/resumed runs.  Callers reach these
+functions through the module (``kernels.eta(...)``), so a profiler can
+swap them at run time.
 """
 
 import math
+
+
+def backend_name():
+    """Name of the kernel implementation, stamped into run output."""
+    return "python"
 
 
 def azuma_epsilon(t, delta, sigma_sq, nu):

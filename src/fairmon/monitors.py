@@ -1,8 +1,8 @@
 """Composed disparity monitors.
 
-Each monitor runs one shift-corrected estimator per group at budget
-delta/2 and reports the interval difference of the two per-group
-estimates at overall confidence 1 - delta (union bound).  Before both
+A two-group monitor runs one shift-corrected estimator per group at
+budget delta/2 and reports the interval difference of the two per-group
+outputs at overall confidence 1 - delta (union bound).  Before both
 groups have produced an estimate the output is marked inconclusive.
 """
 
@@ -10,10 +10,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .discovery import eta_interval, poisson_subexp_params
-from .estimator import ShiftedMeanEstimator, SubExpParams
+from .errors import ConfigError
+from .estimator import ShiftedMeanEstimator, SubExpParams, _check_delta
 from .intervals import ConfidenceInterval, interval_sub
 
 GROUPS = ("A", "B")
+
+# Lower endpoint of a rate interval is clamped to at least this before
+# the discovery-probability mapping, which requires rate > 0.
+RATE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,9 +37,82 @@ class MonitorOutput:
         return self.phi is not None
 
 
-def _check_delta(delta):
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"invalid confidence: delta={delta}")
+class TwoGroupMonitor:
+    """One estimator per group at budget delta/2; the disparity interval
+    is the difference of the latest outputs of groups A and B.
+
+    A subclass sets ``kind`` and passes its tail parameters, change
+    function and ``floor`` to ``__init__``; it defines ``_validate``
+    (observation checks), ``_steps`` (an observation split into
+    ``(group, step)`` pairs) and, unless the identity fits, ``_output``
+    (a group estimate mapped to its reported interval).  The change
+    function must not reference the monitor: a cycle would leave every
+    discarded monitor to the cyclic garbage collector.
+
+    ``floor`` is a lower bound on each group's quantity at the start of
+    the stream; the interval needs the quantity to stay above zero, so
+    ``floor_violation`` is set once ``floor`` plus the lowest net shift
+    seen in a group reaches zero.
+    """
+
+    kind = None
+
+    def __init__(self, cfg, params, change_fn, floor=None):
+        self.cfg = cfg
+        self._floor = floor
+        self._estimators = {
+            g: ShiftedMeanEstimator(change_fn, cfg.delta / 2.0, params)
+            for g in GROUPS
+        }
+        self._last = {g: None for g in GROUPS}
+        self._min_shift = {g: 0.0 for g in GROUPS}
+        self.t = 0
+
+    def estimator(self, g):
+        return self._estimators[g]
+
+    def _output(self, step, ci):
+        """Reported interval for one group step; returns
+        (interval, clamped)."""
+        return ci, False
+
+    def update(self, obs):
+        self._validate(obs)
+        self.t += 1
+        clamped = False
+        for g, step in self._steps(obs):
+            est = self._estimators[g]
+            self._last[g], c = self._output(step, est.update(step))
+            clamped = clamped or c
+            if est.net_shift < self._min_shift[g]:
+                self._min_shift[g] = est.net_shift
+        last_a, last_b = self._last["A"], self._last["B"]
+        phi = None
+        if last_a is not None and last_b is not None:
+            phi = interval_sub(last_a, last_b)
+        floor_violation = self._floor is not None and any(
+            self._floor + self._min_shift[g] <= 0.0 for g in GROUPS)
+        return MonitorOutput(self.t, phi, dict(self._last),
+                             clamped=clamped,
+                             floor_violation=floor_violation)
+
+    def state_dict(self):
+        return {
+            "t": self.t,
+            "estimators": {g: self._estimators[g].state_dict()
+                           for g in GROUPS},
+            "last": {g: None if ci is None else [ci.lo, ci.hi, ci.confidence]
+                     for g, ci in self._last.items()},
+            "min_shift": dict(self._min_shift),
+        }
+
+    def load_state_dict(self, state):
+        self.t = int(state["t"])
+        for g in GROUPS:
+            self._estimators[g].load_state_dict(state["estimators"][g])
+            raw = state["last"][g]
+            self._last[g] = None if raw is None else ConfidenceInterval(*raw)
+            self._min_shift[g] = float(state["min_shift"][g])
 
 
 # --------------------------------------------------------------------
@@ -60,10 +138,10 @@ class LendingConfig:
 
     def __post_init__(self):
         if self.n_a < 1 or self.n_b < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"group sizes must be positive: n_a={self.n_a}, n_b={self.n_b}")
         if self.c_max < 1:
-            raise ValueError(f"c_max must be positive, got {self.c_max}")
+            raise ConfigError(f"c_max must be positive, got {self.c_max}")
         _check_delta(self.delta)
 
     def group_size(self, g):
@@ -80,26 +158,15 @@ def lending_change(obs, cfg):
     return 0.0
 
 
-class LendingMonitor:
+class LendingMonitor(TwoGroupMonitor):
     """Streams lending events; estimates the disparity in mean credit
     score between groups A and B."""
 
     kind = "lending"
 
     def __init__(self, cfg):
-        self.cfg = cfg
-        params = SubExpParams(float(cfg.c_max) ** 2, 0.0)
-        self._estimators = {
-            g: ShiftedMeanEstimator(
-                lambda obs, cfg=cfg: lending_change(obs, cfg),
-                cfg.delta / 2.0, params)
-            for g in GROUPS
-        }
-        self._last = {g: None for g in GROUPS}
-        self.t = 0
-
-    def estimator(self, g):
-        return self._estimators[g]
+        super().__init__(cfg, SubExpParams(float(cfg.c_max) ** 2, 0.0),
+                         lambda obs: lending_change(obs, cfg))
 
     def _validate(self, obs):
         if obs.g not in GROUPS:
@@ -110,30 +177,8 @@ class LendingMonitor:
         if obs.y not in (0, 1) or obs.z not in (0, 1):
             raise ValueError(f"decision/reaction must be 0 or 1: {obs}")
 
-    def update(self, obs):
-        self._validate(obs)
-        self.t += 1
-        self._last[obs.g] = self._estimators[obs.g].update(obs)
-        phi = None
-        if all(self._last[g] is not None for g in GROUPS):
-            phi = interval_sub(self._last["A"], self._last["B"])
-        return MonitorOutput(self.t, phi, dict(self._last))
-
-    def state_dict(self):
-        return {
-            "t": self.t,
-            "estimators": {g: self._estimators[g].state_dict()
-                           for g in GROUPS},
-            "last": {g: None if ci is None else [ci.lo, ci.hi, ci.confidence]
-                     for g, ci in self._last.items()},
-        }
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        for g in GROUPS:
-            self._estimators[g].load_state_dict(state["estimators"][g])
-            raw = state["last"][g]
-            self._last[g] = None if raw is None else ConfidenceInterval(*raw)
+    def _steps(self, obs):
+        return ((obs.g, obs),)
 
 
 # --------------------------------------------------------------------
@@ -158,20 +203,15 @@ class AttentionConfig:
     lambda_min: float
     lambda_max: float
     delta: float
-    # Lower endpoint of a rate interval is clamped to at least this
-    # before the discovery-probability mapping, which requires rate > 0.
-    rate_floor: float = 1e-9
 
     def __post_init__(self):
         if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
         if not 0 < self.lambda_min < self.lambda_max:
-            raise ValueError(
+            raise ConfigError(
                 "rate bounds must satisfy 0 < lambda_min < lambda_max, got "
                 f"[{self.lambda_min}, {self.lambda_max}]")
         _check_delta(self.delta)
-        if self.rate_floor <= 0:
-            raise ValueError(f"rate_floor must be positive, got {self.rate_floor}")
 
 
 def attention_change(y_units, gamma):
@@ -190,29 +230,16 @@ class _GroupStep:
     y: int
 
 
-class AttentionMonitor:
+class AttentionMonitor(TwoGroupMonitor):
     """Streams allocation rounds; estimates the disparity in incident
     discovery probability between the two monitored locations."""
 
     kind = "attention"
 
     def __init__(self, cfg):
-        self.cfg = cfg
-        params = poisson_subexp_params(cfg.lambda_max)
-        self._estimators = {
-            g: ShiftedMeanEstimator(
-                lambda step, gamma=cfg.gamma: attention_change(step.y, gamma),
-                cfg.delta / 2.0, params)
-            for g in GROUPS
-        }
-        # Running prefix state of the per-group shift sums; equivalent to
-        # evaluating check_parameter_floor on the full shift log, in O(1).
-        self._shift_sum = {g: 0.0 for g in GROUPS}
-        self._shift_min_prefix = {g: 0.0 for g in GROUPS}
-        self.t = 0
-
-    def estimator(self, g):
-        return self._estimators[g]
+        super().__init__(cfg, poisson_subexp_params(cfg.lambda_max),
+                         lambda step: attention_change(step.y, cfg.gamma),
+                         floor=cfg.lambda_min)
 
     def _validate(self, obs):
         if min(obs.x_a, obs.x_b, obs.y_a, obs.y_b) < 0 or obs.k < 1:
@@ -221,58 +248,21 @@ class AttentionMonitor:
             raise ValueError(
                 f"allocation {obs.y_a}+{obs.y_b} exceeds capacity {obs.k}")
 
-    def _omega_interval(self, step, rate_ci):
+    def _steps(self, obs):
+        return (("A", _GroupStep(obs.x_a, obs.y_a)),
+                ("B", _GroupStep(obs.x_b, obs.y_b)))
+
+    def _output(self, step, rate_ci):
         """Discovery-probability interval for one location; returns
         (interval, clamped)."""
-        clamped = rate_ci.lo < self.cfg.rate_floor
+        clamped = rate_ci.lo < RATE_FLOOR
         if clamped:
-            lo = self.cfg.rate_floor
-            hi = max(rate_ci.hi, self.cfg.rate_floor)
-            rate_ci = ConfidenceInterval(lo, hi, rate_ci.confidence)
+            rate_ci = ConfidenceInterval(
+                RATE_FLOOR, max(rate_ci.hi, RATE_FLOOR), rate_ci.confidence)
         if step.y == 0:
             # No attention discovers nothing; the mapping degenerates to 0.
             return ConfidenceInterval(0.0, 0.0, rate_ci.confidence), clamped
         return eta_interval(step.y, rate_ci), clamped
-
-    def update(self, obs):
-        self._validate(obs)
-        self.t += 1
-        steps = {"A": _GroupStep(obs.x_a, obs.y_a),
-                 "B": _GroupStep(obs.x_b, obs.y_b)}
-        per_group = {}
-        clamped = False
-        for g, step in steps.items():
-            rate_ci = self._estimators[g].update(step)
-            omega, c = self._omega_interval(step, rate_ci)
-            per_group[g] = omega
-            clamped = clamped or c
-            shift = attention_change(step.y, self.cfg.gamma)
-            self._shift_sum[g] += shift
-            self._shift_min_prefix[g] = min(self._shift_min_prefix[g],
-                                            self._shift_sum[g])
-        floor_violation = any(
-            self.cfg.lambda_min + self._shift_min_prefix[g] <= 0.0
-            for g in GROUPS)
-        phi = interval_sub(per_group["A"], per_group["B"])
-        return MonitorOutput(self.t, phi, per_group,
-                             clamped=clamped,
-                             floor_violation=floor_violation)
-
-    def state_dict(self):
-        return {
-            "t": self.t,
-            "estimators": {g: self._estimators[g].state_dict()
-                           for g in GROUPS},
-            "shift_sum": dict(self._shift_sum),
-            "shift_min_prefix": dict(self._shift_min_prefix),
-        }
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        for g in GROUPS:
-            self._estimators[g].load_state_dict(state["estimators"][g])
-            self._shift_sum[g] = float(state["shift_sum"][g])
-            self._shift_min_prefix[g] = float(state["shift_min_prefix"][g])
 
 
 # --------------------------------------------------------------------
@@ -294,7 +284,7 @@ class CoinMonitorConfig:
 
     def __post_init__(self):
         if not 0 <= self.epsilon < 1:
-            raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
+            raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
         _check_delta(self.delta)
 
 
@@ -349,5 +339,6 @@ def build_monitor(config):
         if kind == "coin":
             return CoinMonitor(CoinMonitorConfig(**cfg))
     except TypeError as exc:
-        raise ValueError(f"bad monitor config for kind {kind!r}: {exc}") from exc
-    raise ValueError(f"unknown monitor kind {kind!r}")
+        raise ConfigError(
+            f"bad monitor config for kind {kind!r}: {exc}") from exc
+    raise ConfigError(f"unknown monitor kind {kind!r}")

@@ -4,6 +4,7 @@ and snapshot/resume."""
 import random
 import statistics
 import time
+from itertools import zip_longest
 
 from .errors import ConfigError, TraceFormatError
 from .monitors import (AttentionObservation, LendingObservation,
@@ -60,7 +61,11 @@ def monitor_trace(trace_path, monitor_config, out_path,
                 "snapshot monitor config differs from the requested one")
         monitor_config = cfg
         mon = build_monitor(cfg)
-        mon.load_state_dict(state)
+        try:
+            mon.load_state_dict(state)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"{snapshot_in}: invalid monitor state: {exc!r}") from exc
     else:
         mon = build_monitor(monitor_config)
     meta, records = traceio.read_records(trace_path, start_t=mon.t + 1)
@@ -111,12 +116,13 @@ def evaluate(estimates_path, trace_path):
     widths = []
     decay = []
     next_checkpoint = 1
-    try:
-        pairs = list(zip(est_records, trace_records, strict=True))
-    except ValueError as exc:
-        raise TraceFormatError(
-            "estimates and trace files have different lengths") from exc
-    for est, rec in pairs:
+    missing = object()
+    for est, rec in zip_longest(est_records, trace_records,
+                                fillvalue=missing):
+        if est is missing or rec is missing:
+            raise TraceFormatError(
+                f"estimates and trace files have different lengths: "
+                f"{estimates_path}, {trace_path}")
         if est["t"] != rec["t"]:
             raise TraceFormatError(
                 f"misaligned files at t={est['t']} vs t={rec['t']}")
@@ -193,20 +199,3 @@ def bench(kind, updates, seed=0, monitor_config=None):
     summary = _latency_summary(latencies)
     summary["kind"] = kind
     return summary
-
-
-def bench_backends(kind, updates, seed=0):
-    """Run the benchmark once per available kernel backend."""
-    from . import kernels
-
-    current = kernels.backend_name()
-    results = []
-    try:
-        for name in kernels.available_backends():
-            kernels.set_backend(name)
-            summary = bench(kind, updates, seed)
-            summary["backend"] = name
-            results.append(summary)
-    finally:
-        kernels.set_backend(current)
-    return results

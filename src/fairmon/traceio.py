@@ -48,6 +48,8 @@ def _read_meta(fh, path, expected_file):
         meta = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path}:1: corrupt metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise TraceFormatError(f"{path}:1: metadata is not a JSON object")
     if meta.get("format") != FORMAT_VERSION:
         raise TraceFormatError(
             f"{path}: unsupported format version {meta.get('format')!r}")
@@ -143,7 +145,11 @@ def read_snapshot(path):
     """Return (kind, monitor_config, state)."""
     with open(path) as fh:
         meta = _read_meta(fh, path, "snapshot")
-    return meta["kind"], meta["monitor_config"], meta["state"]
+    config, state = meta.get("monitor_config"), meta.get("state")
+    if not isinstance(config, dict) or not isinstance(state, dict):
+        raise TraceFormatError(
+            f"{path}: snapshot needs 'monitor_config' and 'state' objects")
+    return meta.get("kind"), config, state
 
 
 CSV_FIELDS = ["t", "conclusive", "phi_lo", "phi_hi", "point",

@@ -12,12 +12,12 @@ import pytest
 from fairmon import ConfidenceInterval, SubExpParams
 from fairmon.discovery import (
     MAX_RATE,
-    check_parameter_floor,
     eta,
     eta_interval,
     poisson_subexp_params,
 )
 from fairmon.errors import ConfigError
+from oracles import check_parameter_floor
 
 
 class TestEta:

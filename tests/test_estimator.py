@@ -16,10 +16,10 @@ from fairmon import (
     ShiftedMeanEstimator,
     SubExpParams,
     azuma_epsilon,
-    interval_map_decreasing,
     interval_sub,
 )
 from fairmon.errors import ConfigError
+from oracles import interval_map_decreasing
 
 
 def obs(x):

@@ -4,14 +4,19 @@ Fixture expectations are re-derived with the direct (batch) form of the
 underlying estimator, see `_direct_rate_interval`, or frozen by hand.
 """
 
+import gc
 import math
+import random
+import weakref
 
 import pytest
 
 from fairmon import ConfidenceInterval, azuma_epsilon
 from fairmon.discovery import eta
+from fairmon.errors import ConfigError
 from fairmon.estimator import SubExpParams
 from fairmon.monitors import (
+    RATE_FLOOR,
     AttentionConfig,
     AttentionMonitor,
     AttentionObservation,
@@ -26,6 +31,7 @@ from fairmon.monitors import (
     coin_change,
     lending_change,
 )
+from oracles import check_parameter_floor
 
 
 def lend(x, g, y, z):
@@ -194,11 +200,10 @@ class TestAttentionMonitor:
         out = None
         for o in obs_seq:
             out = mon.update(o)
-        floor = mon.cfg.rate_floor
         la, ha = _direct_rate_interval([5, 3, 6], [4, 0, 3], gamma, delta,
-                                       hi_rate, floor)
+                                       hi_rate, RATE_FLOOR)
         lb, hb = _direct_rate_interval([2, 4, 1], [2, 6, 3], gamma, delta,
-                                       hi_rate, floor)
+                                       hi_rate, RATE_FLOOR)
         y_a, y_b = 3, 3
         want_a = (eta(y_a, ha), eta(y_a, la))
         want_b = (eta(y_b, hb), eta(y_b, lb))
@@ -214,6 +219,28 @@ class TestAttentionMonitor:
         assert not mon.update(attn(4, 4, 1, 1)).floor_violation
         assert mon.update(attn(4, 4, 1, 1)).floor_violation
         assert mon.update(attn(4, 4, 0, 0)).floor_violation
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_floor_flag_matches_oracle_on_random_stream(self, seed):
+        # zero-drift random allocations walk each rate up and down until
+        # one crosses the floor; the flag must equal the prefix check over
+        # the full shift history at every step
+        rng = random.Random(seed)
+        gamma, lambda_min = 0.013, 0.2
+        mon = self.make(gamma=gamma, lambda_min=lambda_min)
+        shifts = {"A": [], "B": []}
+        flags = []
+        for _ in range(300):
+            y_a, y_b = rng.choice((0, 0, 1, 2)), rng.choice((0, 0, 1, 2))
+            out = mon.update(attn(rng.randrange(12), rng.randrange(12),
+                                  y_a, y_b, k=4))
+            shifts["A"].append(attention_change(y_a, gamma))
+            shifts["B"].append(attention_change(y_b, gamma))
+            want = not all(check_parameter_floor(lambda_min, shifts[g])
+                           for g in shifts)
+            assert out.floor_violation == want, f"step {out.t}"
+            flags.append(out.floor_violation)
+        assert not flags[0] and flags[-1]
 
     def test_rejects_overallocated_capacity(self):
         with pytest.raises(ValueError):
@@ -270,3 +297,35 @@ class TestBuildMonitor:
             build_monitor({"kind": "housing"})
         with pytest.raises(ValueError):
             build_monitor({"kind": "coin", "bogus": 1})
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "delta": 0.05},
+        {"kind": "attention", "gamma": 0.01, "lambda_min": 1.0,
+         "lambda_max": 8.0, "delta": 0.05},
+    ])
+    def test_discarded_monitor_is_freed_without_cycle_collector(self,
+                                                                config):
+        # a resumed run builds one monitor per batch; a reference cycle
+        # would leave every one of them to the cyclic garbage collector
+        gc.disable()
+        try:
+            mon = build_monitor(config)
+            ref = weakref.ref(mon)
+            del mon
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "lending", "n_a": 0, "n_b": 5, "c_max": 10, "delta": 0.05},
+        {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "delta": 1.0},
+        {"kind": "attention", "gamma": 0.01, "lambda_min": 9.0,
+         "lambda_max": 8.0, "delta": 0.05},
+        {"kind": "attention", "gamma": 0.01, "lambda_min": 1.0,
+         "lambda_max": 8.0, "delta": 0.05, "rate_floor": 1e-9},
+        {"kind": "coin", "epsilon": 0.1, "delta": 0.0},
+        {"kind": "housing"},
+    ])
+    def test_config_errors_are_config_errors(self, config):
+        with pytest.raises(ConfigError):
+            build_monitor(config)

@@ -64,6 +64,12 @@ class TestTraceFiles:
         with pytest.raises(TraceFormatError):
             traceio.read_records(str(bad), "trace")
 
+    def test_metadata_must_be_an_object(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        write_lines(bad, ["[1, 2]"])
+        with pytest.raises(TraceFormatError, match="not a JSON object"):
+            traceio.read_snapshot(str(bad))
+
     def test_unsupported_format_version(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         write_lines(bad, [json.dumps({"format": 99, "file": "trace"})])
@@ -153,6 +159,14 @@ class TestMonitorPipeline:
         report = runner.evaluate(str(est), str(trace))
         assert report["containment"] is None
 
+    def test_evaluate_reports_corrupt_record_line(self, tmp_path):
+        trace, est, _ = self.run_pair(tmp_path)
+        lines = est.read_text().splitlines()
+        lines[9] = "{broken"
+        write_lines(est, lines)
+        with pytest.raises(TraceFormatError, match=f"{est}:10: corrupt"):
+            runner.evaluate(str(est), str(trace))
+
     def test_evaluate_rejects_length_mismatch(self, tmp_path):
         trace, est, _ = self.run_pair(tmp_path)
         short = tmp_path / "short.jsonl"
@@ -221,6 +235,48 @@ class TestSnapshotResume:
         with pytest.raises(TraceFormatError):
             runner.monitor_trace(str(trace), None,
                                  str(tmp_path / "e.jsonl"),
+                                 snapshot_in=str(snap))
+
+    @pytest.mark.parametrize("mon,mutate", [
+        (MON, lambda state: state.pop("last")),
+        (MON, lambda state: state["min_shift"].pop("B")),
+        (MON, lambda state: state.update(t="seven")),
+        (MON, lambda state: state["estimators"].update(A=[1, 2])),
+        (MON, lambda state: state["last"].update(A=[0.0])),
+        ({"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
+          "lambda_max": 12.0, "delta": 0.05},
+         lambda state: state.pop("min_shift")),
+    ], ids=["no-last", "no-min-shift-b", "text-t", "list-estimator",
+            "short-interval", "attention-no-min-shift"])
+    def test_bad_snapshot_state_is_data_error(self, tmp_path, capsys,
+                                              mon, mutate):
+        sim = (SIM if mon["kind"] == "lending" else
+               {"kind": "attention", "l": 5, "k": 6, "gamma": 0.0025,
+                "horizon": 10, "seed": 7})
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(sim, str(trace))
+        snap = tmp_path / "snap.json"
+        runner.monitor_trace(str(trace), mon, str(tmp_path / "e.jsonl"),
+                             snapshot_out=str(snap))
+        blob = json.loads(snap.read_text())
+        mutate(blob["state"])
+        snap.write_text(json.dumps(blob) + "\n")
+        assert cli.main(["monitor", "--trace", str(trace), "--resume",
+                         str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
+        assert f"data error: {snap}" in capsys.readouterr().err
+
+    def test_snapshot_without_state_object_is_data_error(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        snap = tmp_path / "snap.json"
+        runner.monitor_trace(str(trace), MON, str(tmp_path / "e.jsonl"),
+                             snapshot_out=str(snap))
+        blob = json.loads(snap.read_text())
+        blob["state"] = [blob["state"]]
+        snap.write_text(json.dumps(blob) + "\n")
+        with pytest.raises(TraceFormatError, match=str(snap)):
+            runner.monitor_trace(str(trace), None,
+                                 str(tmp_path / "e2.jsonl"),
                                  snapshot_in=str(snap))
 
     def test_trace_file_is_not_a_snapshot(self, tmp_path):
@@ -333,8 +389,8 @@ class TestCli:
     def test_bench_runs(self, capsys):
         assert cli.main(["bench", "--kind", "lending",
                          "--updates", "200"]) == 0
-        assert cli.main(["bench", "--kind", "attention", "--updates", "50",
-                         "--compare-backends"]) == 0
+        assert cli.main(["bench", "--kind", "attention",
+                         "--updates", "50"]) == 0
         out = capsys.readouterr().out
         assert "median" in out
 
