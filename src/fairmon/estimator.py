@@ -38,6 +38,22 @@ def _check_delta(delta):
         raise ConfigError(f"invalid confidence: delta={delta} not in (0, 1)")
 
 
+def state_count(value):
+    """A step count read back from a snapshot: a nonnegative int (not a
+    bool, which JSON ``true`` would become)."""
+    if type(value) is not int or value < 0:
+        raise TypeError(f"expected a nonnegative integer, got {value!r}")
+    return value
+
+
+def state_real(value):
+    """A real read back from a snapshot: a finite int or float, not a
+    bool."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def azuma_epsilon(t, delta, params):
     """Interval half-width after t updates at confidence budget delta.
 
@@ -52,19 +68,34 @@ def azuma_epsilon(t, delta, params):
 
 class ShiftedMeanEstimator:
     """Single-writer streaming estimator; updates must be applied in
-    trace order.  Distinct instances are independent."""
+    trace order.  Distinct instances are independent.  ``delta`` and
+    ``params`` are fixed at construction."""
+
+    __slots__ = ("change_fn", "_delta", "_params", "_confidence",
+                 "_sigma_sq", "_nu", "t", "_e1_hat", "_d", "_d_comp")
 
     def __init__(self, change_fn, delta, params):
         _check_delta(delta)
         if not isinstance(params, SubExpParams):
             params = SubExpParams(*params)
         self.change_fn = change_fn
-        self.delta = delta
-        self.params = params
+        self._delta = delta
+        self._params = params
+        self._confidence = 1.0 - delta
+        self._sigma_sq = params.sigma_sq
+        self._nu = params.nu
         self.t = 0
         self._e1_hat = 0.0   # running estimate of the initial mean
         self._d = 0.0        # net shift, compensated summation
         self._d_comp = 0.0
+
+    @property
+    def delta(self):
+        return self._delta
+
+    @property
+    def params(self):
+        return self._params
 
     def update(self, record):
         """Consume one observation; returns the confidence interval for
@@ -78,9 +109,9 @@ class ShiftedMeanEstimator:
         (self.t, self._e1_hat, self._d, self._d_comp,
          e_hat, eps) = kernels.estimator_step(
             self.t, self._e1_hat, self._d, self._d_comp, x, shift,
-            self.delta, self.params.sigma_sq, self.params.nu)
+            self._delta, self._sigma_sq, self._nu)
         return ConfidenceInterval(e_hat - eps, e_hat + eps,
-                                  1.0 - self.delta)
+                                  self._confidence)
 
     def point_estimate_initial(self):
         """Running estimate of the mean before any observed shift."""
@@ -105,7 +136,7 @@ class ShiftedMeanEstimator:
                 "d": self._d, "d_comp": self._d_comp}
 
     def load_state_dict(self, state):
-        self.t = int(state["t"])
-        self._e1_hat = float(state["e1_hat"])
-        self._d = float(state["d"])
-        self._d_comp = float(state["d_comp"])
+        self.t = state_count(state["t"])
+        self._e1_hat = state_real(state["e1_hat"])
+        self._d = state_real(state["d"])
+        self._d_comp = state_real(state["d_comp"])

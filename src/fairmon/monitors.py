@@ -6,12 +6,13 @@ outputs at overall confidence 1 - delta (union bound).  Before both
 groups have produced an estimate the output is marked inconclusive.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
 
 from .discovery import eta_interval, poisson_subexp_params
 from .errors import ConfigError
-from .estimator import ShiftedMeanEstimator, SubExpParams, _check_delta
+from .estimator import (ShiftedMeanEstimator, SubExpParams, _check_delta,
+                        state_count, state_real)
 from .intervals import ConfidenceInterval, interval_sub
 
 GROUPS = ("A", "B")
@@ -21,16 +22,14 @@ GROUPS = ("A", "B")
 RATE_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class MonitorOutput:
-    """Per-step result: the disparity interval (None while inconclusive)
-    and the two component intervals it was formed from."""
+class MonitorOutput(namedtuple(
+        "MonitorOutput", "t phi per_group clamped floor_violation",
+        defaults=(False, False))):
+    """Per-step result: the disparity interval ``phi`` (None while
+    inconclusive) and the component intervals it was formed from,
+    ``per_group``, keyed by group."""
 
-    t: int
-    phi: Optional[ConfidenceInterval]
-    per_group: dict
-    clamped: bool = False
-    floor_violation: bool = False
+    __slots__ = ()
 
     @property
     def conclusive(self):
@@ -80,21 +79,23 @@ class TwoGroupMonitor:
         self._validate(obs)
         self.t += 1
         clamped = False
+        last, min_shift = self._last, self._min_shift
         for g, step in self._steps(obs):
             est = self._estimators[g]
-            self._last[g], c = self._output(step, est.update(step))
+            last[g], c = self._output(step, est.update(step))
             clamped = clamped or c
-            if est.net_shift < self._min_shift[g]:
-                self._min_shift[g] = est.net_shift
-        last_a, last_b = self._last["A"], self._last["B"]
+            shift = est.net_shift
+            if shift < min_shift[g]:
+                min_shift[g] = shift
+        last_a, last_b = last["A"], last["B"]
         phi = None
         if last_a is not None and last_b is not None:
             phi = interval_sub(last_a, last_b)
-        floor_violation = self._floor is not None and any(
-            self._floor + self._min_shift[g] <= 0.0 for g in GROUPS)
-        return MonitorOutput(self.t, phi, dict(self._last),
-                             clamped=clamped,
-                             floor_violation=floor_violation)
+        floor = self._floor
+        floor_violation = floor is not None and (
+            floor + min_shift["A"] <= 0.0 or floor + min_shift["B"] <= 0.0)
+        return MonitorOutput(self.t, phi, {"A": last_a, "B": last_b},
+                             clamped, floor_violation)
 
     def state_dict(self):
         return {
@@ -107,12 +108,13 @@ class TwoGroupMonitor:
         }
 
     def load_state_dict(self, state):
-        self.t = int(state["t"])
+        self.t = state_count(state["t"])
         for g in GROUPS:
             self._estimators[g].load_state_dict(state["estimators"][g])
             raw = state["last"][g]
-            self._last[g] = None if raw is None else ConfidenceInterval(*raw)
-            self._min_shift[g] = float(state["min_shift"][g])
+            self._last[g] = None if raw is None else ConfidenceInterval(
+                *map(state_real, raw))
+            self._min_shift[g] = state_real(state["min_shift"][g])
 
 
 # --------------------------------------------------------------------
@@ -222,12 +224,10 @@ def attention_change(y_units, gamma):
     return -gamma * y_units
 
 
-@dataclass(frozen=True)
-class _GroupStep:
+class _GroupStep(namedtuple("_GroupStep", "x y")):
     """Per-location slice of an attention observation."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
 
 class AttentionMonitor(TwoGroupMonitor):
@@ -240,6 +240,9 @@ class AttentionMonitor(TwoGroupMonitor):
         super().__init__(cfg, poisson_subexp_params(cfg.lambda_max),
                          lambda step: attention_change(step.y, cfg.gamma),
                          floor=cfg.lambda_min)
+        # No attention discovers nothing: the mapping degenerates to 0.
+        self._nothing = ConfidenceInterval(0.0, 0.0,
+                                           1.0 - cfg.delta / 2.0)
 
     def _validate(self, obs):
         if min(obs.x_a, obs.x_b, obs.y_a, obs.y_b) < 0 or obs.k < 1:
@@ -256,12 +259,11 @@ class AttentionMonitor(TwoGroupMonitor):
         """Discovery-probability interval for one location; returns
         (interval, clamped)."""
         clamped = rate_ci.lo < RATE_FLOOR
+        if step.y == 0:
+            return self._nothing, clamped
         if clamped:
             rate_ci = ConfidenceInterval(
                 RATE_FLOOR, max(rate_ci.hi, RATE_FLOOR), rate_ci.confidence)
-        if step.y == 0:
-            # No attention discovers nothing; the mapping degenerates to 0.
-            return ConfidenceInterval(0.0, 0.0, rate_ci.confidence), clamped
         return eta_interval(step.y, rate_ci), clamped
 
 
@@ -319,7 +321,7 @@ class CoinMonitor:
         return {"t": self.t, "estimator": self._estimator.state_dict()}
 
     def load_state_dict(self, state):
-        self.t = int(state["t"])
+        self.t = state_count(state["t"])
         self._estimator.load_state_dict(state["estimator"])
 
 

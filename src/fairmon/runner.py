@@ -75,13 +75,20 @@ def monitor_trace(trace_path, monitor_config, out_path,
             f"{mon.kind!r}")
 
     latencies = []
+    kind, update, clock = mon.kind, mon.update, time.perf_counter_ns
 
     def estimates():
         for rec in records:
-            obs = traceio.observation_from_record(mon.kind, rec)
-            start = time.perf_counter_ns()
-            out = mon.update(obs)
-            latencies.append(time.perf_counter_ns() - start)
+            # A record the monitor cannot take (missing field, wrong type,
+            # value out of range) is a data error located in the trace.
+            try:
+                obs = traceio.observation_from_record(kind, rec)
+                start = clock()
+                out = update(obs)
+                latencies.append(clock() - start)
+            except (TypeError, ValueError) as exc:
+                raise TraceFormatError(
+                    f"{trace_path}: bad record t={rec['t']}: {exc}") from exc
             yield traceio.estimate_record(out)
 
     traceio.write_estimates(out_path, mon.kind, dict(monitor_config),

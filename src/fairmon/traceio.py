@@ -1,15 +1,17 @@
 """JSON-lines trace and estimates files.
 
 Every file starts with one metadata line (format version, kind, config,
-config hash); each following line is one record.  Floats go through
-``json`` unchanged, which round-trips doubles exactly.  Corrupt lines
-abort with their line number: the per-sequence guarantee does not
-survive silent gaps.
+config hash); each following line is one record.  Floats are written as
+``float.__repr__``, as ``json`` writes them, which round-trips doubles
+exactly.  Corrupt lines abort with their line number: the per-sequence
+guarantee does not survive silent gaps.
 """
 
 import csv
 import hashlib
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 from .errors import TraceFormatError
 from .monitors import (AttentionObservation, CoinObservation,
@@ -24,8 +26,9 @@ def config_hash(config):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _dumps(obj):
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+# One compact encoder for every metadata, trace and snapshot line;
+# json.dumps with non-default arguments would build a new one per call.
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 def write_trace(path, kind, config, payloads):
@@ -78,10 +81,16 @@ def read_records(path, expected_file="trace", start_t=1):
                 except json.JSONDecodeError as exc:
                     raise TraceFormatError(
                         f"{path}:{lineno}: corrupt record: {exc}") from exc
-                if rec.get("t") != expected_t:
+                try:
+                    t = rec.get("t")
+                except AttributeError:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: record is not a JSON object"
+                    ) from None
+                if t != expected_t:
                     raise TraceFormatError(
                         f"{path}:{lineno}: expected t={expected_t}, "
-                        f"got {rec.get('t')!r}")
+                        f"got {t!r}")
                 expected_t += 1
                 yield rec
 
@@ -89,6 +98,8 @@ def read_records(path, expected_file="trace", start_t=1):
 
 
 def observation_from_record(kind, rec):
+    """The monitor observation of one trace record.  Field types and
+    ranges are checked by the monitor's update."""
     try:
         if kind == "coin":
             return CoinObservation(x=rec["x"])
@@ -100,37 +111,50 @@ def observation_from_record(kind, rec):
                                         y_a=rec["y_a"], y_b=rec["y_b"],
                                         k=rec["k"])
     except KeyError as exc:
-        raise TraceFormatError(
-            f"record t={rec.get('t')} missing field {exc}") from exc
+        raise TraceFormatError(f"missing field {exc}") from exc
     raise TraceFormatError(f"unknown trace kind {kind!r}")
 
 
 def estimate_record(output):
-    """Serialize one MonitorOutput."""
-    def pair(ci):
-        return None if ci is None else [ci.lo, ci.hi]
+    """One MonitorOutput as its estimates-file line, without the newline.
 
-    rec = {"t": output.t, "conclusive": output.conclusive,
-           "phi_lo": None, "phi_hi": None, "point": None,
-           "clamped": output.clamped,
-           "floor_violation": output.floor_violation,
-           "group_intervals": {g: pair(ci)
-                               for g, ci in output.per_group.items()}}
-    if output.conclusive:
-        rec["phi_lo"] = output.phi.lo
-        rec["phi_hi"] = output.phi.hi
-        rec["point"] = output.phi.midpoint
-    return rec
+    The line is filled into a fixed template and is byte for byte what
+    ``json`` writes for the record dict (compact separators, no NaN):
+    ``t``, ``conclusive``, ``phi_lo``, ``phi_hi``, ``point`` (the
+    midpoint of phi), ``clamped``, ``floor_violation`` and
+    ``group_intervals`` (group -> ``[lo, hi]`` or null, in ``per_group``
+    order).  Interval endpoints are finite by construction; a midpoint
+    that overflows raises ValueError.
+    """
+    t, phi, per_group, clamped, floor_violation = output
+    groups = []
+    for g, ci in per_group.items():
+        groups.append(f"{encode_basestring_ascii(g)}:null" if ci is None else
+                      f"{encode_basestring_ascii(g)}:[{ci.lo!r},{ci.hi!r}]")
+    if phi is None:
+        head = (f'{{"t":{t!r},"conclusive":false,'
+                f'"phi_lo":null,"phi_hi":null,"point":null')
+    else:
+        lo, hi, point = phi.lo, phi.hi, phi.midpoint
+        if not math.isfinite(point):
+            raise ValueError(f"midpoint of [{lo!r}, {hi!r}] is not finite")
+        head = (f'{{"t":{t!r},"conclusive":true,'
+                f'"phi_lo":{lo!r},"phi_hi":{hi!r},"point":{point!r}')
+    return (f'{head},"clamped":{"true" if clamped else "false"},'
+            f'"floor_violation":{"true" if floor_violation else "false"},'
+            f'"group_intervals":{{{",".join(groups)}}}}}')
 
 
-def write_estimates(path, kind, monitor_config, trace_meta, records):
+def write_estimates(path, kind, monitor_config, trace_meta, lines):
+    """Write an estimates file; ``lines`` yields :func:`estimate_record`
+    lines."""
     meta = {"format": FORMAT_VERSION, "file": "estimates", "kind": kind,
             "monitor_config": monitor_config,
             "trace_config_hash": trace_meta.get("config_hash")}
     with open(path, "w") as fh:
         fh.write(_dumps(meta) + "\n")
-        for rec in records:
-            fh.write(_dumps(rec) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def write_snapshot(path, monitor, monitor_config):

@@ -19,3 +19,23 @@ def check_parameter_floor(lambda_min, shifts):
 def interval_map_decreasing(f, ci):
     """Image of ``ci`` under a strictly decreasing function ``f``."""
     return ConfidenceInterval(f(ci.hi), f(ci.lo), ci.confidence)
+
+
+def oracle_record(output):
+    """The estimates-file record of one MonitorOutput as a dict;
+    ``json.dumps(..., separators=(",", ":"), allow_nan=False)`` of it is
+    the line ``traceio.estimate_record`` writes."""
+    def pair(ci):
+        return None if ci is None else [ci.lo, ci.hi]
+
+    rec = {"t": output.t, "conclusive": output.conclusive,
+           "phi_lo": None, "phi_hi": None, "point": None,
+           "clamped": output.clamped,
+           "floor_violation": output.floor_violation,
+           "group_intervals": {g: pair(ci)
+                               for g, ci in output.per_group.items()}}
+    if output.conclusive:
+        rec["phi_lo"] = output.phi.lo
+        rec["phi_hi"] = output.phi.hi
+        rec["point"] = output.phi.midpoint
+    return rec

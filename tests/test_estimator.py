@@ -190,6 +190,18 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             ConfidenceInterval(float("inf"), 1.0, 0.9)
 
+    def test_fields_are_immutable(self):
+        ci = ConfidenceInterval(1.0, 2.0, 0.9)
+        with pytest.raises(AttributeError):
+            ci.lo = 5.0
+        with pytest.raises(AttributeError):
+            ci.extra = 1
+        # the namedtuple constructors that bypass __new__ still validate
+        with pytest.raises(ValueError):
+            ci._replace(lo=3.0)
+        with pytest.raises(ValueError):
+            ConfidenceInterval._make([0.0, float("nan"), 0.9])
+
     def test_accessors(self):
         ci = ConfidenceInterval(-1.0, 3.0, 0.9)
         assert ci.width == 4.0

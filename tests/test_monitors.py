@@ -106,6 +106,14 @@ class TestLendingMonitor:
         assert mon.estimator("A").net_shift == pytest.approx(0.2, abs=1e-15)
         assert mon.estimator("B").net_shift == 0.0
 
+    def test_output_fields_are_immutable(self):
+        out = self.make().update(lend(5, "A", 0, 0))
+        assert (out.clamped, out.floor_violation) == (False, False)
+        with pytest.raises(AttributeError):
+            out.phi = out.per_group["A"]
+        with pytest.raises(AttributeError):
+            out.clamped = True
+
     def test_rejects_malformed_observations(self):
         mon = self.make()
         with pytest.raises(ValueError):

@@ -2,11 +2,17 @@
 
 import filecmp
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fairmon import cli, runner, traceio
+from fairmon import ConfidenceInterval, MonitorOutput, cli, runner, traceio
 from fairmon.errors import ConfigError, TraceFormatError
+from oracles import oracle_record
 
 SIM = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "horizon": 10,
        "seed": 42}
@@ -88,6 +94,20 @@ class TestTraceFiles:
         with pytest.raises(TraceFormatError, match=":3"):
             list(records)
 
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"t"', "null"])
+    def test_non_object_record_reports_line_number(self, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        write_lines(bad, [
+            json.dumps({"format": 1, "file": "trace", "kind": "coin",
+                        "config": {}, "config_hash": "x"}),
+            json.dumps({"t": 1, "x": 1}),
+            line,
+        ])
+        _, records = traceio.read_records(str(bad), "trace")
+        with pytest.raises(TraceFormatError,
+                           match=f"{bad}:3: record is not a JSON object"):
+            list(records)
+
     def test_non_monotone_t_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         write_lines(bad, [
@@ -99,6 +119,64 @@ class TestTraceFiles:
         _, records = traceio.read_records(str(bad), "trace")
         with pytest.raises(TraceFormatError, match="expected t=2"):
             list(records)
+
+
+def _random_float(rng):
+    """A finite double, often one whose repr is easy to get wrong:
+    signed zero, exponent notation, subnormals, extremes."""
+    special = [0.0, -0.0, 1e-05, 1e+16, 1e16 + 2, 5e-324, 2.5e-320,
+               2.2250738585072014e-308, 1e22, 123456789.0, 0.1, -1.5,
+               1.7976931348623157e+300]
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.choice(special)
+    if pick < 0.6:
+        return rng.uniform(-200.0, 200.0)
+    return rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(
+        -320, 300)
+
+
+def _random_interval(rng):
+    lo, hi = sorted((_random_float(rng), _random_float(rng)))
+    return ConfidenceInterval(lo, hi, rng.choice((0.0, 0.95, 0.975,
+                                                  rng.random())))
+
+
+def _random_output(rng):
+    groups = {g: None if rng.random() < 0.2 else _random_interval(rng)
+              for g in rng.sample(["A", "B"], 2)}
+    return MonitorOutput(
+        rng.randrange(1, 10 ** rng.randint(1, 12)),
+        None if rng.random() < 0.25 else _random_interval(rng),
+        groups, rng.random() < 0.5, rng.random() < 0.5)
+
+
+class TestEstimateRecord:
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_line_matches_json_of_oracle_dict(self, seed):
+        rng = random.Random(seed)
+        for _ in range(500):
+            out = _random_output(rng)
+            assert traceio.estimate_record(out) == json.dumps(
+                oracle_record(out), separators=(",", ":"), allow_nan=False)
+
+    def test_fixed_cases(self):
+        ci = ConfidenceInterval(-0.0, 1e-05, 0.975)
+        for out in (MonitorOutput(1, None, {"A": ci, "B": None}),
+                    MonitorOutput(7, ci, {"A": ci, "B": ci}, True, True),
+                    MonitorOutput(3, ci, {"A": None, "B": None}),
+                    MonitorOutput(9, None, {})):
+            assert traceio.estimate_record(out) == json.dumps(
+                oracle_record(out), separators=(",", ":"), allow_nan=False)
+
+    def test_non_finite_midpoint_raises(self):
+        phi = ConfidenceInterval(1e308, 1.7e308, 0.95)
+        out = MonitorOutput(1, phi, {"A": phi, "B": phi})
+        with pytest.raises(ValueError):
+            json.dumps(oracle_record(out), allow_nan=False)
+        with pytest.raises(ValueError, match="not finite"):
+            traceio.estimate_record(out)
 
 
 class TestMonitorPipeline:
@@ -238,6 +316,8 @@ class TestSnapshotResume:
                                  snapshot_in=str(snap))
 
     @pytest.mark.parametrize("mon,mutate", [
+        (MON, lambda state: state.update(t=4.9)),
+        (MON, lambda state: state["estimators"]["A"].update(t=True)),
         (MON, lambda state: state.pop("last")),
         (MON, lambda state: state["min_shift"].pop("B")),
         (MON, lambda state: state.update(t="seven")),
@@ -246,8 +326,9 @@ class TestSnapshotResume:
         ({"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
           "lambda_max": 12.0, "delta": 0.05},
          lambda state: state.pop("min_shift")),
-    ], ids=["no-last", "no-min-shift-b", "text-t", "list-estimator",
-            "short-interval", "attention-no-min-shift"])
+    ], ids=["fractional-t", "bool-estimator-t", "no-last", "no-min-shift-b",
+            "text-t", "list-estimator", "short-interval",
+            "attention-no-min-shift"])
     def test_bad_snapshot_state_is_data_error(self, tmp_path, capsys,
                                               mon, mutate):
         sim = (SIM if mon["kind"] == "lending" else
@@ -366,6 +447,39 @@ class TestCli:
                          str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mutate", [
+        lambda rec: rec.update(x="7"),
+        lambda rec: rec.update(x=500),
+        lambda rec: rec.update(g="C"),
+        lambda rec: rec.pop("z"),
+    ], ids=["text-score", "score-out-of-range", "unknown-group",
+            "missing-field"])
+    def test_bad_observation_is_data_error(self, tmp_path, capsys, mutate):
+        cfg = self.write_config(tmp_path, mon=MON)
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(dict(SIM, horizon=20), str(trace))
+        lines = trace.read_text().splitlines()
+        rec = json.loads(lines[5])
+        mutate(rec)
+        lines[5] = json.dumps(rec)
+        write_lines(trace, lines)
+        assert cli.main(["monitor", "--trace", str(trace), "--config",
+                         str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {trace}: bad record t=5:" in err
+
+    def test_non_object_record_is_data_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, mon=MON)
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        lines = trace.read_text().splitlines()
+        lines[5] = "5"
+        write_lines(trace, lines)
+        assert cli.main(["monitor", "--trace", str(trace), "--config",
+                         str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 2
+        assert f"data error: {trace}:6: record is not a JSON object" in \
+            capsys.readouterr().err
+
     def test_assumption_violation_is_exit_3(self, tmp_path, capsys):
         sim = {"kind": "coin", "p1": 0.1, "epsilon": 0.3, "horizon": 1000}
         cfg = self.write_config(tmp_path, sim)
@@ -405,3 +519,14 @@ class TestCli:
                          "-o", str(csv_path)]) == 0
         assert csv_path.exists()
         capsys.readouterr()
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "fairmon", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: fairmon" in proc.stdout
