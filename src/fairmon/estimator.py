@@ -63,7 +63,8 @@ def azuma_epsilon(t, delta, params):
     if t < 1:
         raise ConfigError(f"invalid step count t={t}")
     _check_delta(delta)
-    return kernels.azuma_epsilon(t, delta, params.sigma_sq, params.nu)
+    return kernels.azuma_epsilon(t, math.log(2.0 / delta),
+                                 params.sigma_sq, params.nu)
 
 
 class ShiftedMeanEstimator:
@@ -72,7 +73,8 @@ class ShiftedMeanEstimator:
     ``params`` are fixed at construction."""
 
     __slots__ = ("change_fn", "_delta", "_params", "_confidence",
-                 "_sigma_sq", "_nu", "t", "_e1_hat", "_d", "_d_comp")
+                 "_log_term", "_sigma_sq", "_nu", "t", "_e1_hat", "_d",
+                 "_d_comp")
 
     def __init__(self, change_fn, delta, params):
         _check_delta(delta)
@@ -82,6 +84,7 @@ class ShiftedMeanEstimator:
         self._delta = delta
         self._params = params
         self._confidence = 1.0 - delta
+        self._log_term = math.log(2.0 / delta)
         self._sigma_sq = params.sigma_sq
         self._nu = params.nu
         self.t = 0
@@ -109,7 +112,7 @@ class ShiftedMeanEstimator:
         (self.t, self._e1_hat, self._d, self._d_comp,
          e_hat, eps) = kernels.estimator_step(
             self.t, self._e1_hat, self._d, self._d_comp, x, shift,
-            self._delta, self._sigma_sq, self._nu)
+            self._log_term, self._sigma_sq, self._nu)
         return ConfidenceInterval(e_hat - eps, e_hat + eps,
                                   self._confidence)
 

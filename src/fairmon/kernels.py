@@ -15,21 +15,22 @@ def backend_name():
     return "python"
 
 
-def azuma_epsilon(t, delta, sigma_sq, nu):
-    """Half-width of the concentration bound after t updates."""
-    log_term = math.log(2.0 / delta)
+def azuma_epsilon(t, log_term, sigma_sq, nu):
+    """Half-width of the concentration bound after t updates at
+    confidence budget delta, given ``log_term = ln(2/delta)``; delta is
+    fixed per estimator, so the caller computes the log once."""
     gauss = math.sqrt(2.0 * sigma_sq / t * log_term)
     heavy = 2.0 * nu / t * log_term
     return gauss if gauss >= heavy else heavy
 
 
-def estimator_step(t, e1_hat, d, d_comp, x, shift, delta, sigma_sq, nu):
+def estimator_step(t, e1_hat, d, d_comp, x, shift, log_term, sigma_sq, nu):
     """One update of the shift-corrected running mean.
 
     Returns ``(t, e1_hat, d, d_comp, e_hat, eps)``.  The current
     estimate ``e_hat`` is formed before this record's shift is folded
     into the net shift ``d``; ``d`` uses compensated summation with
-    carry term ``d_comp``.
+    carry term ``d_comp``.  ``log_term`` is ``ln(2/delta)``.
     """
     t += 1
     e1_hat = (e1_hat * (t - 1) + (x - d)) / t
@@ -38,7 +39,7 @@ def estimator_step(t, e1_hat, d, d_comp, x, shift, delta, sigma_sq, nu):
     s = d + y
     d_comp = (s - d) - y
     d = s
-    eps = azuma_epsilon(t, delta, sigma_sq, nu)
+    eps = azuma_epsilon(t, log_term, sigma_sq, nu)
     return t, e1_hat, d, d_comp, e_hat, eps
 
 

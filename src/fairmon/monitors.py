@@ -173,6 +173,11 @@ class LendingMonitor(TwoGroupMonitor):
     def _validate(self, obs):
         if obs.g not in GROUPS:
             raise ValueError(f"unknown group {obs.g!r}")
+        # JSON true/false and 1.0 pass the range checks, so types first.
+        if type(obs.x) is not int or type(obs.y) is not int \
+                or type(obs.z) is not int:
+            raise TypeError(
+                f"score, decision and reaction must be integers: {obs}")
         if not 0 <= obs.x <= self.cfg.c_max:
             raise ValueError(
                 f"credit score {obs.x} outside [0, {self.cfg.c_max}]")
@@ -245,6 +250,10 @@ class AttentionMonitor(TwoGroupMonitor):
                                            1.0 - cfg.delta / 2.0)
 
     def _validate(self, obs):
+        if type(obs.x_a) is not int or type(obs.x_b) is not int \
+                or type(obs.y_a) is not int or type(obs.y_b) is not int \
+                or type(obs.k) is not int:
+            raise TypeError(f"counts and capacity must be integers: {obs}")
         if min(obs.x_a, obs.x_b, obs.y_a, obs.y_b) < 0 or obs.k < 1:
             raise ValueError(f"negative counts or capacity in {obs}")
         if obs.y_a + obs.y_b > obs.k:
@@ -311,6 +320,8 @@ class CoinMonitor:
         return self._estimator
 
     def update(self, obs):
+        if type(obs.x) is not int:
+            raise TypeError(f"coin outcome must be an integer: {obs}")
         if obs.x not in (0, 1):
             raise ValueError(f"coin outcome must be 0 or 1, got {obs.x}")
         self.t += 1

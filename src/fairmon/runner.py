@@ -74,8 +74,9 @@ def monitor_trace(trace_path, monitor_config, out_path,
             f"trace kind {meta['kind']!r} does not match monitor kind "
             f"{mon.kind!r}")
 
-    latencies = []
+    latencies = LatencyHistogram()
     kind, update, clock = mon.kind, mon.update, time.perf_counter_ns
+    record = latencies.record
 
     def estimates():
         for rec in records:
@@ -85,7 +86,7 @@ def monitor_trace(trace_path, monitor_config, out_path,
                 obs = traceio.observation_from_record(kind, rec)
                 start = clock()
                 out = update(obs)
-                latencies.append(clock() - start)
+                record(clock() - start)
             except (TypeError, ValueError) as exc:
                 raise TraceFormatError(
                     f"{trace_path}: bad record t={rec['t']}: {exc}") from exc
@@ -95,19 +96,106 @@ def monitor_trace(trace_path, monitor_config, out_path,
                             meta, estimates())
     if snapshot_out is not None:
         traceio.write_snapshot(snapshot_out, mon, dict(monitor_config))
-    return _latency_summary(latencies)
+    return latencies.summary()
 
 
-def _latency_summary(latencies_ns):
-    if not latencies_ns:
-        return {"updates": 0, "median_us": None, "p99_us": None,
-                "mean_us": None}
-    ordered = sorted(latencies_ns)
-    p99 = ordered[int(0.99 * (len(ordered) - 1))]
-    return {"updates": len(ordered),
-            "median_us": statistics.median(ordered) / 1e3,
-            "p99_us": p99 / 1e3,
-            "mean_us": statistics.fmean(ordered) / 1e3}
+# LatencyHistogram layout: a buffer of _RECENT raw values, then
+# 2**_SUB_BITS buckets per power-of-two octave below 2**40 ns.
+_RECENT = 1024
+_SUB_BITS = 5
+_EXACT = 1 << (_SUB_BITS + 1)
+_TOP = ((40 - _SUB_BITS + 1) << _SUB_BITS) - 1
+
+
+def _bucket_middle(index):
+    shift = (index >> _SUB_BITS) - 1
+    if shift <= 0:
+        return float(index)
+    lo = (index - (shift << _SUB_BITS)) << shift
+    return lo + ((1 << shift) - 1) / 2.0
+
+
+class LatencyHistogram:
+    """Per-update latencies (nonnegative integer nanoseconds) in fixed-size
+    memory, whatever the number of updates.
+
+    The latest latencies wait in a buffer of 1024 slots.  Until it first
+    fills, the summary is exact: a short resumed run pays for no
+    bucketing.  Each time the buffer fills it is folded into a
+    log-linear histogram.  Every value below ``2**6`` has its own
+    bucket; above that each power-of-two octave is split into ``2**5``
+    equal buckets, so a bucket starting at ``lo`` is at most ``lo / 32``
+    wide.  A percentile is then reported as the middle of the bucket
+    holding the ranked value, which bounds its relative error by
+    ``1/64`` (under 1.6 %).  Values of ``2**40`` ns (about 18 minutes)
+    or more are counted in the top bucket.  The count and the sum, hence
+    the mean, are always exact.
+    """
+
+    __slots__ = ("_recent", "_pending", "_counts", "_folded", "_total_ns",
+                 "_lowest")
+
+    def __init__(self):
+        # Unsigned 64-bit slots over bytearrays: fixed-size, no per-value
+        # int objects, and no extension module to load.
+        self._recent = memoryview(bytearray(8 * _RECENT)).cast("Q")
+        self._pending = 0
+        self._counts = memoryview(bytearray(8 * (_TOP + 1))).cast("Q")
+        self._folded = 0
+        self._total_ns = 0
+        self._lowest = _TOP   # lowest bucket in use
+
+    def record(self, ns):
+        n = self._pending
+        self._recent[n] = ns
+        self._pending = n + 1
+        if n + 1 == _RECENT:
+            self._fold()
+
+    def _fold(self):
+        pending = self._recent[:self._pending]
+        counts, lowest = self._counts, self._lowest
+        for ns in pending:
+            if ns >= _EXACT:
+                shift = ns.bit_length() - _SUB_BITS - 1
+                ns = (shift << _SUB_BITS) + (ns >> shift)
+                if ns > _TOP:
+                    ns = _TOP
+            if ns < lowest:
+                lowest = ns
+            counts[ns] += 1
+        self._lowest = lowest
+        self._total_ns += sum(pending)
+        self._folded += self._pending
+        self._pending = 0
+
+    def summary(self):
+        """``updates`` and ``mean_us`` (exact), ``median_us`` and
+        ``p99_us``, in microseconds; None without updates."""
+        if not self._folded:
+            ordered = sorted(self._recent[:self._pending])
+            if not ordered:
+                return {"updates": 0, "median_us": None, "p99_us": None,
+                        "mean_us": None}
+            p99 = ordered[int(0.99 * (len(ordered) - 1))]
+            return {"updates": len(ordered),
+                    "median_us": statistics.median(ordered) / 1e3,
+                    "p99_us": p99 / 1e3,
+                    "mean_us": statistics.fmean(ordered) / 1e3}
+        self._fold()
+        n = self._folded
+        counts, index = self._counts, self._lowest
+        lo_mid, hi_mid, p99 = (n - 1) // 2, n // 2, int(0.99 * (n - 1))
+        at_rank, seen = {}, 0
+        for rank in sorted({lo_mid, hi_mid, p99}):
+            while seen <= rank:
+                seen += counts[index]
+                index += 1
+            at_rank[rank] = _bucket_middle(index - 1)
+        return {"updates": n,
+                "median_us": (at_rank[lo_mid] + at_rank[hi_mid]) / 2 / 1e3,
+                "p99_us": at_rank[p99] / 1e3,
+                "mean_us": self._total_ns / n / 1e3}
 
 
 def evaluate(estimates_path, trace_path):
@@ -195,14 +283,14 @@ def bench(kind, updates, seed=0, monitor_config=None):
     """Median / p99 per-update latency over an in-memory trace."""
     observations = _synthetic_observations(kind, updates, seed)
     mon = build_monitor(monitor_config or _default_monitor_config(kind))
-    latencies = []
-    append = latencies.append
+    latencies = LatencyHistogram()
+    record = latencies.record
     clock = time.perf_counter_ns
     update = mon.update
     for obs in observations:
         start = clock()
         update(obs)
-        append(clock() - start)
-    summary = _latency_summary(latencies)
+        record(clock() - start)
+    summary = latencies.summary()
     summary["kind"] = kind
     return summary

@@ -149,22 +149,30 @@ class EqOppPolicy:
     both groups' would-repay grant rates match the better group's.
     Falls back to plain thresholding (``fell_back`` is set) when a group
     has no would-repay mass.
+
+    With ``use_true_tallies`` the would-repay masses are summed over the
+    current scores of the whole group.  Otherwise they are summed over
+    every applicant seen so far, at the score they arrived with: each
+    group keeps a running ``(total, above)`` mass to which ``decide``
+    adds ``rho(x)`` on arrival, so a step costs O(1) whatever the
+    horizon.  The running sums add the same floats in the same order,
+    starting from ``0.0``, as a rescan of the append-only list of seen
+    scores would, so the masses, and hence the traces, are bit-identical
+    to that rescan.
     """
 
     def __init__(self, theta_bank, use_true_tallies=True):
         self.theta_bank = theta_bank
         self.use_true_tallies = use_true_tallies
         self.fell_back = False
-        self._seen = {"A": [], "B": []}
+        self._seen_mass = {"A": (0.0, 0.0), "B": (0.0, 0.0)}
 
     def _repay_mass(self, env, g):
         """(total would-repay mass, mass already granted by thresholding)."""
-        if self.use_true_tallies:
-            scores = env.scores[g]
-        else:
-            scores = self._seen[g]
+        if not self.use_true_tallies:
+            return self._seen_mass[g]
         total = above = 0.0
-        for x in scores:
+        for x in env.scores[g]:
             r = env.rho(x)
             total += r
             if r >= self.theta_bank:
@@ -173,21 +181,25 @@ class EqOppPolicy:
 
     def grant_probability_below(self, env, g):
         """Probability of granting a below-threshold applicant of group g."""
-        masses = {h: self._repay_mass(env, h) for h in ("A", "B")}
-        if any(total == 0.0 for total, _ in masses.values()):
+        total_a, above_a = self._repay_mass(env, "A")
+        total_b, above_b = self._repay_mass(env, "B")
+        if total_a == 0.0 or total_b == 0.0:
             self.fell_back = True
             return 0.0
-        target = max(above / total for total, above in masses.values())
-        total, above = masses[g]
+        target = max(above_a / total_a, above_b / total_b)
+        total, above = (total_a, above_a) if g == "A" else (total_b, above_b)
         slack = total - above
         if slack <= 0.0:
             return 0.0
         return min(1.0, (target * total - above) / slack)
 
     def decide(self, x, g, env, rng):
+        r = env.rho(x)
         if not self.use_true_tallies:
-            self._seen[g].append(x)
-        if env.rho(x) >= self.theta_bank:
+            total, above = self._seen_mass[g]
+            self._seen_mass[g] = (
+                total + r, above + r if r >= self.theta_bank else above)
+        if r >= self.theta_bank:
             return 1
         # On fallback the probability is 0, i.e. plain thresholding.
         q = self.grant_probability_below(env, g)

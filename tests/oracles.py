@@ -39,3 +39,16 @@ def oracle_record(output):
         rec["phi_hi"] = output.phi.hi
         rec["point"] = output.phi.midpoint
     return rec
+
+
+def oracle_repay_mass(env, scores, theta_bank):
+    """Rescan reference for ``EqOppPolicy._repay_mass``: (total
+    would-repay mass, mass at or above ``theta_bank``) of ``scores``,
+    summed in list order from 0.0."""
+    total = above = 0.0
+    for x in scores:
+        r = env.rho(x)
+        total += r
+        if r >= theta_bank:
+            above += r
+    return total, above

@@ -57,6 +57,20 @@ class TestAzumaEpsilon:
         eps = azuma_epsilon(100, 0.05, SubExpParams(1.0, 0.0))
         assert eps == pytest.approx(0.2716203031481239, abs=1e-15)
 
+    @pytest.mark.parametrize("delta", [1e-6, 0.025, 0.05, 0.1, 2 / math.e,
+                                       0.9])
+    def test_equals_formula_with_fresh_log(self, delta):
+        # The estimator computes ln(2/delta) once; every half-width must
+        # still be bit for bit the formula with the log taken afresh.
+        params = SubExpParams(2.0, 5.0)
+        est = ShiftedMeanEstimator(lambda o: 0.0, delta, params)
+        for t in range(1, 300):
+            log_term = math.log(2.0 / delta)
+            want = max(math.sqrt(2.0 * params.sigma_sq / t * log_term),
+                       2.0 * params.nu / t * log_term)
+            assert azuma_epsilon(t, delta, params) == want
+            assert est.update(obs(0.0)) == (-want, want, 1.0 - delta)
+
     def test_nonincreasing_in_t(self):
         params = SubExpParams(2.0, 3.0)
         values = [azuma_epsilon(t, 0.05, params) for t in range(1, 500)]

@@ -14,6 +14,7 @@ from fairmon.errors import AssumptionViolation, ConfigError
 from fairmon.monitors import attention_change, lending_change, LendingConfig
 from fairmon.sim import attention, coin, lending
 from fairmon.sim.sampling import poisson
+from oracles import oracle_repay_mass
 
 
 class TestPoissonSampler:
@@ -161,6 +162,59 @@ class TestLendingSim:
         pol = lending.EqOppPolicy(theta_bank=0.5)
         assert pol.grant_probability_below(env, "B") == 0.0
         assert pol.fell_back
+
+    @pytest.mark.parametrize("theta_bank", [0.5, 0.7])
+    @pytest.mark.parametrize("init", sorted(lending.PRESETS))
+    def test_eq_opp_seen_masses_equal_rescan(self, init, theta_bank):
+        # Exact equality: the running masses must add the same floats in
+        # the same order as a rescan of the seen scores, and the trace
+        # must match a policy that rescans on every call.
+        class RescanPolicy(lending.EqOppPolicy):
+            def __init__(self, theta_bank):
+                super().__init__(theta_bank, use_true_tallies=False)
+                self.seen = {"A": [], "B": []}
+
+            def decide(self, x, g, env, rng):
+                self.seen[g].append(x)
+                return super().decide(x, g, env, rng)
+
+            def _repay_mass(self, env, g):
+                return oracle_repay_mass(env, self.seen[g], self.theta_bank)
+
+        for seed in (1, 2, 3):
+            cfg = self.make_cfg(n_a=20, n_b=20, c_max=100, horizon=600,
+                                seed=seed, init=init, theta_bank=theta_bank,
+                                policy="eq_opp", use_true_tallies=False)
+            env, ref_env = lending.LendingEnv(cfg), lending.LendingEnv(cfg)
+            policy, ref = lending.make_policy(cfg), RescanPolicy(theta_bank)
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(cfg.horizon):
+                assert env.step(policy, rng) == ref_env.step(ref, ref_rng)
+                for g in ("A", "B"):
+                    assert policy._repay_mass(env, g) == oracle_repay_mass(
+                        env, ref.seen[g], theta_bank)
+            assert policy.fell_back == ref.fell_back
+
+    def test_eq_opp_seen_step_work_is_constant(self):
+        # One rho call for the applicant, one more for a repayment draw;
+        # a rescan of the seen applicants would grow with t.
+        cfg = self.make_cfg(horizon=2000, policy="eq_opp",
+                            use_true_tallies=False)
+        env = lending.LendingEnv(cfg)
+        rho, calls = env.rho, []
+
+        def counting_rho(x):
+            calls.append(x)
+            return rho(x)
+
+        env.rho = counting_rho
+        policy, rng = lending.make_policy(cfg), random.Random(cfg.seed)
+        per_step = []
+        for _ in range(cfg.horizon):
+            before = len(calls)
+            env.step(policy, rng)
+            per_step.append(len(calls) - before)
+        assert max(per_step) <= 2
 
     def test_presets_cover_group_sizes(self):
         for name in lending.PRESETS:

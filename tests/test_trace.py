@@ -4,8 +4,11 @@ import filecmp
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,13 @@ from oracles import oracle_record
 SIM = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "horizon": 10,
        "seed": 42}
 MON = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "delta": 0.05}
+ATTENTION_SIM = {"kind": "attention", "l": 2, "k": 6, "gamma": 0.0025,
+                 "horizon": 10, "seed": 42}
+ATTENTION_MON = {"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
+                 "lambda_max": 12.0, "delta": 0.05}
+COIN_SIM = {"kind": "coin", "p1": 0.5, "epsilon": 0.001, "horizon": 10,
+            "seed": 42}
+COIN_MON = {"kind": "coin", "epsilon": 0.001, "delta": 0.05}
 
 
 def read_all(path, expected_file="trace"):
@@ -254,6 +264,62 @@ class TestMonitorPipeline:
             runner.evaluate(str(est), str(short))
 
 
+class TestLatencyHistogram:
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1023, 1024, 5000, 20000])
+    def test_percentiles_within_bound_of_exact(self, n):
+        rng = random.Random(n)
+        values = [int(rng.lognormvariate(8.0, 1.5)) for _ in range(n - 6)]
+        values += [0, 1, 63, 64, 65, 10 ** 7][:n]
+        hist = runner.LatencyHistogram()
+        for v in values:
+            hist.record(v)
+        got = hist.summary()
+        ordered = sorted(values)
+        median = statistics.median(ordered) / 1e3
+        p99 = ordered[int(0.99 * (len(ordered) - 1))] / 1e3
+        assert got["updates"] == n
+        assert got["mean_us"] == statistics.fmean(ordered) / 1e3
+        if n < 1024:  # the buffer has not filled: exact
+            assert (got["median_us"], got["p99_us"]) == (median, p99)
+        assert got["median_us"] == pytest.approx(median, rel=1 / 64)
+        assert got["p99_us"] == pytest.approx(p99, rel=1 / 64)
+
+    def test_values_below_64_ns_are_bucketed_exactly(self):
+        values = [(7 * i) % 64 for i in range(3001)]
+        hist = runner.LatencyHistogram()
+        for v in values:
+            hist.record(v)
+        ordered = sorted(values)
+        assert hist.summary() == {
+            "updates": 3001, "median_us": statistics.median(ordered) / 1e3,
+            "p99_us": ordered[int(0.99 * 3000)] / 1e3,
+            "mean_us": statistics.fmean(ordered) / 1e3}
+        assert runner.LatencyHistogram().summary() == {
+            "updates": 0, "median_us": None, "p99_us": None,
+            "mean_us": None}
+
+    def test_memory_does_not_grow_with_updates(self):
+        rng = random.Random(5)
+        values = [rng.randrange(50, 5000) for _ in range(100_000)]
+        # An array slot holds each reading without a live int object that
+        # the second reading would count.
+        traced = array("q", [0, 0])
+        tracemalloc.start()
+        try:
+            hist = runner.LatencyHistogram()
+            for i in range(10_000):
+                hist.record(values[i])
+            traced[0] = tracemalloc.get_traced_memory()[0]
+            for i in range(10_000, 100_000):
+                hist.record(values[i])
+            traced[1] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert hist.summary()["updates"] == 100_000
+        assert traced[1] == traced[0]
+
+
 class TestSnapshotResume:
 
     def split_trace(self, tmp_path, trace, split):
@@ -447,17 +513,24 @@ class TestCli:
                          str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("mutate", [
-        lambda rec: rec.update(x="7"),
-        lambda rec: rec.update(x=500),
-        lambda rec: rec.update(g="C"),
-        lambda rec: rec.pop("z"),
+    @pytest.mark.parametrize("sim, mon, mutate", [
+        (SIM, MON, lambda rec: rec.update(x="7")),
+        (SIM, MON, lambda rec: rec.update(x=500)),
+        (SIM, MON, lambda rec: rec.update(g="C")),
+        (SIM, MON, lambda rec: rec.pop("z")),
+        # Wrong JSON types that would pass the range checks.
+        (SIM, MON, lambda rec: rec.update(x=True)),
+        (SIM, MON, lambda rec: rec.update(y=1.0)),
+        (ATTENTION_SIM, ATTENTION_MON, lambda rec: rec.update(y_a=True)),
+        (COIN_SIM, COIN_MON, lambda rec: rec.update(x=1.0)),
     ], ids=["text-score", "score-out-of-range", "unknown-group",
-            "missing-field"])
-    def test_bad_observation_is_data_error(self, tmp_path, capsys, mutate):
-        cfg = self.write_config(tmp_path, mon=MON)
+            "missing-field", "bool-score", "float-decision",
+            "bool-attention-units", "float-coin-toss"])
+    def test_bad_observation_is_data_error(self, tmp_path, capsys, sim, mon,
+                                           mutate):
+        cfg = self.write_config(tmp_path, mon=mon)
         trace = tmp_path / "trace.jsonl"
-        runner.simulate(dict(SIM, horizon=20), str(trace))
+        runner.simulate(dict(sim, horizon=20), str(trace))
         lines = trace.read_text().splitlines()
         rec = json.loads(lines[5])
         mutate(rec)
