@@ -96,7 +96,7 @@ def build_parser():
     run.add_argument("--out-dir", required=True)
 
     bench = sub.add_parser("bench", help="per-update latency benchmark")
-    bench.add_argument("--kind", choices=("lending", "attention"),
+    bench.add_argument("--kind", choices=tuple(runner.BENCHES),
                        required=True)
     bench.add_argument("--updates", type=int, default=100_000)
     bench.add_argument("--seed", type=int, default=0)

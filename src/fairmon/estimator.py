@@ -10,6 +10,7 @@ confidence interval.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import kernels
@@ -26,11 +27,46 @@ class SubExpParams:
     nu: float
 
     def __post_init__(self):
+        check_field_types(self)
         if self.sigma_sq < 0 or self.nu < 0:
             raise ConfigError(
                 f"invalid parameters: sigma_sq={self.sigma_sq}, nu={self.nu}")
         if self.sigma_sq == 0 and self.nu == 0:
             raise ConfigError("invalid parameters: sigma_sq and nu both zero")
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_real(value):
+    """A finite int or float, not a bool (which JSON ``true`` would
+    become).  An int too large for a float is not finite."""
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+
+
+def check_field_types(obj):
+    """Raise ConfigError unless every ``int``, ``float`` or ``bool``
+    field of the dataclass ``obj`` holds that type: an ``int`` field an
+    int, a ``float`` field a real as :func:`is_real` has it, a ``bool``
+    field a bool.  Fields of other types are left to the caller.
+
+    The fields are read from the class annotations: ``dataclasses.fields``
+    builds a tuple from a generator, which counts toward the cyclic
+    garbage collector's next run, and a resumed run builds a monitor per
+    batch."""
+    for name, ftype in type(obj).__annotations__.items():
+        value = getattr(obj, name)
+        if ftype is int:
+            ok = type(value) is int
+        elif ftype is float:
+            ok = is_real(value)
+        elif ftype is bool:
+            ok = type(value) is bool
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{name} must be {ftype.__name__}, "
+                              f"got {value!r}")
 
 
 def _check_delta(delta):
@@ -47,9 +83,8 @@ def state_count(value):
 
 
 def state_real(value):
-    """A real read back from a snapshot: a finite int or float, not a
-    bool."""
-    if type(value) not in (int, float) or not math.isfinite(value):
+    """A real read back from a snapshot: see :func:`is_real`."""
+    if not is_real(value):
         raise TypeError(f"expected a finite number, got {value!r}")
     return float(value)
 

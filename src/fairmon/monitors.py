@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .discovery import eta_interval, poisson_subexp_params
 from .errors import ConfigError
 from .estimator import (ShiftedMeanEstimator, SubExpParams, _check_delta,
-                        state_count, state_real)
+                        check_field_types, state_count, state_real)
 from .intervals import ConfidenceInterval, interval_sub
 
 GROUPS = ("A", "B")
@@ -40,13 +40,15 @@ class TwoGroupMonitor:
     """One estimator per group at budget delta/2; the disparity interval
     is the difference of the latest outputs of groups A and B.
 
-    A subclass sets ``kind`` and passes its tail parameters, change
-    function and ``floor`` to ``__init__``; it defines ``_validate``
-    (observation checks), ``_steps`` (an observation split into
-    ``(group, step)`` pairs) and, unless the identity fits, ``_output``
-    (a group estimate mapped to its reported interval).  The change
-    function must not reference the monitor: a cycle would leave every
-    discarded monitor to the cyclic garbage collector.
+    A subclass sets ``kind``, ``config_type`` and ``observation_type``
+    (a namedtuple whose fields are those of a trace record), passes its
+    tail parameters, change function and ``floor`` to ``__init__``, and
+    defines ``_validate`` (observation checks), ``_steps`` (an
+    observation split into ``(group, step)`` pairs) and, unless the
+    identity fits, ``_output`` (a group estimate mapped to its reported
+    interval).  The change function must not reference the monitor: a
+    cycle would leave every discarded monitor to the cyclic garbage
+    collector.
 
     ``floor`` is a lower bound on each group's quantity at the start of
     the stream; the interval needs the quantity to stay above zero, so
@@ -121,14 +123,10 @@ class TwoGroupMonitor:
 # Lending
 # --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LendingObservation:
+class LendingObservation(namedtuple("LendingObservation", "x g y z")):
     """One lending event: credit score, group, grant decision, repayment."""
 
-    x: int
-    g: str
-    y: int
-    z: int
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -139,6 +137,7 @@ class LendingConfig:
     delta: float
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_a < 1 or self.n_b < 1:
             raise ConfigError(
                 f"group sizes must be positive: n_a={self.n_a}, n_b={self.n_b}")
@@ -165,23 +164,25 @@ class LendingMonitor(TwoGroupMonitor):
     score between groups A and B."""
 
     kind = "lending"
+    config_type = LendingConfig
+    observation_type = LendingObservation
 
     def __init__(self, cfg):
         super().__init__(cfg, SubExpParams(float(cfg.c_max) ** 2, 0.0),
                          lambda obs: lending_change(obs, cfg))
 
     def _validate(self, obs):
-        if obs.g not in GROUPS:
-            raise ValueError(f"unknown group {obs.g!r}")
+        x, g, y, z = obs
+        if g not in GROUPS:
+            raise ValueError(f"unknown group {g!r}")
         # JSON true/false and 1.0 pass the range checks, so types first.
-        if type(obs.x) is not int or type(obs.y) is not int \
-                or type(obs.z) is not int:
+        if type(x) is not int or type(y) is not int or type(z) is not int:
             raise TypeError(
                 f"score, decision and reaction must be integers: {obs}")
-        if not 0 <= obs.x <= self.cfg.c_max:
+        if not 0 <= x <= self.cfg.c_max:
             raise ValueError(
-                f"credit score {obs.x} outside [0, {self.cfg.c_max}]")
-        if obs.y not in (0, 1) or obs.z not in (0, 1):
+                f"credit score {x} outside [0, {self.cfg.c_max}]")
+        if y not in (0, 1) or z not in (0, 1):
             raise ValueError(f"decision/reaction must be 0 or 1: {obs}")
 
     def _steps(self, obs):
@@ -192,16 +193,12 @@ class LendingMonitor(TwoGroupMonitor):
 # Attention allocation
 # --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AttentionObservation:
+class AttentionObservation(namedtuple("AttentionObservation",
+                                      "x_a x_b y_a y_b k")):
     """One allocation round over the monitored pair of locations:
     sampled counts (incidents are x+1), attention units, total capacity."""
 
-    x_a: int
-    x_b: int
-    y_a: int
-    y_b: int
-    k: int
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -212,6 +209,7 @@ class AttentionConfig:
     delta: float
 
     def __post_init__(self):
+        check_field_types(self)
         if self.gamma < 0:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
         if not 0 < self.lambda_min < self.lambda_max:
@@ -240,6 +238,8 @@ class AttentionMonitor(TwoGroupMonitor):
     discovery probability between the two monitored locations."""
 
     kind = "attention"
+    config_type = AttentionConfig
+    observation_type = AttentionObservation
 
     def __init__(self, cfg):
         super().__init__(cfg, poisson_subexp_params(cfg.lambda_max),
@@ -250,19 +250,20 @@ class AttentionMonitor(TwoGroupMonitor):
                                            1.0 - cfg.delta / 2.0)
 
     def _validate(self, obs):
-        if type(obs.x_a) is not int or type(obs.x_b) is not int \
-                or type(obs.y_a) is not int or type(obs.y_b) is not int \
-                or type(obs.k) is not int:
+        x_a, x_b, y_a, y_b, k = obs
+        if type(x_a) is not int or type(x_b) is not int \
+                or type(y_a) is not int or type(y_b) is not int \
+                or type(k) is not int:
             raise TypeError(f"counts and capacity must be integers: {obs}")
-        if min(obs.x_a, obs.x_b, obs.y_a, obs.y_b) < 0 or obs.k < 1:
+        if min(x_a, x_b, y_a, y_b) < 0 or k < 1:
             raise ValueError(f"negative counts or capacity in {obs}")
-        if obs.y_a + obs.y_b > obs.k:
+        if y_a + y_b > k:
             raise ValueError(
-                f"allocation {obs.y_a}+{obs.y_b} exceeds capacity {obs.k}")
+                f"allocation {y_a}+{y_b} exceeds capacity {k}")
 
     def _steps(self, obs):
-        return (("A", _GroupStep(obs.x_a, obs.y_a)),
-                ("B", _GroupStep(obs.x_b, obs.y_b)))
+        x_a, x_b, y_a, y_b, _ = obs
+        return (("A", _GroupStep(x_a, y_a)), ("B", _GroupStep(x_b, y_b)))
 
     def _output(self, step, rate_ci):
         """Discovery-probability interval for one location; returns
@@ -281,19 +282,17 @@ class AttentionMonitor(TwoGroupMonitor):
 # property is the bias itself)
 # --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoinObservation:
-    x: int
+class CoinObservation(namedtuple("CoinObservation", "x")):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class CoinMonitorConfig:
     epsilon: float
     delta: float
-    sigma_sq: float = 1.0
-    nu: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 <= self.epsilon < 1:
             raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
         _check_delta(self.delta)
@@ -307,12 +306,15 @@ class CoinMonitor:
     """Tracks the drifting bias of a single coin-toss stream."""
 
     kind = "coin"
+    config_type = CoinMonitorConfig
+    observation_type = CoinObservation
 
     def __init__(self, cfg):
         self.cfg = cfg
+        # Outcomes lie in [0, 1]: lending's (c_max**2, 0) with c_max = 1.
         self._estimator = ShiftedMeanEstimator(
             lambda obs, eps=cfg.epsilon: coin_change(obs, eps),
-            cfg.delta, SubExpParams(cfg.sigma_sq, cfg.nu))
+            cfg.delta, SubExpParams(1.0, 0.0))
         self.t = 0
 
     @property
@@ -340,18 +342,19 @@ class CoinMonitor:
 # Construction from plain config dicts (CLI / snapshot surface)
 # --------------------------------------------------------------------
 
+MONITORS = {cls.kind: cls
+            for cls in (LendingMonitor, AttentionMonitor, CoinMonitor)}
+
+
 def build_monitor(config):
     """Build a monitor from a plain dict with a ``kind`` field."""
     cfg = dict(config)
     kind = cfg.pop("kind", None)
+    cls = MONITORS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown monitor kind {kind!r}")
     try:
-        if kind == "lending":
-            return LendingMonitor(LendingConfig(**cfg))
-        if kind == "attention":
-            return AttentionMonitor(AttentionConfig(**cfg))
-        if kind == "coin":
-            return CoinMonitor(CoinMonitorConfig(**cfg))
+        return cls(cls.config_type(**cfg))
     except TypeError as exc:
         raise ConfigError(
             f"bad monitor config for kind {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown monitor kind {kind!r}")

@@ -1,26 +1,25 @@
 """Pipeline operations behind the CLI: simulate, monitor, eval, bench,
 and snapshot/resume."""
 
+import math
 import random
 import statistics
 import time
 from itertools import zip_longest
 
 from .errors import ConfigError, TraceFormatError
-from .monitors import (AttentionObservation, LendingObservation,
-                       build_monitor)
+from .estimator import is_real
+from .monitors import AttentionObservation, LendingObservation, build_monitor
 from .sim import attention, coin, lending
 from . import traceio
 
-_SIM_CONFIGS = {
-    "coin": coin.CoinConfig,
-    "lending": lending.LendingSimConfig,
-    "attention": attention.AttentionSimConfig,
-}
-_SIM_GENERATORS = {
-    "coin": coin.generate,
-    "lending": lending.generate,
-    "attention": attention.generate,
+_INF = math.inf
+
+# kind -> (config type, payload generator)
+_SIMULATORS = {
+    "coin": (coin.CoinConfig, coin.generate),
+    "lending": (lending.LendingSimConfig, lending.generate),
+    "attention": (attention.AttentionSimConfig, attention.generate),
 }
 
 
@@ -28,10 +27,10 @@ def build_sim(config):
     """Parse a simulator config dict (with a ``kind`` field)."""
     cfg = dict(config)
     kind = cfg.pop("kind", None)
-    if kind not in _SIM_CONFIGS:
+    if not isinstance(kind, str) or kind not in _SIMULATORS:
         raise ConfigError(f"unknown simulator kind {kind!r}")
     try:
-        return kind, _SIM_CONFIGS[kind](**cfg)
+        return kind, _SIMULATORS[kind][0](**cfg)
     except TypeError as exc:
         raise ConfigError(f"bad simulator config for {kind!r}: {exc}") from exc
 
@@ -39,7 +38,7 @@ def build_sim(config):
 def simulate(config, out_path, include_truth=True):
     """Generate a trace file; deterministic per (config, seed)."""
     kind, cfg = build_sim(config)
-    payloads = _SIM_GENERATORS[kind](cfg)
+    payloads = _SIMULATORS[kind][1](cfg)
     if not include_truth:
         payloads = (
             {k: v for k, v in p.items() if k != "truth"} for p in payloads)
@@ -81,15 +80,15 @@ def monitor_trace(trace_path, monitor_config, out_path,
     def estimates():
         for rec in records:
             # A record the monitor cannot take (missing field, wrong type,
-            # value out of range) is a data error located in the trace.
+            # value out of range, a count too large for a float) is a data
+            # error located in the trace.
             try:
                 obs = traceio.observation_from_record(kind, rec)
                 start = clock()
                 out = update(obs)
                 record(clock() - start)
-            except (TypeError, ValueError) as exc:
-                raise TraceFormatError(
-                    f"{trace_path}: bad record t={rec['t']}: {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise _bad_record(trace_path, rec["t"], exc) from exc
             yield traceio.estimate_record(out)
 
     traceio.write_estimates(out_path, mon.kind, dict(monitor_config),
@@ -198,9 +197,15 @@ class LatencyHistogram:
                 "mean_us": self._total_ns / n / 1e3}
 
 
+def _bad_record(path, t, problem):
+    return TraceFormatError(f"{path}: bad record t={t}: {problem}")
+
+
 def evaluate(estimates_path, trace_path):
     """Per-step containment of the true property in the emitted interval,
-    plus interval-width statistics."""
+    plus interval-width statistics.  Streams both files: memory does not
+    grow with their length, apart from ``width_decay``, which has one
+    entry per doubling of t."""
     est_meta, est_records = traceio.read_records(
         estimates_path, expected_file="estimates")
     trace_meta, trace_records = traceio.read_records(trace_path)
@@ -208,7 +213,7 @@ def evaluate(estimates_path, trace_path):
         raise TraceFormatError("estimates and trace kinds differ")
 
     steps = conclusive = contained = truth_steps = 0
-    widths = []
+    width_sum = 0.0
     decay = []
     next_checkpoint = 1
     missing = object()
@@ -218,22 +223,43 @@ def evaluate(estimates_path, trace_path):
             raise TraceFormatError(
                 f"estimates and trace files have different lengths: "
                 f"{estimates_path}, {trace_path}")
-        if est["t"] != rec["t"]:
+        t = est["t"]
+        if t != rec["t"]:
             raise TraceFormatError(
-                f"misaligned files at t={est['t']} vs t={rec['t']}")
+                f"misaligned files at t={t} vs t={rec['t']}")
         steps += 1
-        if not est["conclusive"]:
+        flag = est.get("conclusive")
+        if flag is False:
             continue
+        # The monitor writes every endpoint as a float.
+        lo, hi = est.get("phi_lo"), est.get("phi_hi")
+        if flag is not True or type(lo) is not float \
+                or type(hi) is not float or not -_INF < lo <= hi < _INF:
+            raise _bad_record(
+                estimates_path, t, "need conclusive false, or true with "
+                f"finite phi_lo <= phi_hi; got {flag!r}, {lo!r}, {hi!r}")
         conclusive += 1
-        width = est["phi_hi"] - est["phi_lo"]
-        widths.append(width)
-        if est["t"] >= next_checkpoint:
-            decay.append({"t": est["t"], "width": width})
+        width = hi - lo
+        width_sum += width
+        if t >= next_checkpoint:
+            decay.append({"t": t, "width": width})
             next_checkpoint *= 2
         truth = rec.get("truth")
-        if truth is not None and "phi" in truth:
+        if truth is None:
+            continue
+        if type(truth) is not dict:
+            raise _bad_record(trace_path, t,
+                              f"truth must be an object, got {truth!r}")
+        if "phi" in truth:
+            phi = truth["phi"]
+            # is_real, with floats (what the simulators write) inline.
+            if type(phi) is not float and not is_real(phi) \
+                    or not -_INF < phi < _INF:
+                raise _bad_record(
+                    trace_path, t,
+                    f"truth phi must be a finite number, got {phi!r}")
             truth_steps += 1
-            if est["phi_lo"] <= truth["phi"] <= est["phi_hi"]:
+            if lo <= phi <= hi:
                 contained += 1
     report = {
         "steps": steps,
@@ -241,8 +267,7 @@ def evaluate(estimates_path, trace_path):
         "truth_steps": truth_steps,
         "contained": contained,
         "containment": contained / truth_steps if truth_steps else None,
-        "mean_width": statistics.fmean(widths) if widths else None,
-        "median_width": statistics.median(widths) if widths else None,
+        "mean_width": width_sum / conclusive if conclusive else None,
         "width_decay": decay,
     }
     return report
@@ -252,37 +277,40 @@ def evaluate(estimates_path, trace_path):
 # Synthetic-update benchmark
 # --------------------------------------------------------------------
 
-def _synthetic_observations(kind, n, seed):
-    rng = random.Random(seed)
-    if kind == "lending":
-        return [LendingObservation(x=rng.randrange(101),
-                                   g="A" if rng.random() < 0.5 else "B",
-                                   y=rng.randrange(2), z=rng.randrange(2))
-                for _ in range(n)]
-    if kind == "attention":
-        obs = []
-        for _ in range(n):
-            y_a = rng.randrange(4)
-            y_b = rng.randrange(7 - y_a)
-            obs.append(AttentionObservation(
-                x_a=rng.randrange(20), x_b=rng.randrange(20),
-                y_a=y_a, y_b=y_b, k=6))
-        return obs
-    raise ConfigError(f"no benchmark for kind {kind!r}")
+def _lending_observation(rng):
+    return LendingObservation(rng.randrange(101),
+                              "A" if rng.random() < 0.5 else "B",
+                              rng.randrange(2), rng.randrange(2))
 
 
-def _default_monitor_config(kind):
-    if kind == "lending":
-        return {"kind": "lending", "n_a": 100, "n_b": 100,
-                "c_max": 100, "delta": 0.05}
-    return {"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
-            "lambda_max": 12.0, "delta": 0.05}
+def _attention_observation(rng):
+    y_a = rng.randrange(4)
+    y_b = rng.randrange(7 - y_a)
+    return AttentionObservation(rng.randrange(20), rng.randrange(20),
+                                y_a, y_b, 6)
+
+
+# kind -> (default monitor config, one random observation from an rng)
+BENCHES = {
+    "lending": ({"kind": "lending", "n_a": 100, "n_b": 100, "c_max": 100,
+                 "delta": 0.05}, _lending_observation),
+    "attention": ({"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
+                   "lambda_max": 12.0, "delta": 0.05},
+                  _attention_observation),
+}
 
 
 def bench(kind, updates, seed=0, monitor_config=None):
     """Median / p99 per-update latency over an in-memory trace."""
-    observations = _synthetic_observations(kind, updates, seed)
-    mon = build_monitor(monitor_config or _default_monitor_config(kind))
+    if kind not in BENCHES:
+        raise ConfigError(f"no benchmark for kind {kind!r}")
+    if updates < 1:
+        raise ConfigError(f"updates must be a positive integer, got "
+                          f"{updates}")
+    default_config, observation = BENCHES[kind]
+    rng = random.Random(seed)
+    observations = [observation(rng) for _ in range(updates)]
+    mon = build_monitor(monitor_config or default_config)
     latencies = LatencyHistogram()
     record = latencies.record
     clock = time.perf_counter_ns

@@ -14,6 +14,7 @@ from typing import Optional
 
 from ..discovery import eta
 from ..errors import AssumptionViolation, ConfigError
+from ..estimator import check_field_types
 from ..monitors import AttentionObservation, attention_change
 from .sampling import poisson
 
@@ -34,6 +35,7 @@ class AttentionSimConfig:
     omniscient: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.l < 2:
             raise ConfigError(f"need at least 2 locations, got {self.l}")
         if self.k < 1:

@@ -4,6 +4,7 @@ import random
 from dataclasses import dataclass
 
 from ..errors import AssumptionViolation, ConfigError
+from ..estimator import check_field_types
 
 
 @dataclass(frozen=True)
@@ -14,6 +15,7 @@ class CoinConfig:
     seed: int
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.p1 < 1.0:
             raise ConfigError(f"p1 must be in (0, 1), got {self.p1}")
         if not 0.0 <= self.epsilon < 1.0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError
+from ..estimator import check_field_types
 from ..monitors import LendingObservation
 
 PRESETS = {
@@ -41,6 +42,7 @@ class LendingSimConfig:
     use_true_tallies: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_a < 1 or self.n_b < 1:
             raise ConfigError(
                 f"group sizes must be positive: n_a={self.n_a}, n_b={self.n_b}")
@@ -93,12 +95,6 @@ class LendingEnv:
 
     def group_mean(self, g):
         return self.sums[g] / len(self.scores[g])
-
-    def tallies(self, g):
-        counts = [0] * (self.cfg.c_max + 1)
-        for x in self.scores[g]:
-            counts[x] += 1
-        return counts
 
     def step(self, policy, rng):
         """One lending round; returns (observation, ground-truth dict).

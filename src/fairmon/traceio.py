@@ -14,11 +14,9 @@ import math
 from json.encoder import encode_basestring_ascii
 
 from .errors import TraceFormatError
-from .monitors import (AttentionObservation, CoinObservation,
-                       LendingObservation)
+from .monitors import MONITORS
 
 FORMAT_VERSION = 1
-KINDS = ("coin", "lending", "attention")
 
 
 def config_hash(config):
@@ -33,7 +31,7 @@ _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 def write_trace(path, kind, config, payloads):
     """Write a trace file; ``payloads`` yields per-step dicts with "t"."""
-    if kind not in KINDS:
+    if kind not in MONITORS:
         raise TraceFormatError(f"unknown trace kind {kind!r}")
     meta = {"format": FORMAT_VERSION, "file": "trace", "kind": kind,
             "config": config, "config_hash": config_hash(config)}
@@ -60,6 +58,9 @@ def _read_meta(fh, path, expected_file):
         raise TraceFormatError(
             f"{path}: expected a {expected_file} file, got "
             f"{meta.get('file')!r}")
+    kind = meta.get("kind")
+    if not isinstance(kind, str) or kind not in MONITORS:
+        raise TraceFormatError(f"{path}:1: unknown or missing kind {kind!r}")
     return meta
 
 
@@ -98,21 +99,20 @@ def read_records(path, expected_file="trace", start_t=1):
 
 
 def observation_from_record(kind, rec):
-    """The monitor observation of one trace record.  Field types and
-    ranges are checked by the monitor's update."""
+    """The monitor observation of one trace record: the kind's
+    observation type filled from the record's fields of the same names.
+    Field types and ranges are checked by the monitor's update."""
     try:
-        if kind == "coin":
-            return CoinObservation(x=rec["x"])
-        if kind == "lending":
-            return LendingObservation(x=rec["x"], g=rec["g"],
-                                      y=rec["y"], z=rec["z"])
-        if kind == "attention":
-            return AttentionObservation(x_a=rec["x_a"], x_b=rec["x_b"],
-                                        y_a=rec["y_a"], y_b=rec["y_b"],
-                                        k=rec["k"])
+        obs_type = MONITORS[kind].observation_type
+    except KeyError:
+        raise TraceFormatError(f"unknown trace kind {kind!r}") from None
+    try:
+        # From a list: from an iterator of unknown length the tuple is
+        # allocated oversized and shrunk, which counts one allocation per
+        # record toward the cyclic garbage collector's next run.
+        return obs_type._make([rec[f] for f in obs_type._fields])
     except KeyError as exc:
         raise TraceFormatError(f"missing field {exc}") from exc
-    raise TraceFormatError(f"unknown trace kind {kind!r}")
 
 
 def estimate_record(output):

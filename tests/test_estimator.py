@@ -93,6 +93,10 @@ class TestAzumaEpsilon:
             SubExpParams(-1.0, 0.0)
         with pytest.raises(ConfigError):
             SubExpParams(0.0, 0.0)
+        for sigma_sq, nu in ((True, 0.0), (1.0, math.inf), ("1", 0.0),
+                             (10 ** 400, 0.0)):
+            with pytest.raises(ConfigError):
+                SubExpParams(sigma_sq, nu)
 
 
 class TestShiftedMeanEstimator:

@@ -16,6 +16,7 @@ from fairmon.discovery import eta
 from fairmon.errors import ConfigError
 from fairmon.estimator import SubExpParams
 from fairmon.monitors import (
+    MONITORS,
     RATE_FLOOR,
     AttentionConfig,
     AttentionMonitor,
@@ -282,10 +283,36 @@ class TestCoinMonitor:
         assert out.phi.width == pytest.approx(2 * eps, rel=1e-12)
         assert out.conclusive
 
+    def test_tail_parameters_follow_outcome_range(self):
+        mon = CoinMonitor(CoinMonitorConfig(epsilon=0.1, delta=0.05))
+        assert mon.estimator.params == SubExpParams(1.0, 0.0)
+
     def test_rejects_non_binary_outcome(self):
         mon = CoinMonitor(CoinMonitorConfig(epsilon=0.1, delta=0.05))
         with pytest.raises(ValueError):
             mon.update(CoinObservation(2))
+
+
+class TestObservations:
+
+    @pytest.mark.parametrize("kind, fields, values, text", [
+        ("lending", ("x", "g", "y", "z"), (5, "A", 1, 0),
+         "LendingObservation(x=5, g='A', y=1, z=0)"),
+        ("attention", ("x_a", "x_b", "y_a", "y_b", "k"), (4, 3, 1, 0, 2),
+         "AttentionObservation(x_a=4, x_b=3, y_a=1, y_b=0, k=2)"),
+        ("coin", ("x",), (1,), "CoinObservation(x=1)"),
+    ])
+    def test_fields_keywords_and_repr(self, kind, fields, values, text):
+        obs_type = MONITORS[kind].observation_type
+        obs = obs_type(**dict(zip(fields, values)))
+        assert obs_type._fields == fields
+        assert obs == obs_type(*values)
+        assert repr(obs) == text
+        assert [getattr(obs, f) for f in fields] == list(values)
+        with pytest.raises(AttributeError):
+            obs.x_new = 1
+        with pytest.raises(AttributeError):
+            setattr(obs, fields[0], 0)
 
 
 class TestBuildMonitor:
@@ -333,6 +360,18 @@ class TestBuildMonitor:
          "lambda_max": 8.0, "delta": 0.05, "rate_floor": 1e-9},
         {"kind": "coin", "epsilon": 0.1, "delta": 0.0},
         {"kind": "housing"},
+        # Field types: a bool is not an int, an int field takes no
+        # fraction, a float field must be finite as a float.
+        {"kind": "lending", "n_a": True, "n_b": 5, "c_max": 10,
+         "delta": 0.05},
+        {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10.5,
+         "delta": 0.05},
+        {"kind": "attention", "gamma": 0.01, "lambda_min": 1.0,
+         "lambda_max": 10 ** 400, "delta": 0.05},
+        {"kind": "coin", "epsilon": False, "delta": 0.05},
+        # The coin monitor's tail parameters are not options.
+        {"kind": "coin", "epsilon": 0.1, "delta": 0.05, "sigma_sq": 2.0},
+        {"kind": ["lending"]},
     ])
     def test_config_errors_are_config_errors(self, config):
         with pytest.raises(ConfigError):

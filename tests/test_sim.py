@@ -327,3 +327,5 @@ class TestAttentionSim:
             self.make_cfg(policy="roundrobin")
         with pytest.raises(ConfigError):
             self.make_cfg(lambda_init=0.0)
+        with pytest.raises(ConfigError):
+            self.make_cfg(omniscient=1)

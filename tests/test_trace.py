@@ -80,6 +80,23 @@ class TestTraceFiles:
         with pytest.raises(TraceFormatError):
             traceio.read_records(str(bad), "trace")
 
+    @pytest.mark.parametrize("kind", [None, "housing", ["lending"]],
+                             ids=["no-kind", "unknown-kind", "list-kind"])
+    def test_metadata_needs_a_known_kind(self, tmp_path, kind):
+        bad = tmp_path / "bad.jsonl"
+        meta = {"format": 1, "file": "trace", "config": {},
+                "config_hash": "x"}
+        if kind is not None:
+            meta["kind"] = kind
+        write_lines(bad, [json.dumps(meta), json.dumps({"t": 1, "x": 1})])
+        with pytest.raises(TraceFormatError, match=f"{bad}:1: unknown or "
+                           "missing kind"):
+            traceio.read_records(str(bad), "trace")
+
+    def test_observation_of_unknown_kind(self):
+        with pytest.raises(TraceFormatError, match="unknown trace kind"):
+            traceio.observation_from_record("housing", {"t": 1, "x": 1})
+
     def test_metadata_must_be_an_object(self, tmp_path):
         bad = tmp_path / "bad.json"
         write_lines(bad, ["[1, 2]"])
@@ -192,6 +209,7 @@ class TestEstimateRecord:
 class TestMonitorPipeline:
 
     def run_pair(self, tmp_path, sim=SIM, mon=MON):
+        tmp_path.mkdir(exist_ok=True)
         trace = tmp_path / "trace.jsonl"
         est = tmp_path / "est.jsonl"
         runner.simulate(sim, str(trace))
@@ -237,7 +255,12 @@ class TestMonitorPipeline:
         assert report["steps"] == 10
         assert report["truth_steps"] == report["conclusive_steps"]
         assert 0.0 <= report["containment"] <= 1.0
-        assert report["mean_width"] > 0
+        _, records = read_all(str(est), "estimates")
+        widths = [r["phi_hi"] - r["phi_lo"] for r in records
+                  if r["conclusive"]]
+        assert report["mean_width"] == pytest.approx(
+            statistics.fmean(widths), rel=1e-12)
+        assert "median_width" not in report
 
     def test_evaluate_without_truth_has_no_containment(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -254,6 +277,42 @@ class TestMonitorPipeline:
         write_lines(est, lines)
         with pytest.raises(TraceFormatError, match=f"{est}:10: corrupt"):
             runner.evaluate(str(est), str(trace))
+
+    @pytest.mark.parametrize("target, mutate", [
+        ("estimates", lambda rec: rec.pop("conclusive")),
+        ("estimates", lambda rec: rec.update(phi_hi="x")),
+        ("estimates", lambda rec: rec.update(phi_lo=10 ** 400)),
+        ("estimates", lambda rec: rec.update(conclusive="yes")),
+        ("trace", lambda rec: rec.update(truth=5)),
+        ("trace", lambda rec: rec.update(truth={"phi": "1"})),
+    ], ids=["no-conclusive", "text-phi-hi", "huge-phi-lo", "text-flag",
+            "number-truth", "text-truth-phi"])
+    def test_evaluate_reports_bad_record(self, tmp_path, target, mutate):
+        trace, est, _ = self.run_pair(tmp_path)
+        path = est if target == "estimates" else trace
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[9])
+        mutate(rec)
+        lines[9] = json.dumps(rec)
+        write_lines(path, lines)
+        with pytest.raises(TraceFormatError,
+                           match=f"{path}: bad record t=9: "):
+            runner.evaluate(str(est), str(trace))
+
+    def test_evaluate_memory_does_not_grow_with_records(self, tmp_path):
+        peaks = []
+        for horizon in (2_000, 20_000):
+            trace, est, _ = self.run_pair(tmp_path / str(horizon),
+                                          dict(SIM, horizon=horizon))
+            tracemalloc.start()
+            try:
+                report = runner.evaluate(str(est), str(trace))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report["steps"] == horizon
+        # width_decay gains an entry per doubling of t: 4 more at 20k.
+        assert peaks[1] - peaks[0] < 2048, peaks
 
     def test_evaluate_rejects_length_mismatch(self, tmp_path):
         trace, est, _ = self.run_pair(tmp_path)
@@ -392,9 +451,10 @@ class TestSnapshotResume:
         ({"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
           "lambda_max": 12.0, "delta": 0.05},
          lambda state: state.pop("min_shift")),
+        (MON, lambda state: state["estimators"]["B"].update(e1_hat=10 ** 400)),
     ], ids=["fractional-t", "bool-estimator-t", "no-last", "no-min-shift-b",
             "text-t", "list-estimator", "short-interval",
-            "attention-no-min-shift"])
+            "attention-no-min-shift", "huge-e1-hat"])
     def test_bad_snapshot_state_is_data_error(self, tmp_path, capsys,
                                               mon, mutate):
         sim = (SIM if mon["kind"] == "lending" else
@@ -523,9 +583,11 @@ class TestCli:
         (SIM, MON, lambda rec: rec.update(y=1.0)),
         (ATTENTION_SIM, ATTENTION_MON, lambda rec: rec.update(y_a=True)),
         (COIN_SIM, COIN_MON, lambda rec: rec.update(x=1.0)),
+        # A count too large for a float.
+        (ATTENTION_SIM, ATTENTION_MON, lambda rec: rec.update(x_a=10 ** 400)),
     ], ids=["text-score", "score-out-of-range", "unknown-group",
             "missing-field", "bool-score", "float-decision",
-            "bool-attention-units", "float-coin-toss"])
+            "bool-attention-units", "float-coin-toss", "huge-count"])
     def test_bad_observation_is_data_error(self, tmp_path, capsys, sim, mon,
                                            mutate):
         cfg = self.write_config(tmp_path, mon=mon)
@@ -572,6 +634,21 @@ class TestCli:
         assert len(records) == 3
         assert not filecmp.cmp(str(a), str(b), shallow=False)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("override", ["horizon=2.5", "horizon=true"])
+    def test_ill_typed_override_is_exit_1(self, tmp_path, capsys, override):
+        cfg = self.write_config(tmp_path, SIM, MON)
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main(["simulate", "--config", str(cfg), "--seed", "42",
+                         "-o", str(trace), "--set", override]) == 1
+        assert "error: horizon must be int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("updates", ["0", "-3"])
+    def test_bench_rejects_non_positive_updates(self, capsys, updates):
+        assert cli.main(["bench", "--kind", "lending",
+                         "--updates", updates]) == 1
+        assert "updates must be a positive integer" in \
+            capsys.readouterr().err
 
     def test_bench_runs(self, capsys):
         assert cli.main(["bench", "--kind", "lending",
