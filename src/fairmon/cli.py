@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import kernels, runner, traceio
+from . import runner, traceio
 from .errors import AssumptionViolation, ConfigError, TraceFormatError
 
 
@@ -124,11 +124,13 @@ def _cmd_monitor(args):
                          [_parse_override(o) for o in args.overrides])
     elif args.resume is None:
         raise ConfigError("monitor needs --config or --resume")
+    elif args.overrides:
+        raise ConfigError("--set needs --config: a resumed run takes the "
+                          "snapshot's monitor config")
     summary = runner.monitor_trace(args.trace, section, args.out,
                                    snapshot_in=args.resume,
                                    snapshot_out=args.snapshot)
-    print(f"wrote estimates to {args.out} "
-          f"(kernel backend: {kernels.backend_name()})")
+    print(f"wrote estimates to {args.out}")
     if summary["updates"]:
         print(f"updates: {summary['updates']}  "
               f"median: {summary['median_us']:.2f} us  "
@@ -167,8 +169,7 @@ def _cmd_run(args):
 
 def _cmd_bench(args):
     summary = runner.bench(args.kind, args.updates, args.seed)
-    print(f"{summary['kind']}  backend={kernels.backend_name()}  "
-          f"updates={summary['updates']}  "
+    print(f"{summary['kind']}  updates={summary['updates']}  "
           f"median={summary['median_us']:.2f} us  "
           f"p99={summary['p99_us']:.2f} us  "
           f"mean={summary['mean_us']:.2f} us")

@@ -74,6 +74,22 @@ def _check_delta(delta):
         raise ConfigError(f"invalid confidence: delta={delta} not in (0, 1)")
 
 
+_C_MAX_LIMIT = math.sqrt(_FLOAT_MAX)
+
+
+def _check_population(n_a, n_b, c_max):
+    """Group sizes and score ceiling of a lending population, shared by
+    the lending monitor and simulator configs.  The sizes are divided
+    into as floats and ``c_max`` is squared as one."""
+    if not (1 <= n_a <= _FLOAT_MAX and 1 <= n_b <= _FLOAT_MAX):
+        raise ConfigError(
+            f"group sizes must be in [1, {_FLOAT_MAX:.6g}]: n_a={n_a}, "
+            f"n_b={n_b}")
+    if not 1 <= c_max <= _C_MAX_LIMIT:
+        raise ConfigError(
+            f"c_max must be in [1, {_C_MAX_LIMIT:.6g}], got {c_max}")
+
+
 def state_count(value):
     """A step count read back from a snapshot: a nonnegative int (not a
     bool, which JSON ``true`` would become)."""

@@ -11,7 +11,7 @@ import math
 
 
 def backend_name():
-    """Name of the kernel implementation, stamped into run output."""
+    """Name of the kernel implementation, for benchmark provenance."""
     return "python"
 
 
@@ -53,7 +53,9 @@ def eta(y, lam):
     y/lam while their sum stays in (0, 1]), so the complement
     1 - sum_{k>=y} pmf(k; lam) * (1 - y/(k+1)) is used instead; every
     summand is nonnegative and the terms decay geometrically because
-    k >= y >= lam.
+    k >= y >= lam.  Once the pmf term underflows to 0.0 every later term
+    is 0.0 and the result is exactly 1.0, so the prefix loop stops there,
+    whatever y is.
     """
     if lam > y:
         term = math.exp(-lam)
@@ -65,6 +67,8 @@ def eta(y, lam):
     term = math.exp(-lam)
     for k in range(1, y + 1):
         term *= lam / k
+        if term == 0.0:
+            return 1.0
     acc = 0.0
     k = y
     while term > 1e-20 * acc or k == y:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from .discovery import eta_interval, poisson_subexp_params
 from .errors import ConfigError
 from .estimator import (ShiftedMeanEstimator, SubExpParams, _check_delta,
-                        check_field_types, state_count, state_real)
+                        _check_population, check_field_types, state_count,
+                        state_real)
 from .intervals import ConfidenceInterval, interval_sub
 
 GROUPS = ("A", "B")
@@ -138,11 +139,7 @@ class LendingConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_a < 1 or self.n_b < 1:
-            raise ConfigError(
-                f"group sizes must be positive: n_a={self.n_a}, n_b={self.n_b}")
-        if self.c_max < 1:
-            raise ConfigError(f"c_max must be positive, got {self.c_max}")
+        _check_population(self.n_a, self.n_b, self.c_max)
         _check_delta(self.delta)
 
     def group_size(self, g):

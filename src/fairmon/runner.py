@@ -3,7 +3,6 @@ and snapshot/resume."""
 
 import math
 import random
-import statistics
 import time
 from itertools import zip_longest
 
@@ -88,7 +87,7 @@ def monitor_trace(trace_path, monitor_config, out_path,
                 out = update(obs)
                 record(clock() - start)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise _bad_record(trace_path, rec["t"], exc) from exc
+                raise traceio.bad_record(trace_path, rec["t"], exc) from exc
             yield traceio.estimate_record(out)
 
     traceio.write_estimates(out_path, mon.kind, dict(monitor_config),
@@ -131,8 +130,7 @@ class LatencyHistogram:
     the mean, are always exact.
     """
 
-    __slots__ = ("_recent", "_pending", "_counts", "_folded", "_total_ns",
-                 "_lowest")
+    __slots__ = ("_recent", "_pending", "_counts", "_folded", "_total_ns")
 
     def __init__(self):
         # Unsigned 64-bit slots over bytearrays: fixed-size, no per-value
@@ -142,7 +140,6 @@ class LatencyHistogram:
         self._counts = memoryview(bytearray(8 * (_TOP + 1))).cast("Q")
         self._folded = 0
         self._total_ns = 0
-        self._lowest = _TOP   # lowest bucket in use
 
     def record(self, ns):
         n = self._pending
@@ -153,52 +150,44 @@ class LatencyHistogram:
 
     def _fold(self):
         pending = self._recent[:self._pending]
-        counts, lowest = self._counts, self._lowest
+        counts = self._counts
         for ns in pending:
             if ns >= _EXACT:
                 shift = ns.bit_length() - _SUB_BITS - 1
                 ns = (shift << _SUB_BITS) + (ns >> shift)
                 if ns > _TOP:
                     ns = _TOP
-            if ns < lowest:
-                lowest = ns
             counts[ns] += 1
-        self._lowest = lowest
         self._total_ns += sum(pending)
         self._folded += self._pending
         self._pending = 0
 
     def summary(self):
         """``updates`` and ``mean_us`` (exact), ``median_us`` and
-        ``p99_us``, in microseconds; None without updates."""
-        if not self._folded:
-            ordered = sorted(self._recent[:self._pending])
-            if not ordered:
-                return {"updates": 0, "median_us": None, "p99_us": None,
-                        "mean_us": None}
-            p99 = ordered[int(0.99 * (len(ordered) - 1))]
-            return {"updates": len(ordered),
-                    "median_us": statistics.median(ordered) / 1e3,
-                    "p99_us": p99 / 1e3,
-                    "mean_us": statistics.fmean(ordered) / 1e3}
-        self._fold()
-        n = self._folded
-        counts, index = self._counts, self._lowest
-        lo_mid, hi_mid, p99 = (n - 1) // 2, n // 2, int(0.99 * (n - 1))
-        at_rank, seen = {}, 0
-        for rank in sorted({lo_mid, hi_mid, p99}):
-            while seen <= rank:
-                seen += counts[index]
-                index += 1
-            at_rank[rank] = _bucket_middle(index - 1)
+        ``p99_us``, in microseconds; None without updates.  Both read
+        the same ranks, from the sorted buffer or from the buckets."""
+        pending = self._recent[:self._pending]
+        n = self._folded + len(pending)
+        if not n:
+            return {"updates": 0, "median_us": None, "p99_us": None,
+                    "mean_us": None}
+        total_ns = self._total_ns + sum(pending)
+        ranks = (n - 1) // 2, n // 2, int(0.99 * (n - 1))
+        if self._folded:
+            self._fold()
+            counts, index, seen, at_rank = self._counts, 0, 0, {}
+            for rank in sorted(set(ranks)):
+                while seen <= rank:
+                    seen += counts[index]
+                    index += 1
+                at_rank[rank] = _bucket_middle(index - 1)
+        else:
+            at_rank = sorted(pending)
+        lo_mid, hi_mid, p99 = (at_rank[r] for r in ranks)
         return {"updates": n,
-                "median_us": (at_rank[lo_mid] + at_rank[hi_mid]) / 2 / 1e3,
-                "p99_us": at_rank[p99] / 1e3,
-                "mean_us": self._total_ns / n / 1e3}
-
-
-def _bad_record(path, t, problem):
-    return TraceFormatError(f"{path}: bad record t={t}: {problem}")
+                "median_us": (lo_mid + hi_mid) / 2 / 1e3,
+                "p99_us": p99 / 1e3,
+                "mean_us": total_ns / n / 1e3}
 
 
 def evaluate(estimates_path, trace_path):
@@ -223,10 +212,8 @@ def evaluate(estimates_path, trace_path):
             raise TraceFormatError(
                 f"estimates and trace files have different lengths: "
                 f"{estimates_path}, {trace_path}")
+        # read_records numbers both files from 1, so the steps align.
         t = est["t"]
-        if t != rec["t"]:
-            raise TraceFormatError(
-                f"misaligned files at t={t} vs t={rec['t']}")
         steps += 1
         flag = est.get("conclusive")
         if flag is False:
@@ -235,7 +222,7 @@ def evaluate(estimates_path, trace_path):
         lo, hi = est.get("phi_lo"), est.get("phi_hi")
         if flag is not True or type(lo) is not float \
                 or type(hi) is not float or not -_INF < lo <= hi < _INF:
-            raise _bad_record(
+            raise traceio.bad_record(
                 estimates_path, t, "need conclusive false, or true with "
                 f"finite phi_lo <= phi_hi; got {flag!r}, {lo!r}, {hi!r}")
         conclusive += 1
@@ -248,14 +235,14 @@ def evaluate(estimates_path, trace_path):
         if truth is None:
             continue
         if type(truth) is not dict:
-            raise _bad_record(trace_path, t,
-                              f"truth must be an object, got {truth!r}")
+            raise traceio.bad_record(
+                trace_path, t, f"truth must be an object, got {truth!r}")
         if "phi" in truth:
             phi = truth["phi"]
             # is_real, with floats (what the simulators write) inline.
             if type(phi) is not float and not is_real(phi) \
                     or not -_INF < phi < _INF:
-                raise _bad_record(
+                raise traceio.bad_record(
                     trace_path, t,
                     f"truth phi must be a finite number, got {phi!r}")
             truth_steps += 1
@@ -300,17 +287,17 @@ BENCHES = {
 }
 
 
-def bench(kind, updates, seed=0, monitor_config=None):
+def bench(kind, updates, seed=0):
     """Median / p99 per-update latency over an in-memory trace."""
     if kind not in BENCHES:
         raise ConfigError(f"no benchmark for kind {kind!r}")
     if updates < 1:
         raise ConfigError(f"updates must be a positive integer, got "
                           f"{updates}")
-    default_config, observation = BENCHES[kind]
+    config, observation = BENCHES[kind]
     rng = random.Random(seed)
     observations = [observation(rng) for _ in range(updates)]
-    mon = build_monitor(monitor_config or default_config)
+    mon = build_monitor(config)
     latencies = LatencyHistogram()
     record = latencies.record
     clock = time.perf_counter_ns

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from ..discovery import eta
+from ..discovery import MAX_RATE, eta
 from ..errors import AssumptionViolation, ConfigError
 from ..estimator import check_field_types
 from ..monitors import AttentionObservation, attention_change
@@ -120,6 +120,16 @@ class AttentionEnv:
         self.rates = cfg.initial_rates()
         self.t = 0
 
+    def _omega(self, i, y):
+        """Discovery probability of location i given y units."""
+        if y == 0:
+            return 0.0
+        if self.rates[i] > MAX_RATE:
+            raise AssumptionViolation(
+                f"incident rate of location {i} reached {self.rates[i]}, "
+                f"above the discovery range (0, {MAX_RATE}]", step=self.t)
+        return eta(y, self.rates[i])
+
     def step(self, policy, rng):
         """One allocation round; returns (observation over the monitored
         pair, ground-truth dict).  Truth uses the rates the counts were
@@ -130,8 +140,7 @@ class AttentionEnv:
         policy.observe(counts)
         lam_a, lam_b = self.rates[0], self.rates[1]
         y_a, y_b = alloc[0], alloc[1]
-        omega_a = eta(y_a, lam_a) if y_a >= 1 else 0.0
-        omega_b = eta(y_b, lam_b) if y_b >= 1 else 0.0
+        omega_a, omega_b = self._omega(0, y_a), self._omega(1, y_b)
         for i in range(self.cfg.l):
             self.rates[i] += attention_change(alloc[i], self.cfg.gamma)
             if self.rates[i] <= 0.0:

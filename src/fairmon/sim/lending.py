@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError
-from ..estimator import check_field_types
+from ..estimator import _check_population, check_field_types
 from ..monitors import LendingObservation
 
 PRESETS = {
@@ -43,11 +43,7 @@ class LendingSimConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_a < 1 or self.n_b < 1:
-            raise ConfigError(
-                f"group sizes must be positive: n_a={self.n_a}, n_b={self.n_b}")
-        if self.c_max < 1:
-            raise ConfigError(f"c_max must be positive, got {self.c_max}")
+        _check_population(self.n_a, self.n_b, self.c_max)
         if self.horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
         if self.policy not in ("max_reward", "eq_opp"):
@@ -87,7 +83,6 @@ class LendingEnv:
         scores_a, scores_b = initial_scores(cfg)
         self.scores = {"A": scores_a, "B": scores_b}
         self.sums = {g: sum(s) for g, s in self.scores.items()}
-        self.t = 0
 
     def rho(self, x):
         return self.cfg.rho_min + (self.cfg.rho_max - self.cfg.rho_min) \
@@ -103,7 +98,6 @@ class LendingEnv:
         round's score change, which is what the monitor's step-t output
         estimates.
         """
-        self.t += 1
         psi_a, psi_b = self.group_mean("A"), self.group_mean("B")
         # Uniform over the combined population.
         pick = rng.randrange(self.cfg.n_a + self.cfg.n_b)

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import math
-from json.encoder import encode_basestring_ascii
 
 from .errors import TraceFormatError
 from .monitors import MONITORS
@@ -98,6 +97,11 @@ def read_records(path, expected_file="trace", start_t=1):
     return meta, records()
 
 
+def bad_record(path, t, problem):
+    """The data error for record ``t`` of ``path``."""
+    return TraceFormatError(f"{path}: bad record t={t}: {problem}")
+
+
 def observation_from_record(kind, rec):
     """The monitor observation of one trace record: the kind's
     observation type filled from the record's fields of the same names.
@@ -122,15 +126,14 @@ def estimate_record(output):
     ``json`` writes for the record dict (compact separators, no NaN):
     ``t``, ``conclusive``, ``phi_lo``, ``phi_hi``, ``point`` (the
     midpoint of phi), ``clamped``, ``floor_violation`` and
-    ``group_intervals`` (group -> ``[lo, hi]`` or null, in ``per_group``
-    order).  Interval endpoints are finite by construction; a midpoint
-    that overflows raises ValueError.
+    ``group_intervals`` (``A`` then ``B``, each ``[lo, hi]`` or null).
+    Interval endpoints are finite by construction; a midpoint that
+    overflows raises ValueError.
     """
     t, phi, per_group, clamped, floor_violation = output
-    groups = []
-    for g, ci in per_group.items():
-        groups.append(f"{encode_basestring_ascii(g)}:null" if ci is None else
-                      f"{encode_basestring_ascii(g)}:[{ci.lo!r},{ci.hi!r}]")
+    a, b = per_group["A"], per_group["B"]
+    a = "null" if a is None else f"[{a.lo!r},{a.hi!r}]"
+    b = "null" if b is None else f"[{b.lo!r},{b.hi!r}]"
     if phi is None:
         head = (f'{{"t":{t!r},"conclusive":false,'
                 f'"phi_lo":null,"phi_hi":null,"point":null')
@@ -142,7 +145,7 @@ def estimate_record(output):
                 f'"phi_lo":{lo!r},"phi_hi":{hi!r},"point":{point!r}')
     return (f'{head},"clamped":{"true" if clamped else "false"},'
             f'"floor_violation":{"true" if floor_violation else "false"},'
-            f'"group_intervals":{{{",".join(groups)}}}}}')
+            f'"group_intervals":{{"A":{a},"B":{b}}}}}')
 
 
 def write_estimates(path, kind, monitor_config, trace_meta, lines):
@@ -176,25 +179,44 @@ def read_snapshot(path):
     return meta.get("kind"), config, state
 
 
-CSV_FIELDS = ["t", "conclusive", "phi_lo", "phi_hi", "point",
-              "clamped", "floor_violation",
-              "a_lo", "a_hi", "b_lo", "b_hi"]
+# Estimate-record fields copied to the CSV as they are; the group
+# intervals follow as four endpoint columns.
+_RECORD_FIELDS = ["t", "conclusive", "phi_lo", "phi_hi", "point",
+                  "clamped", "floor_violation"]
+CSV_FIELDS = _RECORD_FIELDS + ["a_lo", "a_hi", "b_lo", "b_hi"]
+
+
+def _csv_row(rec):
+    """The CSV row of one estimates record; TypeError if a field is
+    missing or ``group_intervals`` is not an object of ``[lo, hi]`` pairs
+    or nulls."""
+    try:
+        row = [rec[f] for f in _RECORD_FIELDS]
+        groups = rec["group_intervals"]
+    except KeyError as exc:
+        raise TypeError(f"missing field {exc}") from None
+    if type(groups) is not dict:
+        raise TypeError(f"group_intervals must be an object, got {groups!r}")
+    for g in ("A", "B"):
+        pair = groups.get(g)
+        if pair is None:
+            pair = [None, None]
+        elif type(pair) is not list or len(pair) != 2:
+            raise TypeError(
+                f"group {g} interval must be [lo, hi] or null, got {pair!r}")
+        row += pair
+    return row
 
 
 def export_csv(estimates_path, csv_path):
     """Flatten an estimates file to CSV for plotting."""
     _, records = read_records(estimates_path, expected_file="estimates")
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(CSV_FIELDS)
         for rec in records:
-            groups = rec.get("group_intervals", {})
-            a = groups.get("A") or [None, None]
-            b = groups.get("B") or [None, None]
-            writer.writerow({
-                "t": rec["t"], "conclusive": rec["conclusive"],
-                "phi_lo": rec["phi_lo"], "phi_hi": rec["phi_hi"],
-                "point": rec["point"], "clamped": rec["clamped"],
-                "floor_violation": rec["floor_violation"],
-                "a_lo": a[0], "a_hi": a[1], "b_lo": b[0], "b_hi": b[1],
-            })
+            try:
+                row = _csv_row(rec)
+            except TypeError as exc:
+                raise bad_record(estimates_path, rec["t"], exc) from exc
+            writer.writerow(row)

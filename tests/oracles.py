@@ -1,5 +1,7 @@
 """Reference implementations the tests compare the package against."""
 
+import math
+
 from fairmon import ConfidenceInterval
 
 
@@ -52,3 +54,25 @@ def oracle_repay_mass(env, scores, theta_bank):
         if r >= theta_bank:
             above += r
     return total, above
+
+
+def eta_full_prefix(y, lam):
+    """``kernels.eta`` with the prefix loop of the lam <= y branch run
+    all the way to y, past the point where its term underflows."""
+    if lam > y:
+        term = math.exp(-lam)
+        acc = 0.0
+        for k in range(y):
+            acc += term * (1.0 - y / (k + 1))
+            term *= lam / (k + 1)
+        return acc + (y / lam) * -math.expm1(-lam)
+    term = math.exp(-lam)
+    for k in range(1, y + 1):
+        term *= lam / k
+    acc = 0.0
+    k = y
+    while term > 1e-20 * acc or k == y:
+        acc += term * (1.0 - y / (k + 1))
+        term *= lam / (k + 1)
+        k += 1
+    return 1.0 - acc

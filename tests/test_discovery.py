@@ -6,10 +6,12 @@ oracle itself).
 """
 
 import math
+import signal
+import time
 
 import pytest
 
-from fairmon import ConfidenceInterval, SubExpParams
+from fairmon import ConfidenceInterval, SubExpParams, kernels
 from fairmon.discovery import (
     MAX_RATE,
     eta,
@@ -17,7 +19,7 @@ from fairmon.discovery import (
     poisson_subexp_params,
 )
 from fairmon.errors import ConfigError
-from oracles import check_parameter_floor
+from oracles import check_parameter_floor, eta_full_prefix
 
 
 class TestEta:
@@ -56,6 +58,32 @@ class TestEta:
                 assert b <= a
                 if a < 1.0 - 1e-9:
                     assert b < a
+
+    def test_kernel_matches_full_prefix_loop_bit_for_bit(self):
+        ys = [1, 2, 3, 5, 8, 13, 50, 100, 333, 699, 700, 701, 1000, 2500,
+              10 ** 4]
+        lams = [1e-300, 1e-9, 0.5, 1.0, 8.0, 37.5, 100.0, 250.0, 699.0,
+                MAX_RATE]
+        for y in ys:
+            for lam in lams:
+                got, want = kernels.eta(y, lam), eta_full_prefix(y, lam)
+                assert got.hex() == want.hex(), (y, lam)
+
+    def test_kernel_work_is_bounded_whatever_the_units(self):
+        # The full prefix loop would run 10**12 times; stop it after 5 s.
+        def stop(signum, frame):
+            raise TimeoutError("kernels.eta(10**12, 8.0) still running")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            start = time.perf_counter()
+            assert kernels.eta(10 ** 12, 8.0) == 1.0
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 0.5
 
     def test_range_is_unit_interval(self):
         for y in (1, 5, 40):

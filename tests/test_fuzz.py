@@ -1,10 +1,15 @@
-"""Fuzzing of trace and estimates records through the command line.
+"""Fuzzing of trace, estimates and snapshot files through the command
+line.
 
 One record line of a small lending trace, a small attention trace or the
 lending estimates file is replaced by a mutated version: a field dropped
 or given a value of another JSON type, a huge integer, or a line that is
 not an object.  ``monitor`` and ``eval`` must then either succeed (exit
-0) or report a data error (exit 2); they never raise.
+0) or report a data error (exit 2), and ``export`` of a mutated
+estimates file may also report a usage error (exit 1); none of them
+ever raises.  A field of a snapshot's ``state`` or ``monitor_config``,
+at any depth, is mutated the same way, and ``monitor --resume`` from it
+must exit 0, 1 or 2.
 """
 
 import contextlib
@@ -84,14 +89,17 @@ def _mutated_line(line, change):
     return json.dumps(rec)
 
 
-def _main(argv):
+_PREFIXES = {1: "fairmon: error: ", 2: "fairmon: data error: "}
+
+
+def _main(argv, codes=(0, 2)):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert code in (0, 2), (argv, code, err.getvalue())
-    if code == 2:
-        assert err.getvalue().startswith("fairmon: data error: ")
+    assert code in codes, (argv, code, err.getvalue())
+    if code:
+        assert err.getvalue().startswith(_PREFIXES[code]), err.getvalue()
 
 
 @settings(derandomize=True, database=None, max_examples=200,
@@ -112,3 +120,83 @@ def test_mutated_record_is_ok_or_data_error(files, mutation):
                base[kind]["config"], "-o", str(root / "out.est")])
     _main(["eval", "--estimates", str(paths["estimates"]), "--trace",
            str(paths["trace"]), "-o", str(root / "report.json")])
+    if target == "estimates":
+        _main(["export", "--estimates", str(paths["estimates"]), "-o",
+               str(root / "out.csv")], codes=(0, 1, 2))
+
+
+def _paths(node, path):
+    """``path`` and the key path of every value below ``node``."""
+    yield path
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _paths(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+@pytest.fixture(scope="module")
+def snapshots(files):
+    """Per kind: the snapshot after the first half of the trace, a trace
+    file holding the second half, and the key paths into the snapshot's
+    ``state`` and ``monitor_config``."""
+    root, base = files
+    out = {}
+    for kind in SETUPS:
+        lines = base[kind]["trace"]
+        half = 1 + HORIZON // 2
+        head, rest = root / f"{kind}.head", root / f"{kind}.rest"
+        head.write_text("\n".join(lines[:half]) + "\n")
+        rest.write_text("\n".join(lines[:1] + lines[half:]) + "\n")
+        snap = root / f"{kind}.snap"
+        runner.monitor_trace(str(head), SETUPS[kind][1],
+                             str(root / f"{kind}.head.est"),
+                             snapshot_out=str(snap))
+        blob = json.loads(snap.read_text())
+        paths = {top: list(_paths(blob[top], (top,)))
+                 for top in ("state", "monitor_config")}
+        out[kind] = (blob, str(rest), paths)
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=200,
+          deadline=None)
+@given(st.data())
+def test_resume_from_mutated_snapshot_never_raises(files, snapshots, data):
+    root, _ = files
+    blob, rest, paths = snapshots[data.draw(st.sampled_from(sorted(SETUPS)))]
+    path = data.draw(st.sampled_from(
+        paths[data.draw(st.sampled_from(sorted(paths)))]))
+    # Huge ints weighted up: config fields squared or divided into as
+    # floats must not overflow.
+    value = data.draw(huge_ints | other_values)
+    blob = json.loads(json.dumps(blob))
+    parent = blob
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()) and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    snap = root / "mutated.snap"
+    snap.write_text(json.dumps(blob) + "\n")
+    _main(["monitor", "--trace", rest, "--resume", str(snap), "-o",
+           str(root / "resumed.est"), "--snapshot", str(root / "again.snap")],
+          codes=(0, 1, 2))
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("lending", "n_a"), ("lending", "n_b"), ("lending", "c_max"),
+    ("lending", "delta"), ("attention", "gamma"),
+    ("attention", "lambda_max")])
+def test_resume_with_huge_config_field_is_config_error(files, snapshots,
+                                                       kind, field):
+    root, _ = files
+    blob, rest, _ = snapshots[kind]
+    blob = dict(blob, monitor_config=dict(blob["monitor_config"],
+                                          **{field: 10 ** 400}))
+    snap = root / "huge.snap"
+    snap.write_text(json.dumps(blob) + "\n")
+    _main(["monitor", "--trace", rest, "--resume", str(snap), "-o",
+           str(root / "resumed.est")], codes=(1,))

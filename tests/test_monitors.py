@@ -372,6 +372,13 @@ class TestBuildMonitor:
         # The coin monitor's tail parameters are not options.
         {"kind": "coin", "epsilon": 0.1, "delta": 0.05, "sigma_sq": 2.0},
         {"kind": ["lending"]},
+        # float(c_max) ** 2 must be finite; group sizes must be floats.
+        {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10 ** 160,
+         "delta": 0.05},
+        {"kind": "lending", "n_a": 10 ** 400, "n_b": 5, "c_max": 10,
+         "delta": 0.05},
+        {"kind": "lending", "n_a": 5, "n_b": 10 ** 400, "c_max": 10,
+         "delta": 0.05},
     ])
     def test_config_errors_are_config_errors(self, config):
         with pytest.raises(ConfigError):

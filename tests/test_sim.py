@@ -227,6 +227,16 @@ class TestLendingSim:
         cfg = self.make_cfg(horizon=50)
         assert list(lending.generate(cfg)) == list(lending.generate(cfg))
 
+    @pytest.mark.parametrize("fields", [
+        {"n_a": 0}, {"n_b": -1}, {"c_max": 0},
+        # The population check the monitor config shares: sizes that
+        # convert to float, a c_max whose float square is finite.
+        {"n_a": 10 ** 400}, {"c_max": 10 ** 160}, {"c_max": 10 ** 400},
+    ])
+    def test_rejects_bad_population(self, fields):
+        with pytest.raises(ConfigError):
+            self.make_cfg(**fields)
+
 
 class TestAttentionSim:
 
@@ -300,6 +310,16 @@ class TestAttentionSim:
         with pytest.raises(AssumptionViolation):
             for _ in attention.generate(cfg):
                 pass
+
+    def test_aborts_when_rate_passes_discovery_range(self):
+        # The truth needs eta at a rate above discovery.MAX_RATE.
+        cfg = self.make_cfg(l=3, k=1, gamma=1.0, policy="uniform",
+                            horizon=5000, seed=1)
+        with pytest.raises(AssumptionViolation) as exc:
+            for _ in attention.generate(cfg):
+                pass
+        assert exc.value.step == 2080
+        assert "above the discovery range" in str(exc.value)
 
     def test_truth_omega_uses_pre_shift_rates(self):
         from fairmon.discovery import eta

@@ -171,7 +171,7 @@ def _random_interval(rng):
 
 def _random_output(rng):
     groups = {g: None if rng.random() < 0.2 else _random_interval(rng)
-              for g in rng.sample(["A", "B"], 2)}
+              for g in ("A", "B")}
     return MonitorOutput(
         rng.randrange(1, 10 ** rng.randint(1, 12)),
         None if rng.random() < 0.25 else _random_interval(rng),
@@ -192,8 +192,7 @@ class TestEstimateRecord:
         ci = ConfidenceInterval(-0.0, 1e-05, 0.975)
         for out in (MonitorOutput(1, None, {"A": ci, "B": None}),
                     MonitorOutput(7, ci, {"A": ci, "B": ci}, True, True),
-                    MonitorOutput(3, ci, {"A": None, "B": None}),
-                    MonitorOutput(9, None, {})):
+                    MonitorOutput(3, ci, {"A": None, "B": None})):
             assert traceio.estimate_record(out) == json.dumps(
                 oracle_record(out), separators=(",", ":"), allow_nan=False)
 
@@ -508,6 +507,33 @@ class TestCsvExport:
         assert lines[0].split(",") == traceio.CSV_FIELDS
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("mutate, problem", [
+        (lambda rec: rec.update(group_intervals=[[0.0, 1.0], None]),
+         "group_intervals must be an object"),
+        (lambda rec: rec.pop("conclusive"), "missing field 'conclusive'"),
+        (lambda rec: rec["group_intervals"].update(A=5),
+         "group A interval must be [lo, hi] or null"),
+        (lambda rec: rec["group_intervals"].update(A=[1]),
+         "group A interval must be [lo, hi] or null"),
+    ], ids=["groups-list", "missing-conclusive", "interval-int",
+            "interval-short"])
+    def test_malformed_record_is_data_error(self, tmp_path, capsys, mutate,
+                                            problem):
+        trace = tmp_path / "trace.jsonl"
+        est = tmp_path / "est.jsonl"
+        runner.simulate(SIM, str(trace))
+        runner.monitor_trace(str(trace), MON, str(est))
+        lines = est.read_text().splitlines()
+        rec = json.loads(lines[3])
+        mutate(rec)
+        lines[3] = json.dumps(rec)
+        write_lines(est, lines)
+        assert cli.main(["export", "--estimates", str(est),
+                         "-o", str(tmp_path / "est.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fairmon: data error: {est}: bad record t=3: "
+                              f"{problem}"), err
+
 
 class TestCli:
 
@@ -564,6 +590,22 @@ class TestCli:
         assert cli.main(["monitor", "--trace", str(trace),
                          "-o", str(tmp_path / "e.jsonl")]) == 1
         capsys.readouterr()
+
+    def test_resume_override_needs_config(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, SIM, MON)
+        trace = tmp_path / "trace.jsonl"
+        snap = tmp_path / "snap.json"
+        runner.simulate(SIM, str(trace))
+        assert cli.main(["monitor", "--trace", str(trace), "--config",
+                         str(cfg), "-o", str(tmp_path / "e.jsonl"),
+                         "--snapshot", str(snap)]) == 0
+        capsys.readouterr()
+        rest = tmp_path / "rest.jsonl"
+        write_lines(rest, trace.read_text().splitlines()[:1])
+        assert cli.main(["monitor", "--trace", str(rest), "--resume",
+                         str(snap), "-o", str(tmp_path / "more.jsonl"),
+                         "--set", "delta=0.1"]) == 1
+        assert "error: --set needs --config" in capsys.readouterr().err
 
     def test_data_error_is_exit_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, SIM, MON)
@@ -642,6 +684,26 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(cfg), "--seed", "42",
                          "-o", str(trace), "--set", override]) == 1
         assert "error: horizon must be int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, override", [
+        ("simulate", f"c_max={10 ** 400}"),
+        ("monitor", f"c_max={10 ** 160}"),
+        ("monitor", f"n_a={10 ** 400}"),
+    ])
+    def test_population_out_of_float_range_is_exit_1(
+            self, tmp_path, capsys, command, override):
+        cfg = self.write_config(tmp_path, SIM, MON)
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        if command == "simulate":
+            argv = ["simulate", "--config", str(cfg), "--seed", "42",
+                    "-o", str(tmp_path / "t.jsonl")]
+        else:
+            argv = ["monitor", "--trace", str(trace), "--config", str(cfg),
+                    "-o", str(tmp_path / "e.jsonl")]
+        assert cli.main(argv + ["--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fairmon: error: "), err
 
     @pytest.mark.parametrize("updates", ["0", "-3"])
     def test_bench_rejects_non_positive_updates(self, capsys, updates):
