@@ -9,7 +9,7 @@ groups have produced an estimate the output is marked inconclusive.
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .discovery import eta_interval, poisson_subexp_params
+from .discovery import MAX_RATE, eta_interval, poisson_subexp_params
 from .errors import ConfigError
 from .estimator import (ShiftedMeanEstimator, SubExpParams, _check_delta,
                         _check_population, check_field_types, state_count,
@@ -18,8 +18,8 @@ from .intervals import ConfidenceInterval, interval_sub
 
 GROUPS = ("A", "B")
 
-# Lower endpoint of a rate interval is clamped to at least this before
-# the discovery-probability mapping, which requires rate > 0.
+# A rate interval is clamped into [RATE_FLOOR, MAX_RATE] before the
+# discovery-probability mapping, which requires 0 < rate <= MAX_RATE.
 RATE_FLOOR = 1e-9
 
 
@@ -43,71 +43,50 @@ class TwoGroupMonitor:
 
     A subclass sets ``kind``, ``config_type`` and ``observation_type``
     (a namedtuple whose fields are those of a trace record), passes its
-    tail parameters, change function and ``floor`` to ``__init__``, and
-    defines ``_validate`` (observation checks), ``_steps`` (an
-    observation split into ``(group, step)`` pairs) and, unless the
-    identity fits, ``_output`` (a group estimate mapped to its reported
-    interval).  The change function must not reference the monitor: a
-    cycle would leave every discarded monitor to the cyclic garbage
-    collector.
+    tail parameters and change function to ``__init__``, and defines
+    ``update``: check the observation, advance ``t``, store each updated
+    group's reported interval in ``_last`` and return :meth:`_emit`.
+    The change function must not reference the monitor: a cycle would
+    leave every discarded monitor to the cyclic garbage collector.
 
-    ``floor`` is a lower bound on each group's quantity at the start of
-    the stream; the interval needs the quantity to stay above zero, so
-    ``floor_violation`` is set once ``floor`` plus the lowest net shift
-    seen in a group reaches zero.
+    A subclass whose quantity has a known floor sets ``floor_violation``
+    once the net shift may have driven the quantity through zero; the
+    flag then stays set, and every later output carries it.
     """
 
     kind = None
 
-    def __init__(self, cfg, params, change_fn, floor=None):
+    def __init__(self, cfg, params, change_fn):
         self.cfg = cfg
-        self._floor = floor
+        # Every reported group interval holds at this level.
+        self._confidence = 1.0 - cfg.delta / 2.0
         self._estimators = {
             g: ShiftedMeanEstimator(change_fn, cfg.delta / 2.0, params)
             for g in GROUPS
         }
         self._last = {g: None for g in GROUPS}
-        self._min_shift = {g: 0.0 for g in GROUPS}
+        self.floor_violation = False
         self.t = 0
 
     def estimator(self, g):
         return self._estimators[g]
 
-    def _output(self, step, ci):
-        """Reported interval for one group step; returns
-        (interval, clamped)."""
-        return ci, False
-
-    def update(self, obs):
-        self._validate(obs)
-        self.t += 1
-        clamped = False
-        last, min_shift = self._last, self._min_shift
-        for g, step in self._steps(obs):
-            est = self._estimators[g]
-            last[g], c = self._output(step, est.update(step))
-            clamped = clamped or c
-            shift = est.net_shift
-            if shift < min_shift[g]:
-                min_shift[g] = shift
-        last_a, last_b = last["A"], last["B"]
+    def _emit(self, clamped=False):
+        last_a, last_b = self._last["A"], self._last["B"]
         phi = None
         if last_a is not None and last_b is not None:
             phi = interval_sub(last_a, last_b)
-        floor = self._floor
-        floor_violation = floor is not None and (
-            floor + min_shift["A"] <= 0.0 or floor + min_shift["B"] <= 0.0)
         return MonitorOutput(self.t, phi, {"A": last_a, "B": last_b},
-                             clamped, floor_violation)
+                             clamped, self.floor_violation)
 
     def state_dict(self):
         return {
             "t": self.t,
             "estimators": {g: self._estimators[g].state_dict()
                            for g in GROUPS},
-            "last": {g: None if ci is None else [ci.lo, ci.hi, ci.confidence]
+            "last": {g: None if ci is None else [ci.lo, ci.hi]
                      for g, ci in self._last.items()},
-            "min_shift": dict(self._min_shift),
+            "floor_violation": self.floor_violation,
         }
 
     def load_state_dict(self, state):
@@ -116,8 +95,11 @@ class TwoGroupMonitor:
             self._estimators[g].load_state_dict(state["estimators"][g])
             raw = state["last"][g]
             self._last[g] = None if raw is None else ConfidenceInterval(
-                *map(state_real, raw))
-            self._min_shift[g] = state_real(state["min_shift"][g])
+                *map(state_real, raw), self._confidence)
+        flag = state["floor_violation"]
+        if type(flag) is not bool:
+            raise TypeError(f"floor_violation must be a bool, got {flag!r}")
+        self.floor_violation = flag
 
 
 # --------------------------------------------------------------------
@@ -168,7 +150,7 @@ class LendingMonitor(TwoGroupMonitor):
         super().__init__(cfg, SubExpParams(float(cfg.c_max) ** 2, 0.0),
                          lambda obs: lending_change(obs, cfg))
 
-    def _validate(self, obs):
+    def update(self, obs):
         x, g, y, z = obs
         if g not in GROUPS:
             raise ValueError(f"unknown group {g!r}")
@@ -181,9 +163,9 @@ class LendingMonitor(TwoGroupMonitor):
                 f"credit score {x} outside [0, {self.cfg.c_max}]")
         if y not in (0, 1) or z not in (0, 1):
             raise ValueError(f"decision/reaction must be 0 or 1: {obs}")
-
-    def _steps(self, obs):
-        return ((obs.g, obs),)
+        self.t += 1
+        self._last[g] = self._estimators[g].update(obs)
+        return self._emit()
 
 
 # --------------------------------------------------------------------
@@ -213,6 +195,11 @@ class AttentionConfig:
             raise ConfigError(
                 "rate bounds must satisfy 0 < lambda_min < lambda_max, got "
                 f"[{self.lambda_min}, {self.lambda_max}]")
+        if self.lambda_max > MAX_RATE:
+            raise ConfigError(
+                f"lambda_max must be at most {MAX_RATE}, the largest rate "
+                f"the discovery probability is computed at, got "
+                f"{self.lambda_max}")
         _check_delta(self.delta)
 
 
@@ -240,13 +227,11 @@ class AttentionMonitor(TwoGroupMonitor):
 
     def __init__(self, cfg):
         super().__init__(cfg, poisson_subexp_params(cfg.lambda_max),
-                         lambda step: attention_change(step.y, cfg.gamma),
-                         floor=cfg.lambda_min)
+                         lambda step: attention_change(step.y, cfg.gamma))
         # No attention discovers nothing: the mapping degenerates to 0.
-        self._nothing = ConfidenceInterval(0.0, 0.0,
-                                           1.0 - cfg.delta / 2.0)
+        self._nothing = ConfidenceInterval(0.0, 0.0, self._confidence)
 
-    def _validate(self, obs):
+    def update(self, obs):
         x_a, x_b, y_a, y_b, k = obs
         if type(x_a) is not int or type(x_b) is not int \
                 or type(y_a) is not int or type(y_b) is not int \
@@ -257,21 +242,32 @@ class AttentionMonitor(TwoGroupMonitor):
         if y_a + y_b > k:
             raise ValueError(
                 f"allocation {y_a}+{y_b} exceeds capacity {k}")
+        self.t += 1
+        clamped_a = self._group("A", _GroupStep(x_a, y_a))
+        clamped_b = self._group("B", _GroupStep(x_b, y_b))
+        return self._emit(clamped_a or clamped_b)
 
-    def _steps(self, obs):
-        x_a, x_b, y_a, y_b, _ = obs
-        return (("A", _GroupStep(x_a, y_a)), ("B", _GroupStep(x_b, y_b)))
-
-    def _output(self, step, rate_ci):
-        """Discovery-probability interval for one location; returns
-        (interval, clamped)."""
-        clamped = rate_ci.lo < RATE_FLOOR
+    def _group(self, g, step):
+        """Update location ``g`` and store its discovery-probability
+        interval; returns whether the rate interval was clamped into
+        ``[RATE_FLOOR, MAX_RATE]``, the range ``eta`` maps.  The upper
+        clamp loses nothing: the true rate is at most ``lambda_max``,
+        which the config bounds by ``MAX_RATE``."""
+        est = self._estimators[g]
+        rate_ci = est.update(step)
+        if self.cfg.lambda_min + est.net_shift <= 0.0:
+            self.floor_violation = True
+        lo, hi, confidence = rate_ci
+        clamped = lo < RATE_FLOOR or hi > MAX_RATE
         if step.y == 0:
-            return self._nothing, clamped
+            self._last[g] = self._nothing
+            return clamped
         if clamped:
             rate_ci = ConfidenceInterval(
-                RATE_FLOOR, max(rate_ci.hi, RATE_FLOOR), rate_ci.confidence)
-        return eta_interval(step.y, rate_ci), clamped
+                min(max(lo, RATE_FLOOR), MAX_RATE),
+                min(max(hi, RATE_FLOOR), MAX_RATE), confidence)
+        self._last[g] = eta_interval(step.y, rate_ci)
+        return clamped
 
 
 # --------------------------------------------------------------------

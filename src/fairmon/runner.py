@@ -200,6 +200,12 @@ def evaluate(estimates_path, trace_path):
     trace_meta, trace_records = traceio.read_records(trace_path)
     if est_meta["kind"] != trace_meta["kind"]:
         raise TraceFormatError("estimates and trace kinds differ")
+    if est_meta.get("trace_config_hash") != trace_meta.get("config_hash"):
+        raise TraceFormatError(
+            f"{estimates_path} was not computed from {trace_path}: its "
+            f"trace_config_hash {est_meta.get('trace_config_hash')!r} "
+            f"differs from the trace's config_hash "
+            f"{trace_meta.get('config_hash')!r}")
 
     steps = conclusive = contained = truth_steps = 0
     width_sum = 0.0

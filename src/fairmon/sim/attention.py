@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..discovery import MAX_RATE, eta
 from ..errors import AssumptionViolation, ConfigError
-from ..estimator import check_field_types
+from ..estimator import check_field_types, is_real
 from ..monitors import AttentionObservation, attention_change
 from .sampling import poisson
 
@@ -48,9 +48,13 @@ class AttentionSimConfig:
             raise ConfigError(f"unknown allocation policy {self.policy!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        inits = self.initial_rates()
-        if len(inits) != self.l or any(v <= 0 for v in inits):
-            raise ConfigError(f"initial rates must be {self.l} positive reals")
+        rates = self.lambda_init_per_location
+        if rates is None:
+            rates = (self.lambda_init,) * self.l
+        if not (isinstance(rates, (list, tuple)) and len(rates) == self.l
+                and all(is_real(v) and v > 0 for v in rates)):
+            raise ConfigError(f"initial rates must be {self.l} positive "
+                              f"reals, got {rates!r}")
 
     def initial_rates(self):
         if self.lambda_init_per_location is not None:

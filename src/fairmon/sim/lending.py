@@ -52,8 +52,20 @@ class LendingSimConfig:
             raise ConfigError(
                 f"need 0 <= rho_min <= rho_max <= 1, got "
                 f"[{self.rho_min}, {self.rho_max}]")
-        if self.init not in PRESETS and self.init_scores_a is None:
+        if (self.init_scores_a is None) != (self.init_scores_b is None):
+            raise ConfigError(
+                "init_scores_a and init_scores_b must be given together")
+        if self.init_scores_a is None and self.init not in PRESETS:
             raise ConfigError(f"unknown initial-score preset {self.init!r}")
+        for g, scores, n in (("a", self.init_scores_a, self.n_a),
+                             ("b", self.init_scores_b, self.n_b)):
+            if scores is not None and not (
+                    isinstance(scores, (list, tuple)) and len(scores) == n
+                    and all(type(x) is int and 0 <= x <= self.c_max
+                            for x in scores)):
+                raise ConfigError(
+                    f"init_scores_{g} must be {n} integers in "
+                    f"[0, {self.c_max}], got {scores!r}")
 
 
 def _spread_scores(n, lo_frac, hi_frac, c_max):
@@ -65,10 +77,7 @@ def _spread_scores(n, lo_frac, hi_frac, c_max):
 
 def initial_scores(cfg):
     if cfg.init_scores_a is not None:
-        a, b = list(cfg.init_scores_a), list(cfg.init_scores_b or ())
-        if len(a) != cfg.n_a or len(b) != cfg.n_b:
-            raise ConfigError("explicit initial scores must match group sizes")
-        return a, b
+        return list(cfg.init_scores_a), list(cfg.init_scores_b)
     (a_lo, a_hi), (b_lo, b_hi) = PRESETS[cfg.init]
     return (_spread_scores(cfg.n_a, a_lo, a_hi, cfg.c_max),
             _spread_scores(cfg.n_b, b_lo, b_hi, cfg.c_max))

@@ -66,35 +66,38 @@ def _read_meta(fh, path, expected_file):
 def read_records(path, expected_file="trace", start_t=1):
     """Return (metadata, record iterator).  The iterator validates line
     syntax and that t starts at ``start_t`` (1 for whole files; a resumed
-    run continues from its snapshot's step count) and increases by 1."""
-    fh = open(path)
-    meta = _read_meta(fh, path, expected_file)
+    run continues from its snapshot's step count) and increases by 1.
 
-    def records():
+    The iterator owns the open file from the start: it closes it on a
+    metadata error, at its end, and when it is dropped unfinished."""
+    records = _records(path, expected_file, start_t)
+    return next(records), records
+
+
+def _records(path, expected_file, start_t):
+    """Yield the metadata, then each record, of ``path``."""
+    with open(path) as fh:
+        yield _read_meta(fh, path, expected_file)
         expected_t = start_t
-        with fh:
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: corrupt record: {exc}") from exc
-                try:
-                    t = rec.get("t")
-                except AttributeError:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: record is not a JSON object"
-                    ) from None
-                if t != expected_t:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: expected t={expected_t}, "
-                        f"got {t!r}")
-                expected_t += 1
-                yield rec
-
-    return meta, records()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: corrupt record: {exc}") from exc
+            try:
+                t = rec.get("t")
+            except AttributeError:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: record is not a JSON object"
+                ) from None
+            if t != expected_t:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: expected t={expected_t}, got {t!r}")
+            expected_t += 1
+            yield rec
 
 
 def bad_record(path, t, problem):

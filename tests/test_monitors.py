@@ -5,6 +5,7 @@ underlying estimator, see `_direct_rate_interval`, or frozen by hand.
 """
 
 import gc
+import json
 import math
 import random
 import weakref
@@ -12,7 +13,7 @@ import weakref
 import pytest
 
 from fairmon import ConfidenceInterval, azuma_epsilon
-from fairmon.discovery import eta
+from fairmon.discovery import MAX_RATE, eta
 from fairmon.errors import ConfigError
 from fairmon.estimator import SubExpParams
 from fairmon.monitors import (
@@ -233,23 +234,40 @@ class TestAttentionMonitor:
     def test_floor_flag_matches_oracle_on_random_stream(self, seed):
         # zero-drift random allocations walk each rate up and down until
         # one crosses the floor; the flag must equal the prefix check over
-        # the full shift history at every step
+        # the full shift history at every step, also across a snapshot
+        # taken at a random step after it is first set
         rng = random.Random(seed)
         gamma, lambda_min = 0.013, 0.2
-        mon = self.make(gamma=gamma, lambda_min=lambda_min)
         shifts = {"A": [], "B": []}
-        flags = []
+        stream, wants = [], []
         for _ in range(300):
             y_a, y_b = rng.choice((0, 0, 1, 2)), rng.choice((0, 0, 1, 2))
-            out = mon.update(attn(rng.randrange(12), rng.randrange(12),
-                                  y_a, y_b, k=4))
+            stream.append(attn(rng.randrange(12), rng.randrange(12),
+                               y_a, y_b, k=4))
             shifts["A"].append(attention_change(y_a, gamma))
             shifts["B"].append(attention_change(y_b, gamma))
-            want = not all(check_parameter_floor(lambda_min, shifts[g])
-                           for g in shifts)
-            assert out.floor_violation == want, f"step {out.t}"
-            flags.append(out.floor_violation)
-        assert not flags[0] and flags[-1]
+            wants.append(not all(check_parameter_floor(lambda_min, shifts[g])
+                                 for g in shifts))
+        assert not wants[0] and wants[-1]
+        split = rng.randrange(wants.index(True) + 1, len(stream))
+        mon = self.make(gamma=gamma, lambda_min=lambda_min)
+        for step, (obs, want) in enumerate(zip(stream, wants)):
+            if step == split:
+                state = json.loads(json.dumps(mon.state_dict()))
+                assert state["floor_violation"] is True
+                mon = self.make(gamma=gamma, lambda_min=lambda_min)
+                mon.load_state_dict(state)
+            assert mon.update(obs).floor_violation == want, f"step {step}"
+
+    def test_rate_interval_past_max_rate_is_clamped(self):
+        # At t=1 the rate interval around 600 reaches past MAX_RATE; its
+        # upper end is clamped there instead of failing the mapping.
+        mon = self.make(gamma=0.0, lambda_min=500.0, lambda_max=650.0)
+        out = mon.update(attn(600, 600, 1, 1, k=2))
+        assert out.clamped
+        assert out.per_group["A"].lo == eta(1, MAX_RATE)
+        assert out.per_group["A"].contains(eta(1, 600.0))
+        assert not mon.update(attn(600, 600, 1, 1, k=2)).clamped
 
     def test_rejects_overallocated_capacity(self):
         with pytest.raises(ValueError):
@@ -368,6 +386,9 @@ class TestBuildMonitor:
          "delta": 0.05},
         {"kind": "attention", "gamma": 0.01, "lambda_min": 1.0,
          "lambda_max": 10 ** 400, "delta": 0.05},
+        # eta is computed at rates up to discovery.MAX_RATE only.
+        {"kind": "attention", "gamma": 0.01, "lambda_min": 1.0,
+         "lambda_max": 701.0, "delta": 0.05},
         {"kind": "coin", "epsilon": False, "delta": 0.05},
         # The coin monitor's tail parameters are not options.
         {"kind": "coin", "epsilon": 0.1, "delta": 0.05, "sigma_sq": 2.0},

@@ -237,6 +237,19 @@ class TestLendingSim:
         with pytest.raises(ConfigError):
             self.make_cfg(**fields)
 
+    @pytest.mark.parametrize("a, b", [
+        ([1, 2, 3], None), (None, [9, 9, 9]), (5, [1, 1, 1]),
+        ([1, 2, 30], [1, 1, 1]), ([1, 2, -1], [1, 1, 1]),
+        ([1, 2, True], [1, 1, 1]), ([1, 2, 3.0], [1, 1, 1]),
+        ([1, 2], [1, 1, 1]), ([1, 2, 3], "abc"),
+    ], ids=["a-only", "b-only", "not-a-list", "above-c-max", "negative",
+            "bool-score", "float-score", "short", "text"])
+    def test_rejects_bad_initial_scores(self, a, b):
+        # Checked at construction, before a trace file is opened.
+        with pytest.raises(ConfigError):
+            self.make_cfg(n_a=3, n_b=3, c_max=10, init_scores_a=a,
+                          init_scores_b=b)
+
 
 class TestAttentionSim:
 
@@ -349,3 +362,11 @@ class TestAttentionSim:
             self.make_cfg(lambda_init=0.0)
         with pytest.raises(ConfigError):
             self.make_cfg(omniscient=1)
+
+    @pytest.mark.parametrize("rates", [
+        [True, 5], [1.0], [1.0, 0.0], [1.0, "2"], 5, [1.0, 10 ** 400],
+    ], ids=["bool-rate", "short", "zero-rate", "text-rate", "not-a-list",
+            "huge-rate"])
+    def test_rejects_bad_initial_rates(self, rates):
+        with pytest.raises(ConfigError):
+            self.make_cfg(l=2, k=2, lambda_init_per_location=rates)

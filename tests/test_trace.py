@@ -109,6 +109,31 @@ class TestTraceFiles:
         with pytest.raises(TraceFormatError):
             traceio.read_records(str(bad), "trace")
 
+    def test_read_records_closes_its_file(self, tmp_path, monkeypatch):
+        # On a metadata error, and when the iterator is dropped before or
+        # during iteration: no file handle outlives read_records' caller.
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(traceio, "open", tracking_open, raising=False)
+        bad = tmp_path / "bad.jsonl"
+        write_lines(bad, [json.dumps({"format": 99, "file": "trace"})])
+        with pytest.raises(TraceFormatError):
+            traceio.read_records(str(bad), "trace")
+        _, records = traceio.read_records(str(trace))
+        del records
+        _, records = traceio.read_records(str(trace))
+        next(records)
+        del records
+        assert len(opened) == 3
+        assert all(fh.closed for fh in opened)
+
     def test_corrupt_record_reports_line_number(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         write_lines(bad, [
@@ -313,6 +338,17 @@ class TestMonitorPipeline:
         # width_decay gains an entry per doubling of t: 4 more at 20k.
         assert peaks[1] - peaks[0] < 2048, peaks
 
+    def test_evaluate_accepts_the_full_twin_of_a_no_truth_trace(
+            self, tmp_path):
+        bare = tmp_path / "bare.jsonl"
+        full = tmp_path / "full.jsonl"
+        est = tmp_path / "est.jsonl"
+        runner.simulate(SIM, str(bare), include_truth=False)
+        runner.simulate(SIM, str(full))
+        runner.monitor_trace(str(bare), MON, str(est))
+        report = runner.evaluate(str(est), str(full))
+        assert report["truth_steps"] == report["conclusive_steps"] > 0
+
     def test_evaluate_rejects_length_mismatch(self, tmp_path):
         trace, est, _ = self.run_pair(tmp_path)
         short = tmp_path / "short.jsonl"
@@ -443,17 +479,18 @@ class TestSnapshotResume:
         (MON, lambda state: state.update(t=4.9)),
         (MON, lambda state: state["estimators"]["A"].update(t=True)),
         (MON, lambda state: state.pop("last")),
-        (MON, lambda state: state["min_shift"].pop("B")),
+        (MON, lambda state: state.pop("floor_violation")),
         (MON, lambda state: state.update(t="seven")),
         (MON, lambda state: state["estimators"].update(A=[1, 2])),
         (MON, lambda state: state["last"].update(A=[0.0])),
         ({"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
           "lambda_max": 12.0, "delta": 0.05},
-         lambda state: state.pop("min_shift")),
+         lambda state: state.update(floor_violation=1)),
         (MON, lambda state: state["estimators"]["B"].update(e1_hat=10 ** 400)),
-    ], ids=["fractional-t", "bool-estimator-t", "no-last", "no-min-shift-b",
-            "text-t", "list-estimator", "short-interval",
-            "attention-no-min-shift", "huge-e1-hat"])
+    ], ids=["fractional-t", "bool-estimator-t", "no-last",
+            "no-floor-violation", "text-t", "list-estimator",
+            "short-interval", "attention-int-floor-violation",
+            "huge-e1-hat"])
     def test_bad_snapshot_state_is_data_error(self, tmp_path, capsys,
                                               mon, mutate):
         sim = (SIM if mon["kind"] == "lending" else
@@ -466,6 +503,29 @@ class TestSnapshotResume:
                              snapshot_out=str(snap))
         blob = json.loads(snap.read_text())
         mutate(blob["state"])
+        snap.write_text(json.dumps(blob) + "\n")
+        assert cli.main(["monitor", "--trace", str(trace), "--resume",
+                         str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
+        assert f"data error: {snap}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sim, mon", [
+        (SIM, MON), (ATTENTION_SIM, ATTENTION_MON)], ids=["lending",
+                                                          "attention"])
+    def test_old_state_layout_is_data_error(self, tmp_path, capsys, sim,
+                                            mon):
+        # The earlier layout kept each group's confidence in "last" and a
+        # per-group "min_shift" instead of the "floor_violation" bit.
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(sim, str(trace))
+        snap = tmp_path / "snap.json"
+        runner.monitor_trace(str(trace), mon, str(tmp_path / "e.jsonl"),
+                             snapshot_out=str(snap))
+        blob = json.loads(snap.read_text())
+        state = blob["state"]
+        for g in ("A", "B"):
+            state["last"][g].append(1.0 - mon["delta"] / 2.0)
+        del state["floor_violation"]
+        state["min_shift"] = {"A": 0.0, "B": 0.0}
         snap.write_text(json.dumps(blob) + "\n")
         assert cli.main(["monitor", "--trace", str(trace), "--resume",
                          str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
@@ -704,6 +764,57 @@ class TestCli:
         assert cli.main(argv + ["--set", override]) == 1
         err = capsys.readouterr().err
         assert err.startswith("fairmon: error: "), err
+
+    @pytest.mark.parametrize("sim, override", [
+        ({"kind": "lending", "n_a": 3, "n_b": 3, "c_max": 10, "horizon": 5},
+         "init_scores_a=[1,2,3]"),
+        ({"kind": "lending", "n_a": 3, "n_b": 3, "c_max": 10, "horizon": 5},
+         "init_scores_b=[9,9,9]"),
+        ({"kind": "lending", "n_a": 3, "n_b": 3, "c_max": 10, "horizon": 5,
+          "init_scores_b": [1, 1, 1]}, "init_scores_a=5"),
+        ({"kind": "lending", "n_a": 3, "n_b": 3, "c_max": 10, "horizon": 5,
+          "init_scores_b": [1, 1, 1]}, "init_scores_a=[1,2,30]"),
+        ({"kind": "attention", "l": 2, "k": 2, "gamma": 0.0, "horizon": 5},
+         "lambda_init_per_location=[true,5]"),
+    ], ids=["a-only", "b-only", "number", "above-c-max", "bool-rate"])
+    def test_bad_initial_values_are_exit_1_without_a_file(
+            self, tmp_path, capsys, sim, override):
+        cfg = self.write_config(tmp_path, sim)
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main(["simulate", "--config", str(cfg), "--seed", "1",
+                         "-o", str(trace), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fairmon: error: "), err
+        assert not trace.exists()
+
+    def test_eval_of_another_trace_is_exit_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, SIM, MON)
+        out = {}
+        for seed in ("1", "2"):
+            out[seed] = tmp_path / seed
+            assert cli.main(["run", "--config", str(cfg), "--seed", seed,
+                             "--out-dir", str(out[seed])]) == 0
+        assert cli.main(["eval", "--estimates",
+                         str(out["1"] / "estimates.jsonl"), "--trace",
+                         str(out["2"] / "trace.jsonl")]) == 2
+        assert "trace_config_hash" in capsys.readouterr().err
+
+    def test_rate_interval_past_max_rate_runs(self, tmp_path, capsys):
+        # The first rate interval around 600 reaches past 700, where the
+        # discovery probability is not computed: clamped, not a data error.
+        sim = {"kind": "attention", "l": 2, "k": 2, "gamma": 0.0,
+               "lambda_init": 600.0, "horizon": 50}
+        mon = {"kind": "attention", "gamma": 0.0, "lambda_min": 500.0,
+               "lambda_max": 650.0, "delta": 0.05}
+        cfg = self.write_config(tmp_path, sim, mon)
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--seed", "1",
+                         "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["containment"] == 1.0
+        _, records = read_all(str(out_dir / "estimates.jsonl"), "estimates")
+        assert [r["t"] for r in records if r["clamped"]] == [1]
 
     @pytest.mark.parametrize("updates", ["0", "-3"])
     def test_bench_rejects_non_positive_updates(self, capsys, updates):
