@@ -12,7 +12,7 @@ import math
 from . import kernels
 from .errors import ConfigError
 from .estimator import SubExpParams
-from .intervals import ConfidenceInterval
+from .intervals import trusted_interval
 
 # The series is evaluated with exp(-lam) folded into every term; beyond
 # this the leading factor underflows.  Monitor-scale rates are far below.
@@ -32,13 +32,21 @@ def eta_interval(y, lambda_ci):
     """Map a rate interval onto a discovery-probability interval.
 
     Valid because eta(y, .) is strictly decreasing: the upper rate gives
-    the lower probability and vice versa.
+    the lower probability and vice versa.  The checks are those of
+    :func:`eta` at both endpoints, made once: ``0 < lo <= hi`` holds for
+    a valid interval once ``lo > 0``.
     """
-    if lambda_ci.lo <= 0.0:
+    lo, hi, confidence = lambda_ci
+    if lo <= 0.0:
+        raise ConfigError(f"rate interval touches zero: lo={lo}")
+    if y < 1 or y != int(y):
         raise ConfigError(
-            f"rate interval touches zero: lo={lambda_ci.lo}")
-    return ConfidenceInterval(eta(y, lambda_ci.hi), eta(y, lambda_ci.lo),
-                              lambda_ci.confidence)
+            f"attention units must be a positive integer, got {y}")
+    if hi > MAX_RATE:
+        raise ConfigError(f"rate must be in (0, {MAX_RATE}], got {hi}")
+    y = int(y)
+    return trusted_interval(kernels.eta(y, float(hi)),
+                            kernels.eta(y, float(lo)), confidence)
 
 
 def poisson_subexp_params(lambda_max):

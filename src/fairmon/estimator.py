@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import ConfigError
-from .intervals import ConfidenceInterval
+from .intervals import ConfidenceInterval, bad_endpoints
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class SubExpParams:
 
 
 _FLOAT_MAX = sys.float_info.max
+_INF = math.inf
+_new = tuple.__new__
 
 
 def is_real(value):
@@ -70,8 +72,15 @@ def check_field_types(obj):
 
 
 def _check_delta(delta):
+    """A failure budget in (0, 1) large enough that the per-group level
+    ``1 - delta/2`` of a two-group monitor stays below 1 in floating
+    point: the intervals the package builds take that level unchecked."""
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"invalid confidence: delta={delta} not in (0, 1)")
+    if not 1.0 - delta / 2.0 < 1.0:
+        raise ConfigError(
+            f"invalid confidence: delta={delta} is too small, 1 - delta/2 "
+            f"rounds to 1")
 
 
 _C_MAX_LIMIT = math.sqrt(_FLOAT_MAX)
@@ -157,15 +166,20 @@ class ShiftedMeanEstimator:
         shift this record itself causes)."""
         x = float(record.x)
         shift = float(self.change_fn(record))
-        if not (math.isfinite(x) and math.isfinite(shift)):
+        if not (-_INF < x < _INF and -_INF < shift < _INF):
             raise ValueError(
                 f"corrupt observation: x={x}, shift={shift}")
         (self.t, self._e1_hat, self._d, self._d_comp,
          e_hat, eps) = kernels.estimator_step(
             self.t, self._e1_hat, self._d, self._d_comp, x, shift,
             self._log_term, self._sigma_sq, self._nu)
-        return ConfidenceInterval(e_hat - eps, e_hat + eps,
-                                  self._confidence)
+        # The confidence 1 - delta was checked at construction; the
+        # endpoints are checked here, as intervals.trusted_interval does.
+        lo = e_hat - eps
+        hi = e_hat + eps
+        if not -_INF < lo <= hi < _INF:
+            bad_endpoints(lo, hi)
+        return _new(ConfidenceInterval, (lo, hi, self._confidence))
 
     def point_estimate_initial(self):
         """Running estimate of the mean before any observed shift."""

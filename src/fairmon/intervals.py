@@ -5,6 +5,7 @@ import math
 from collections import namedtuple
 
 _INF = math.inf
+_new = tuple.__new__
 
 
 class ConfidenceInterval(namedtuple("ConfidenceInterval",
@@ -15,7 +16,7 @@ class ConfidenceInterval(namedtuple("ConfidenceInterval",
     __slots__ = ()
 
     def __new__(cls, lo, hi, confidence):
-        self = tuple.__new__(cls, (lo, hi, confidence))
+        self = _new(cls, (lo, hi, confidence))
         self.__post_init__()
         return self
 
@@ -30,9 +31,7 @@ class ConfidenceInterval(namedtuple("ConfidenceInterval",
         # One chained comparison passes exactly the finite lo <= hi
         # (NaN fails every comparison).
         if not -_INF < lo <= hi < _INF:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("interval endpoints must be finite")
-            raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
+            bad_endpoints(lo, hi)
         # A union-bound combination may exhaust the budget, hence lo of 0.
         if not 0.0 <= confidence < 1.0:
             raise ValueError(f"invalid confidence {confidence}")
@@ -49,7 +48,24 @@ class ConfidenceInterval(namedtuple("ConfidenceInterval",
         return self.lo <= value <= self.hi
 
 
+def bad_endpoints(lo, hi):
+    """Raise the error for endpoints that fail ``-inf < lo <= hi < inf``."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("interval endpoints must be finite")
+    raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
+
+
+def trusted_interval(lo, hi, confidence):
+    """A :class:`ConfidenceInterval` whose ``confidence`` the package
+    derived from a checked delta, so only the endpoints are checked,
+    with the same errors.  The public constructor checks everything."""
+    if not -_INF < lo <= hi < _INF:
+        bad_endpoints(lo, hi)
+    return _new(ConfidenceInterval, (lo, hi, confidence))
+
+
 def interval_sub(a, b):
-    """Difference a - b; the error budgets add (union bound)."""
+    """Difference a - b; the error budgets add (union bound), which
+    keeps the confidence in [0, 1) for two valid intervals."""
     confidence = max(0.0, 1.0 - ((1.0 - a.confidence) + (1.0 - b.confidence)))
-    return ConfidenceInterval(a.lo - b.hi, a.hi - b.lo, confidence)
+    return trusted_interval(a.lo - b.hi, a.hi - b.lo, confidence)

@@ -14,9 +14,13 @@ from .errors import ConfigError
 from .estimator import (ShiftedMeanEstimator, SubExpParams, _check_delta,
                         _check_population, check_field_types, state_count,
                         state_real)
-from .intervals import ConfidenceInterval, interval_sub
+from .intervals import ConfidenceInterval, interval_sub, trusted_interval
 
 GROUPS = ("A", "B")
+
+# The outputs below are built from checked parts; ``tuple.__new__``
+# skips namedtuple's Python-level ``__new__``.
+_new = tuple.__new__
 
 # A rate interval is clamped into [RATE_FLOOR, MAX_RATE] before the
 # discovery-probability mapping, which requires 0 < rate <= MAX_RATE.
@@ -76,8 +80,8 @@ class TwoGroupMonitor:
         phi = None
         if last_a is not None and last_b is not None:
             phi = interval_sub(last_a, last_b)
-        return MonitorOutput(self.t, phi, {"A": last_a, "B": last_b},
-                             clamped, self.floor_violation)
+        return _new(MonitorOutput, (self.t, phi, {"A": last_a, "B": last_b},
+                                    clamped, self.floor_violation))
 
     def state_dict(self):
         return {
@@ -243,8 +247,8 @@ class AttentionMonitor(TwoGroupMonitor):
             raise ValueError(
                 f"allocation {y_a}+{y_b} exceeds capacity {k}")
         self.t += 1
-        clamped_a = self._group("A", _GroupStep(x_a, y_a))
-        clamped_b = self._group("B", _GroupStep(x_b, y_b))
+        clamped_a = self._group("A", _new(_GroupStep, (x_a, y_a)))
+        clamped_b = self._group("B", _new(_GroupStep, (x_b, y_b)))
         return self._emit(clamped_a or clamped_b)
 
     def _group(self, g, step):
@@ -263,7 +267,7 @@ class AttentionMonitor(TwoGroupMonitor):
             self._last[g] = self._nothing
             return clamped
         if clamped:
-            rate_ci = ConfidenceInterval(
+            rate_ci = trusted_interval(
                 min(max(lo, RATE_FLOOR), MAX_RATE),
                 min(max(hi, RATE_FLOOR), MAX_RATE), confidence)
         self._last[g] = eta_interval(step.y, rate_ci)
@@ -321,7 +325,8 @@ class CoinMonitor:
             raise ValueError(f"coin outcome must be 0 or 1, got {obs.x}")
         self.t += 1
         ci = self._estimator.update(obs)
-        return MonitorOutput(self.t, ci, {"A": ci, "B": None})
+        return _new(MonitorOutput, (self.t, ci, {"A": ci, "B": None},
+                                    False, False))
 
     def state_dict(self):
         return {"t": self.t, "estimator": self._estimator.state_dict()}

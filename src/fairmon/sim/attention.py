@@ -55,6 +55,11 @@ class AttentionSimConfig:
                 and all(is_real(v) and v > 0 for v in rates)):
             raise ConfigError(f"initial rates must be {self.l} positive "
                               f"reals, got {rates!r}")
+        if max(rates) > MAX_RATE:
+            raise ConfigError(
+                f"initial rates must be at most {MAX_RATE}, the largest "
+                f"rate the discovery probability is computed at, got "
+                f"{rates!r}")
 
     def initial_rates(self):
         if self.lambda_init_per_location is not None:

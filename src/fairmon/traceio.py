@@ -8,9 +8,18 @@ guarantee does not survive silent gaps.
 """
 
 import csv
-import hashlib
 import json
 import math
+
+# SHA-256 from CPython's built-in module, as random.py takes SHA-512:
+# hashlib would load OpenSSL (~3.5 MB of peak RSS) into every stage.
+try:
+    from _sha256 import sha256
+except ImportError:  # CPython 3.12+
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import TraceFormatError
 from .monitors import MONITORS
@@ -20,12 +29,19 @@ FORMAT_VERSION = 1
 
 def config_hash(config):
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 # One compact encoder for every metadata, trace and snapshot line;
 # json.dumps with non-default arguments would build a new one per call.
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+# The scanner under json.loads, which also skips leading and trailing
+# whitespace with two regex matches and then rejects extra data.  A line
+# holding exactly one JSON value and its newline needs neither; any other
+# line goes through json.loads, so what it accepts and every error
+# message stay the same.  The scanner clears its key memo after each call.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def write_trace(path, kind, config, payloads):
@@ -83,10 +99,15 @@ def _records(path, expected_file, start_t):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: corrupt record: {exc}") from exc
+                rec, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = 0  # the line is not blank, so not "\n" from 0
+            if line[end:] != "\n":
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: corrupt record: {exc}") from exc
             try:
                 t = rec.get("t")
             except AttributeError:
@@ -141,7 +162,8 @@ def estimate_record(output):
         head = (f'{{"t":{t!r},"conclusive":false,'
                 f'"phi_lo":null,"phi_hi":null,"point":null')
     else:
-        lo, hi, point = phi.lo, phi.hi, phi.midpoint
+        lo, hi, _ = phi
+        point = 0.5 * (lo + hi)  # the operations of phi.midpoint
         if not math.isfinite(point):
             raise ValueError(f"midpoint of [{lo!r}, {hi!r}] is not finite")
         head = (f'{{"t":{t!r},"conclusive":true,'

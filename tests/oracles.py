@@ -1,5 +1,6 @@
 """Reference implementations the tests compare the package against."""
 
+import json
 import math
 
 from fairmon import ConfidenceInterval
@@ -76,3 +77,54 @@ def eta_full_prefix(y, lam):
         term *= lam / (k + 1)
         k += 1
     return 1.0 - acc
+
+
+def literal_intervals(xs, shifts, delta, sigma_sq, nu):
+    """Per-step ``(lo, hi)`` of one shift-corrected stream, straight
+    from the README formulas rather than the running update: with net
+    shift ``D_i = s_1 + ... + s_i`` (``D_0 = 0``), the estimate after
+    ``t`` observations is ``mean_{i<=t}(x_i - D_{i-1}) + D_{t-1}`` and
+    the half-width is ``max(sqrt(2 sigma_sq / t * ln(2/delta)),
+    (2 nu / t) * ln(2/delta))``.  Sums are exact (``math.fsum``)."""
+    net = [math.fsum(shifts[:i]) for i in range(len(xs))]
+    log_term = math.log(2.0 / delta)
+    out = []
+    for t in range(1, len(xs) + 1):
+        e_hat = (math.fsum(x - d for x, d in zip(xs[:t], net)) / t
+                 + net[t - 1])
+        eps = max(math.sqrt(2.0 * sigma_sq / t * log_term),
+                  2.0 * nu / t * log_term)
+        out.append((e_hat - eps, e_hat + eps))
+    return out
+
+
+def json_loads_records(path, start_t=1):
+    """Reference for ``traceio.read_records``' record loop with
+    ``json.loads`` on every line.  Returns ``(records, error)``:
+    the records before the first bad line and that line's exception as
+    ``(type, message)``, or None.  The metadata line is skipped."""
+    records = []
+    expected_t = start_t
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return records, ("TraceFormatError",
+                                 f"{path}:{lineno}: corrupt record: {exc}")
+            except ValueError as exc:  # e.g. an int past the digit limit
+                return records, (type(exc).__name__, str(exc))
+            if not isinstance(rec, dict):
+                return records, ("TraceFormatError",
+                                 f"{path}:{lineno}: record is not a JSON "
+                                 f"object")
+            if rec.get("t") != expected_t:
+                return records, ("TraceFormatError",
+                                 f"{path}:{lineno}: expected "
+                                 f"t={expected_t}, got {rec.get('t')!r}")
+            expected_t += 1
+            records.append(rec)
+    return records, None

@@ -126,6 +126,27 @@ class TestEtaInterval:
         with pytest.raises(ConfigError):
             eta_interval(2, ConfidenceInterval(-1.0, 1.0, 0.9))
 
+    @pytest.mark.parametrize("y, lo, hi", [
+        (0, 1.0, 2.0), (1.5, 1.0, 2.0), (-3, 1.0, 2.0), (2, 1.0, 700.5),
+        (2, 699.0, 1e300)])
+    def test_errors_are_those_of_eta(self, y, lo, hi):
+        # eta_interval checks y and the rate range once, in place of
+        # eta's checks at both endpoints (upper endpoint first).
+        with pytest.raises(ConfigError) as want:
+            eta(y, hi)
+            eta(y, lo)
+        with pytest.raises(ConfigError) as got:
+            eta_interval(y, ConfidenceInterval(lo, hi, 0.9))
+        assert str(got.value) == str(want.value)
+
+    def test_same_bits_as_eta_at_both_endpoints(self):
+        for y in (1, 2, 3.0, 7):
+            for lo, hi in ((1e-9, 0.5), (2.0, 5.0), (6.5, 7.5), (30.0,
+                                                                  700.0)):
+                out = eta_interval(y, ConfidenceInterval(lo, hi, 0.975))
+                assert out == (eta(y, hi), eta(y, lo), 0.975)
+                assert type(out) is ConfidenceInterval
+
 
 class TestPoissonTailParams:
 

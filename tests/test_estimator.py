@@ -19,6 +19,7 @@ from fairmon import (
     interval_sub,
 )
 from fairmon.errors import ConfigError
+from fairmon.intervals import trusted_interval
 from oracles import interval_map_decreasing
 
 
@@ -81,6 +82,17 @@ class TestAzumaEpsilon:
         assert azuma_epsilon(10, 0.05, SubExpParams(2.0, 1.0)) >= base
         assert azuma_epsilon(10, 0.05, SubExpParams(1.0, 9.0)) >= base
         assert azuma_epsilon(10, 0.01, SubExpParams(1.0, 1.0)) >= base
+
+    @pytest.mark.parametrize("delta", [1e-17, 2.0 ** -53, 5e-324])
+    def test_delta_whose_level_rounds_to_one_is_rejected(self, delta):
+        # 1 - delta/2 == 1.0: no interval may carry confidence 1.
+        with pytest.raises(ConfigError, match="too small"):
+            ShiftedMeanEstimator(lambda o: 0.0, delta, SubExpParams(1.0, 0.0))
+        smallest = 2.0 ** -52
+        assert 1.0 - smallest / 2.0 < 1.0
+        est = ShiftedMeanEstimator(lambda o: 0.0, smallest,
+                                   SubExpParams(1.0, 0.0))
+        assert est.update(obs(0.0)).confidence == 1.0 - smallest
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
@@ -155,10 +167,22 @@ class TestShiftedMeanEstimator:
             assert ci.width == pytest.approx(2 * eps, rel=1e-12)
 
     def test_rejects_non_finite_observation(self):
-        est = self.make([0.0, 0.0])
+        est = self.make([0.0] * 4)
         est.update(obs(1.0))
         with pytest.raises(ValueError):
             est.update(obs(float("nan")))
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="corrupt observation"):
+                est.update(obs(bad))
+
+    def test_estimate_past_float_range_is_rejected(self):
+        # The net shift overflows to inf on the third update, so the
+        # interval's endpoints are not finite.
+        est = self.make([1.7e308] * 3)
+        est.update(obs(0.0))
+        est.update(obs(0.0))
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            est.update(obs(0.0))
 
     def test_state_round_trip(self):
         shifts = [0.01 * i for i in range(20)]
@@ -238,6 +262,27 @@ class TestConfidenceInterval:
         a = ConfidenceInterval(0.0, 1.0, 0.3)
         b = ConfidenceInterval(0.0, 1.0, 0.3)
         assert interval_sub(a, b).confidence == 0.0
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0, 0.0), (math.inf, 1.0), (0.0, math.nan), (-math.inf, math.inf),
+        (math.nan, math.nan)])
+    def test_trusted_interval_fails_like_the_constructor(self, lo, hi):
+        with pytest.raises(ValueError) as want:
+            ConfidenceInterval(lo, hi, 0.9)
+        with pytest.raises(ValueError) as got:
+            trusted_interval(lo, hi, 0.9)
+        assert str(got.value) == str(want.value)
+
+    def test_trusted_interval_is_a_confidence_interval(self):
+        ci = trusted_interval(-0.0, 2.5, 0.975)
+        assert type(ci) is ConfidenceInterval
+        assert ci == ConfidenceInterval(-0.0, 2.5, 0.975)
+        assert ci.midpoint == 1.25
+
+    def test_subtraction_past_float_range_is_rejected(self):
+        a = ConfidenceInterval(-1.7e308, 1.7e308, 0.975)
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            interval_sub(a, a)
 
     def test_decreasing_map_swaps_endpoints(self):
         ci = ConfidenceInterval(1.0, 2.0, 0.9)

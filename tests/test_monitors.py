@@ -33,7 +33,7 @@ from fairmon.monitors import (
     coin_change,
     lending_change,
 )
-from oracles import check_parameter_floor
+from oracles import check_parameter_floor, literal_intervals
 
 
 def lend(x, g, y, z):
@@ -400,7 +400,85 @@ class TestBuildMonitor:
          "delta": 0.05},
         {"kind": "lending", "n_a": 5, "n_b": 10 ** 400, "c_max": 10,
          "delta": 0.05},
+        # 1 - delta/2 rounds to 1: no interval could carry that level.
+        {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "delta": 1e-17},
+        {"kind": "coin", "epsilon": 0.001, "delta": 1e-17},
     ])
     def test_config_errors_are_config_errors(self, config):
         with pytest.raises(ConfigError):
             build_monitor(config)
+
+
+def _assert_close(got, want, what):
+    """Endpoints equal within 1e-12 relative to the interval's scale."""
+    scale = max(abs(want[0]), abs(want[1]), 1e-300)
+    assert abs(got.lo - want[0]) <= 1e-12 * scale, what
+    assert abs(got.hi - want[1]) <= 1e-12 * scale, what
+
+
+class TestLiteralFormulaOracle:
+    """Every group interval against ``oracles.literal_intervals``, which
+    evaluates the README formulas with exact sums, independently of the
+    running update."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lending_group_intervals(self, seed):
+        rng = random.Random(seed)
+        cfg = LendingConfig(n_a=7, n_b=13, c_max=60, delta=0.05)
+        mon = LendingMonitor(cfg)
+        xs = {"A": [], "B": []}
+        shifts = {"A": [], "B": []}
+        for step in range(300):
+            g = rng.choice("AB")
+            x, y, z = rng.randint(0, cfg.c_max), rng.randint(0, 1), \
+                rng.randint(0, 1)
+            out = mon.update(lend(x, g, y, z))
+            # the literal rule: +-1/N_g on a repaid/defaulted grant,
+            # unless the score is pinned at a bound
+            size = cfg.n_a if g == "A" else cfg.n_b
+            shift = 0.0
+            if y == 1 and z == 1 and x < cfg.c_max:
+                shift = 1.0 / size
+            elif y == 1 and z == 0 and x > 0:
+                shift = -1.0 / size
+            xs[g].append(x)
+            shifts[g].append(shift)
+            want = literal_intervals(xs[g], shifts[g], cfg.delta / 2.0,
+                                     float(cfg.c_max) ** 2, 0.0)[-1]
+            _assert_close(out.per_group[g], want, f"step {step} group {g}")
+            assert out.per_group[g].confidence == 1.0 - cfg.delta / 2.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attention_group_intervals_across_a_snapshot(self, seed):
+        rng = random.Random(seed)
+        gamma, lambda_min, lambda_max, delta = 0.004, 4.0, 12.0, 0.05
+        cfg = AttentionConfig(gamma=gamma, lambda_min=lambda_min,
+                              lambda_max=lambda_max, delta=delta)
+        mon = AttentionMonitor(cfg)
+        split = rng.randrange(50, 250)
+        xs = {"A": [], "B": []}
+        shifts = {"A": [], "B": []}
+        clamped = 0
+        for step in range(300):
+            if step == split:
+                state = json.loads(json.dumps(mon.state_dict()))
+                mon = AttentionMonitor(cfg)
+                mon.load_state_dict(state)
+            ys = {"A": rng.choice((0, 1, 2)), "B": rng.choice((0, 1, 2))}
+            counts = {g: rng.randrange(4, 13) for g in ys}
+            out = mon.update(attn(counts["A"], counts["B"], ys["A"],
+                                  ys["B"], k=4))
+            for g in ("A", "B"):
+                xs[g].append(counts[g])
+                shifts[g].append(gamma if ys[g] == 0 else -gamma * ys[g])
+                lo, hi = literal_intervals(xs[g], shifts[g], delta / 2.0,
+                                           2.0 * lambda_max, 2.0)[-1]
+                clamped += lo < RATE_FLOOR or hi > MAX_RATE
+                lo = min(max(lo, RATE_FLOOR), MAX_RATE)
+                hi = min(max(hi, RATE_FLOOR), MAX_RATE)
+                want = (0.0, 0.0) if ys[g] == 0 else \
+                    (eta(ys[g], hi), eta(ys[g], lo))
+                _assert_close(out.per_group[g], want,
+                              f"step {step} group {g}")
+        # the early wide intervals reach below the floor; later ones not
+        assert 0 < clamped < 600

@@ -365,8 +365,9 @@ class TestAttentionSim:
 
     @pytest.mark.parametrize("rates", [
         [True, 5], [1.0], [1.0, 0.0], [1.0, "2"], 5, [1.0, 10 ** 400],
+        [1.0, 700.5],
     ], ids=["bool-rate", "short", "zero-rate", "text-rate", "not-a-list",
-            "huge-rate"])
+            "huge-rate", "above-max-rate"])
     def test_rejects_bad_initial_rates(self, rates):
         with pytest.raises(ConfigError):
             self.make_cfg(l=2, k=2, lambda_init_per_location=rates)

@@ -1,6 +1,7 @@
 """File format, pipeline, snapshot/resume, and CLI exit-code tests."""
 
 import filecmp
+import hashlib
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import pytest
 
 from fairmon import ConfidenceInterval, MonitorOutput, cli, runner, traceio
 from fairmon.errors import ConfigError, TraceFormatError
-from oracles import oracle_record
+from oracles import json_loads_records, oracle_record
 
 SIM = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "horizon": 10,
        "seed": 42}
@@ -55,6 +56,28 @@ class TestTraceFiles:
         runner.simulate(SIM, str(out), include_truth=False)
         _, records = read_all(str(out))
         assert all("truth" not in r for r in records)
+
+    @pytest.mark.parametrize("config", [
+        {}, SIM, ATTENTION_SIM, COIN_SIM,
+        {"text": "caf\u00e9", "nested": {"b": [1, 2.5, None, True]}}])
+    def test_config_hash_is_sha256_prefix(self, config):
+        blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert traceio.config_hash(config) == \
+            hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    def test_cli_import_loads_no_hashlib(self):
+        # hashlib would load OpenSSL into every stage's memory.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fairmon.cli; "
+             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_zero_horizon_trace_is_metadata_only(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -171,6 +194,68 @@ class TestTraceFiles:
         _, records = traceio.read_records(str(bad), "trace")
         with pytest.raises(TraceFormatError, match="expected t=2"):
             list(records)
+
+
+_META = json.dumps({"format": 1, "file": "trace", "kind": "coin",
+                    "config": {}, "config_hash": "x"}).encode() + b"\n"
+_HUGE = "9" * 5000
+
+# Record lines (bytes, newline included where there is one) on which the
+# scanner fast path of read_records must agree with json.loads.
+_TRICKY_LINES = {
+    "plain": b'{"t":2,"x":1}\n',
+    "crlf": b'{"t":2,"x":1}\r\n',
+    "lone-cr": b'{"t":2,"x":1}\r',
+    "trailing-spaces": b'{"t":2,"x":1}   \n',
+    "leading-space": b' {"t":2,"x":1}\n',
+    "leading-tab": b'\t{"t":2,"x":1}\n',
+    "bom": b'\xef\xbb\xbf{"t":2,"x":1}\n',
+    "no-final-newline": b'{"t":2,"x":1}',
+    "trailing-garbage": b'{"t":2,"x":1}x\n',
+    "trailing-digit-no-newline": b'{"t":2,"x":1}5',
+    "two-objects": b'{"t":2,"x":1} {"t":3,"x":0}\n',
+    "nan": b'{"t":2,"x":NaN}\n',
+    "infinity": b'{"t":2,"x":-Infinity}\n',
+    "duplicate-keys": b'{"x":0,"t":2,"x":1}\n',
+    "duplicate-t": b'{"t":2,"t":3,"x":1}\n',
+    "number": b'5\n',
+    "list": b'[1, 2]\n',
+    "string": b'"t"\n',
+    "null": b'null\n',
+    "huge-int": b'{"t":2,"x":' + _HUGE.encode() + b'}\n',
+    "huge-t": b'{"t":' + _HUGE.encode() + b',"x":1}\n',
+    "big-float": b'{"t":2,"x":1e400}\n',
+    "blank-lines": b'\n   \n{"t":2,"x":1}\n\n',
+    "truncated": b'{"t":2,"x":',
+    "unclosed-string": b'{"t":2,"x":"ab\n',
+    "control-char": b'{"t":2,"x":"a\tb"}\n',
+    "nested": b'{"t":2,"x":{"a":[1,{"b":null}]}}\n',
+    "empty-object": b'{}\n',
+}
+
+
+class TestFastParse:
+    """read_records parses a line with the scanner alone when the value
+    ends right at the newline, and with json.loads otherwise; records
+    and errors must be those of json.loads on every line."""
+
+    @pytest.mark.parametrize("line", list(_TRICKY_LINES.values()),
+                             ids=list(_TRICKY_LINES))
+    def test_same_records_and_errors_as_json_loads(self, tmp_path, line):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(_META + b'{"t":1,"x":0}\n' + line
+                         + b'{"t":3,"x":1}\n')
+        want_records, want_error = json_loads_records(str(path))
+        got_records, got_error = [], None
+        _, records = traceio.read_records(str(path))
+        try:
+            for rec in records:
+                got_records.append(rec)
+        except ValueError as exc:  # TraceFormatError included
+            got_error = (type(exc).__name__, str(exc))
+        assert got_error == want_error
+        # NaN != NaN: compare the records' JSON text
+        assert json.dumps(got_records) == json.dumps(want_records)
 
 
 def _random_float(rng):
@@ -776,7 +861,10 @@ class TestCli:
           "init_scores_b": [1, 1, 1]}, "init_scores_a=[1,2,30]"),
         ({"kind": "attention", "l": 2, "k": 2, "gamma": 0.0, "horizon": 5},
          "lambda_init_per_location=[true,5]"),
-    ], ids=["a-only", "b-only", "number", "above-c-max", "bool-rate"])
+        ({"kind": "attention", "l": 2, "k": 2, "gamma": 0.0, "horizon": 5},
+         "lambda_init=800"),
+    ], ids=["a-only", "b-only", "number", "above-c-max", "bool-rate",
+            "rate-above-max-rate"])
     def test_bad_initial_values_are_exit_1_without_a_file(
             self, tmp_path, capsys, sim, override):
         cfg = self.write_config(tmp_path, sim)
