@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import ConfigError
-from .intervals import ConfidenceInterval, bad_endpoints
+from .intervals import trusted_interval
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class SubExpParams:
 
 _FLOAT_MAX = sys.float_info.max
 _INF = math.inf
-_new = tuple.__new__
 
 
 def is_real(value):
@@ -130,19 +129,14 @@ def azuma_epsilon(t, delta, params):
 class ShiftedMeanEstimator:
     """Single-writer streaming estimator; updates must be applied in
     trace order.  Distinct instances are independent.  ``delta`` and
-    ``params`` are fixed at construction."""
+    the :class:`SubExpParams` are fixed at construction."""
 
-    __slots__ = ("change_fn", "_delta", "_params", "_confidence",
-                 "_log_term", "_sigma_sq", "_nu", "t", "_e1_hat", "_d",
-                 "_d_comp")
+    __slots__ = ("change_fn", "_confidence", "_log_term", "_sigma_sq",
+                 "_nu", "t", "_e1_hat", "_d", "_d_comp")
 
     def __init__(self, change_fn, delta, params):
         _check_delta(delta)
-        if not isinstance(params, SubExpParams):
-            params = SubExpParams(*params)
         self.change_fn = change_fn
-        self._delta = delta
-        self._params = params
         self._confidence = 1.0 - delta
         self._log_term = math.log(2.0 / delta)
         self._sigma_sq = params.sigma_sq
@@ -153,12 +147,8 @@ class ShiftedMeanEstimator:
         self._d_comp = 0.0
 
     @property
-    def delta(self):
-        return self._delta
-
-    @property
     def params(self):
-        return self._params
+        return SubExpParams(self._sigma_sq, self._nu)
 
     def update(self, record):
         """Consume one observation; returns the confidence interval for
@@ -173,13 +163,8 @@ class ShiftedMeanEstimator:
          e_hat, eps) = kernels.estimator_step(
             self.t, self._e1_hat, self._d, self._d_comp, x, shift,
             self._log_term, self._sigma_sq, self._nu)
-        # The confidence 1 - delta was checked at construction; the
-        # endpoints are checked here, as intervals.trusted_interval does.
-        lo = e_hat - eps
-        hi = e_hat + eps
-        if not -_INF < lo <= hi < _INF:
-            bad_endpoints(lo, hi)
-        return _new(ConfidenceInterval, (lo, hi, self._confidence))
+        # The confidence 1 - delta was checked at construction.
+        return trusted_interval(e_hat - eps, e_hat + eps, self._confidence)
 
     def point_estimate_initial(self):
         """Running estimate of the mean before any observed shift."""

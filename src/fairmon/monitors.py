@@ -98,6 +98,10 @@ class TwoGroupMonitor:
         for g in GROUPS:
             self._estimators[g].load_state_dict(state["estimators"][g])
             raw = state["last"][g]
+            if (raw is None) != (self._estimators[g].t == 0):
+                raise ValueError(
+                    f"last {g} must be null exactly when estimator {g} "
+                    f"has no updates")
             self._last[g] = None if raw is None else ConfidenceInterval(
                 *map(state_real, raw), self._confidence)
         flag = state["floor_violation"]
@@ -128,17 +132,16 @@ class LendingConfig:
         _check_population(self.n_a, self.n_b, self.c_max)
         _check_delta(self.delta)
 
-    def group_size(self, g):
-        return self.n_a if g == "A" else self.n_b
-
 
 def lending_change(obs, cfg):
     """Shift in the observed group's mean credit score caused by one event:
-    +-1/N_g on a repaid/defaulted grant, unless the score pins at a bound."""
+    +-1/N_g on a repaid/defaulted grant, unless the score pins at a bound.
+    ``cfg`` is a monitor or a simulator config: the simulator moves the
+    applicant's score by the sign of this shift."""
     if obs.y == 1 and obs.z == 1 and obs.x < cfg.c_max:
-        return 1.0 / cfg.group_size(obs.g)
+        return 1.0 / (cfg.n_a if obs.g == "A" else cfg.n_b)
     if obs.y == 1 and obs.z == 0 and obs.x > 0:
-        return -1.0 / cfg.group_size(obs.g)
+        return -1.0 / (cfg.n_a if obs.g == "A" else cfg.n_b)
     return 0.0
 
 
@@ -170,6 +173,15 @@ class LendingMonitor(TwoGroupMonitor):
         self.t += 1
         self._last[g] = self._estimators[g].update(obs)
         return self._emit()
+
+    def load_state_dict(self, state):
+        super().load_state_dict(state)
+        t_a, t_b = self._estimators["A"].t, self._estimators["B"].t
+        # Each event updates the estimator of its own group only.
+        if self.t != t_a + t_b:
+            raise ValueError(
+                f"t={self.t} differs from the group step counts "
+                f"{t_a} + {t_b}")
 
 
 # --------------------------------------------------------------------
@@ -273,6 +285,15 @@ class AttentionMonitor(TwoGroupMonitor):
         self._last[g] = eta_interval(step.y, rate_ci)
         return clamped
 
+    def load_state_dict(self, state):
+        super().load_state_dict(state)
+        t_a, t_b = self._estimators["A"].t, self._estimators["B"].t
+        # Each round updates both locations' estimators.
+        if not t_a == t_b == self.t:
+            raise ValueError(
+                f"t={self.t} differs from the group step counts "
+                f"{t_a}, {t_b}")
+
 
 # --------------------------------------------------------------------
 # Coin (single drifting Bernoulli stream; no disparity, the monitored
@@ -296,6 +317,8 @@ class CoinMonitorConfig:
 
 
 def coin_change(obs, epsilon):
+    """Shift in the coin's bias after one toss: +epsilon after a 1,
+    -epsilon after a 0."""
     return epsilon if obs.x == 1 else -epsilon
 
 
@@ -334,6 +357,9 @@ class CoinMonitor:
     def load_state_dict(self, state):
         self.t = state_count(state["t"])
         self._estimator.load_state_dict(state["estimator"])
+        if self._estimator.t != self.t:
+            raise ValueError(f"t={self.t} differs from the estimator step "
+                             f"count {self._estimator.t}")
 
 
 # --------------------------------------------------------------------

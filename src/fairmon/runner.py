@@ -71,6 +71,7 @@ def monitor_trace(trace_path, monitor_config, out_path,
         raise TraceFormatError(
             f"trace kind {meta['kind']!r} does not match monitor kind "
             f"{mon.kind!r}")
+    _check_shared_fields(trace_path, meta.get("config"), monitor_config)
 
     latencies = LatencyHistogram()
     kind, update, clock = mon.kind, mon.update, time.perf_counter_ns
@@ -95,6 +96,21 @@ def monitor_trace(trace_path, monitor_config, out_path,
     if snapshot_out is not None:
         traceio.write_snapshot(snapshot_out, mon, dict(monitor_config))
     return latencies.summary()
+
+
+def _check_shared_fields(trace_path, trace_config, monitor_config):
+    """The interval holds only under the change function that moved the
+    data, so each monitor-config field the trace's simulator config also
+    has (population, ``gamma``, ``epsilon``) must agree with it."""
+    if not isinstance(trace_config, dict):
+        return
+    for key, value in monitor_config.items():
+        if key != "kind" and key in trace_config \
+                and trace_config[key] != value:
+            raise TraceFormatError(
+                f"{trace_path}: trace was simulated with {key}="
+                f"{trace_config[key]!r}, the monitor config has {key}="
+                f"{value!r}")
 
 
 # LatencyHistogram layout: a buffer of _RECENT raw values, then

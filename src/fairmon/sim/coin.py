@@ -5,6 +5,9 @@ from dataclasses import dataclass
 
 from ..errors import AssumptionViolation, ConfigError
 from ..estimator import check_field_types
+from ..monitors import CoinObservation, coin_change
+
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -25,8 +28,8 @@ class CoinConfig:
 
 
 class CoinProcess:
-    """Bias shifts by +epsilon after a 1 and -epsilon after a 0; aborts
-    if the true bias would leave (0, 1)."""
+    """Bias shifts by ``monitors.coin_change`` after each toss (+epsilon
+    after a 1, -epsilon after a 0); aborts if it would leave (0, 1)."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -38,7 +41,7 @@ class CoinProcess:
         self.t += 1
         p_used = self.p
         x = 1 if rng.random() < self.p else 0
-        self.p += self.cfg.epsilon if x == 1 else -self.cfg.epsilon
+        self.p += coin_change(_new(CoinObservation, (x,)), self.cfg.epsilon)
         if not 0.0 < self.p < 1.0:
             raise AssumptionViolation(
                 f"coin bias left (0, 1): p={self.p}", step=self.t)

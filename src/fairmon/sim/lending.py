@@ -15,7 +15,9 @@ from typing import Optional
 
 from ..errors import ConfigError
 from ..estimator import _check_population, check_field_types
-from ..monitors import LendingObservation
+from ..monitors import LendingObservation, lending_change
+
+_new = tuple.__new__
 
 PRESETS = {
     # (A score range, B score range) as fractions of c_max.
@@ -119,13 +121,13 @@ class LendingEnv:
         z = 0
         if y == 1:
             z = 1 if rng.random() < self.rho(x) else 0
-            if z == 1 and x < self.cfg.c_max:
-                self.scores[g][idx] = x + 1
-                self.sums[g] += 1
-            elif z == 0 and x > 0:
-                self.scores[g][idx] = x - 1
-                self.sums[g] -= 1
-        obs = LendingObservation(x=x, g=g, y=y, z=z)
+        obs = _new(LendingObservation, (x, g, y, z))
+        # The monitor's change function is the one rule for the score.
+        shift = lending_change(obs, self.cfg)
+        if shift:
+            step = 1 if shift > 0.0 else -1
+            self.scores[g][idx] = x + step
+            self.sums[g] += step
         truth = {"psi_a": psi_a, "psi_b": psi_b, "phi": psi_a - psi_b}
         return obs, truth
 

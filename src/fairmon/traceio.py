@@ -66,9 +66,11 @@ def _read_meta(fh, path, expected_file):
         raise TraceFormatError(f"{path}:1: corrupt metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise TraceFormatError(f"{path}:1: metadata is not a JSON object")
-    if meta.get("format") != FORMAT_VERSION:
+    version = meta.get("format")
+    # JSON true and 1.0 compare equal to 1.
+    if type(version) is not int or version != FORMAT_VERSION:
         raise TraceFormatError(
-            f"{path}: unsupported format version {meta.get('format')!r}")
+            f"{path}: unsupported format version {version!r}")
     if meta.get("file") != expected_file:
         raise TraceFormatError(
             f"{path}: expected a {expected_file} file, got "
@@ -114,7 +116,7 @@ def _records(path, expected_file, start_t):
                 raise TraceFormatError(
                     f"{path}:{lineno}: record is not a JSON object"
                 ) from None
-            if t != expected_t:
+            if t != expected_t or type(t) is not int:
                 raise TraceFormatError(
                     f"{path}:{lineno}: expected t={expected_t}, got {t!r}")
             expected_t += 1
@@ -197,11 +199,16 @@ def read_snapshot(path):
     """Return (kind, monitor_config, state)."""
     with open(path) as fh:
         meta = _read_meta(fh, path, "snapshot")
+    kind = meta["kind"]
     config, state = meta.get("monitor_config"), meta.get("state")
     if not isinstance(config, dict) or not isinstance(state, dict):
         raise TraceFormatError(
             f"{path}: snapshot needs 'monitor_config' and 'state' objects")
-    return meta.get("kind"), config, state
+    if config.get("kind") != kind:
+        raise TraceFormatError(
+            f"{path}: snapshot kind {kind!r} differs from its "
+            f"monitor_config kind {config.get('kind')!r}")
+    return kind, config, state
 
 
 # Estimate-record fields copied to the CSV as they are; the group

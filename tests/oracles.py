@@ -57,6 +57,18 @@ def oracle_repay_mass(env, scores, theta_bank):
     return total, above
 
 
+def oracle_score_step(x, y, z, c_max):
+    """The lending simulator's own integer score rule, kept as a check on
+    the shared change function: a repaid grant raises the applicant's
+    score by 1 below ``c_max``, a defaulted grant lowers it by 1 above 0,
+    and anything else leaves it."""
+    if y == 1 and z == 1 and x < c_max:
+        return x + 1
+    if y == 1 and z == 0 and x > 0:
+        return x - 1
+    return x
+
+
 def eta_full_prefix(y, lam):
     """``kernels.eta`` with the prefix loop of the lam <= y branch run
     all the way to y, past the point where its term underflows."""
@@ -121,7 +133,7 @@ def json_loads_records(path, start_t=1):
                 return records, ("TraceFormatError",
                                  f"{path}:{lineno}: record is not a JSON "
                                  f"object")
-            if rec.get("t") != expected_t:
+            if rec.get("t") != expected_t or type(rec["t"]) is not int:
                 return records, ("TraceFormatError",
                                  f"{path}:{lineno}: expected "
                                  f"t={expected_t}, got {rec.get('t')!r}")

@@ -7,9 +7,9 @@ or given a value of another JSON type, a huge integer, or a line that is
 not an object.  ``monitor`` and ``eval`` must then either succeed (exit
 0) or report a data error (exit 2), and ``export`` of a mutated
 estimates file may also report a usage error (exit 1); none of them
-ever raises.  A field of a snapshot's ``state`` or ``monitor_config``,
-at any depth, is mutated the same way, and ``monitor --resume`` from it
-must exit 0, 1 or 2.
+ever raises.  A field of a lending, attention or coin snapshot's
+``state`` or ``monitor_config``, at any depth, is mutated the same way,
+and ``monitor --resume`` from it must exit 0, 1 or 2.
 """
 
 import contextlib
@@ -33,6 +33,10 @@ SETUPS = {
          "horizon": HORIZON, "seed": 3},
         {"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
          "lambda_max": 12.0, "delta": 0.05}),
+    "coin": (
+        {"kind": "coin", "p1": 0.5, "epsilon": 0.001, "horizon": HORIZON,
+         "seed": 3},
+        {"kind": "coin", "epsilon": 0.001, "delta": 0.05}),
 }
 # (kind, file): the three files a mutation can land in.
 TARGETS = [("lending", "trace"), ("attention", "trace"),
@@ -189,7 +193,7 @@ def test_resume_from_mutated_snapshot_never_raises(files, snapshots, data):
 @pytest.mark.parametrize("kind, field", [
     ("lending", "n_a"), ("lending", "n_b"), ("lending", "c_max"),
     ("lending", "delta"), ("attention", "gamma"),
-    ("attention", "lambda_max")])
+    ("attention", "lambda_max"), ("coin", "epsilon")])
 def test_resume_with_huge_config_field_is_config_error(files, snapshots,
                                                        kind, field):
     root, _ = files

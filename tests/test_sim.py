@@ -14,7 +14,7 @@ from fairmon.errors import AssumptionViolation, ConfigError
 from fairmon.monitors import attention_change, lending_change, LendingConfig
 from fairmon.sim import attention, coin, lending
 from fairmon.sim.sampling import poisson
-from oracles import oracle_repay_mass
+from oracles import oracle_repay_mass, oracle_score_step
 
 
 class TestPoissonSampler:
@@ -99,6 +99,39 @@ class TestLendingSim:
             shift = lending_change(obs, mon_cfg)
             after = env.group_mean(obs.g)
             assert after == pytest.approx(before[obs.g] + shift, abs=1e-12)
+
+    @pytest.mark.parametrize("policy", ["max_reward", "eq_opp"])
+    @pytest.mark.parametrize("init, seen", [
+        ({"init": "low-bias"}, {(1, 1, 1), (1, 0, -1)}),
+        ({"init": "mid-bias"}, {(1, 1, 1), (1, 0, -1)}),
+        ({"init": "high-bias"}, {(1, 1, 1), (1, 0, -1)}),
+        # Pinned at 0 (granted from theta_bank 0.05) and at c_max.
+        ({"init_scores_a": (0,) * 10, "init_scores_b": (0,) * 10,
+          "theta_bank": 0.05}, {(1, 0, 0)}),
+        ({"init_scores_a": (20,) * 10, "init_scores_b": (20,) * 10},
+         {(1, 1, 0)}),
+    ], ids=["low-bias", "mid-bias", "high-bias", "all-zero", "all-c-max"])
+    def test_score_step_matches_oracle_rule(self, init, seen, policy):
+        cfg = self.make_cfg(policy=policy, horizon=400, **init)
+        env = lending.LendingEnv(cfg)
+        pol = lending.make_policy(cfg)
+        rng = random.Random(cfg.seed)
+        moves = set()
+        for _ in range(cfg.horizon):
+            before = {g: list(s) for g, s in env.scores.items()}
+            sums = dict(env.sums)
+            obs, _ = env.step(pol, rng)
+            want = oracle_score_step(obs.x, obs.y, obs.z, cfg.c_max)
+            moved = [(old, new) for old, new in
+                     zip(before[obs.g], env.scores[obs.g]) if old != new]
+            assert moved == ([] if want == obs.x else [(obs.x, want)])
+            assert env.sums[obs.g] - sums[obs.g] == want - obs.x
+            other = "B" if obs.g == "A" else "A"
+            assert env.scores[other] == before[other]
+            assert env.sums[other] == sums[other]
+            moves.add((obs.y, obs.z, want - obs.x))
+        # (decision, repayment, score change): the branches under test ran.
+        assert seen <= moves
 
     def test_scores_stay_in_range_and_sums_exact(self):
         cfg = self.make_cfg(horizon=500)

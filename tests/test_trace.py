@@ -66,18 +66,24 @@ class TestTraceFiles:
             hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def test_cli_import_loads_no_hashlib(self):
-        # hashlib would load OpenSSL into every stage's memory.
+        # hashlib would load OpenSSL into every stage's memory, and the
+        # package has no runtime dependency outside the standard library.
+        # Modules the interpreter's site start-up loaded are not counted.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, fairmon.cli; "
-             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"],
+             "import sys; before = set(sys.modules); "
+             "import fairmon.cli, fairmon.runner, fairmon.sim; "
+             "loaded = set(sys.modules) - before; "
+             "print(sorted({'hashlib', '_hashlib'} & loaded)); "
+             "print(sorted({n.partition('.')[0] for n in loaded} "
+             "- set(sys.stdlib_module_names) - {'fairmon'}))"],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split("\n")[:2] == ["[]", "[]"], proc.stdout
 
     def test_zero_horizon_trace_is_metadata_only(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -131,6 +137,30 @@ class TestTraceFiles:
         write_lines(bad, [json.dumps({"format": 99, "file": "trace"})])
         with pytest.raises(TraceFormatError):
             traceio.read_records(str(bad), "trace")
+
+    @pytest.mark.parametrize("version", [True, 1.0],
+                             ids=["true", "float"])
+    def test_format_version_must_be_an_integer(self, tmp_path, version):
+        # JSON true and 1.0 compare equal to the version 1.
+        bad = tmp_path / "bad.jsonl"
+        write_lines(bad, [json.dumps({"format": version, "file": "trace",
+                                      "kind": "coin", "config": {},
+                                      "config_hash": "x"})])
+        with pytest.raises(TraceFormatError,
+                           match="unsupported format version"):
+            traceio.read_records(str(bad), "trace")
+
+    @pytest.mark.parametrize("first_t", [True, 1.0], ids=["true", "float"])
+    def test_record_t_must_be_an_integer(self, tmp_path, first_t):
+        bad = tmp_path / "bad.jsonl"
+        write_lines(bad, [
+            json.dumps({"format": 1, "file": "trace", "kind": "coin",
+                        "config": {}, "config_hash": "x"}),
+            json.dumps({"t": first_t, "x": 1}),
+        ])
+        _, records = traceio.read_records(str(bad), "trace")
+        with pytest.raises(TraceFormatError, match=f"{bad}:2: expected t=1"):
+            list(records)
 
     def test_read_records_closes_its_file(self, tmp_path, monkeypatch):
         # On a metadata error, and when the iterator is dropped before or
@@ -231,6 +261,7 @@ _TRICKY_LINES = {
     "control-char": b'{"t":2,"x":"a\tb"}\n',
     "nested": b'{"t":2,"x":{"a":[1,{"b":null}]}}\n',
     "empty-object": b'{}\n',
+    "float-t": b'{"t":2.0,"x":1}\n',
 }
 
 
@@ -515,6 +546,7 @@ class TestSnapshotResume:
           "horizon": 10, "seed": 7},
          {"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
           "lambda_max": 12.0, "delta": 0.05}),
+        (COIN_SIM, COIN_MON),
     ])
     def test_split_at_every_step_matches_unsplit(self, tmp_path, sim, mon):
         trace = tmp_path / "trace.jsonl"
@@ -572,15 +604,25 @@ class TestSnapshotResume:
           "lambda_max": 12.0, "delta": 0.05},
          lambda state: state.update(floor_violation=1)),
         (MON, lambda state: state["estimators"]["B"].update(e1_hat=10 ** 400)),
+        # Step counts that disagree with one another.
+        (COIN_MON, lambda state: state.update(t=3)),
+        (MON, lambda state: state.update(t=5)),
+        (ATTENTION_MON, lambda state: state["estimators"]["B"].update(t=9)),
+        (MON, lambda state: state["last"].update(A=None)),
+        (MON, lambda state: state["estimators"]["B"].update(
+            t=0, e1_hat=0.0, d=0.0, d_comp=0.0)),
     ], ids=["fractional-t", "bool-estimator-t", "no-last",
             "no-floor-violation", "text-t", "list-estimator",
             "short-interval", "attention-int-floor-violation",
-            "huge-e1-hat"])
+            "huge-e1-hat", "coin-t-not-estimator-t",
+            "lending-t-not-group-sum", "attention-group-t-differs",
+            "last-null-after-updates", "last-set-without-updates"])
     def test_bad_snapshot_state_is_data_error(self, tmp_path, capsys,
                                               mon, mutate):
-        sim = (SIM if mon["kind"] == "lending" else
-               {"kind": "attention", "l": 5, "k": 6, "gamma": 0.0025,
-                "horizon": 10, "seed": 7})
+        sim = {"lending": SIM, "coin": COIN_SIM,
+               "attention": {"kind": "attention", "l": 5, "k": 6,
+                             "gamma": 0.0025, "horizon": 10, "seed": 7},
+               }[mon["kind"]]
         trace = tmp_path / "trace.jsonl"
         runner.simulate(sim, str(trace))
         snap = tmp_path / "snap.json"
@@ -615,6 +657,42 @@ class TestSnapshotResume:
         assert cli.main(["monitor", "--trace", str(trace), "--resume",
                          str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
         assert f"data error: {snap}" in capsys.readouterr().err
+
+    def test_snapshot_kind_must_match_its_config(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(COIN_SIM, str(trace))
+        snap = tmp_path / "snap.json"
+        runner.monitor_trace(str(trace), COIN_MON, str(tmp_path / "e.jsonl"),
+                             snapshot_out=str(snap))
+        blob = json.loads(snap.read_text())
+        blob["kind"] = "lending"
+        snap.write_text(json.dumps(blob) + "\n")
+        rest = tmp_path / "rest.jsonl"
+        write_lines(rest, trace.read_text().splitlines()[:1])
+        assert cli.main(["monitor", "--trace", str(rest), "--resume",
+                         str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
+        assert capsys.readouterr().err == (
+            f"fairmon: data error: {snap}: snapshot kind 'lending' differs "
+            f"from its monitor_config kind 'coin'\n")
+
+    def test_resume_onto_trace_of_another_model_is_exit_2(self, tmp_path,
+                                                          capsys):
+        # The snapshot was taken under n_a = 5; the rest of the stream
+        # comes from a population with n_a = 6.
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        head, _ = self.split_trace(tmp_path, trace, 4)
+        snap = tmp_path / "snap.json"
+        runner.monitor_trace(str(head), MON, str(tmp_path / "e.jsonl"),
+                             snapshot_out=str(snap))
+        other = tmp_path / "other.jsonl"
+        runner.simulate(dict(SIM, n_a=6), str(other))
+        _, tail = self.split_trace(tmp_path, other, 4)
+        assert cli.main(["monitor", "--trace", str(tail), "--resume",
+                         str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
+        assert capsys.readouterr().err == (
+            f"fairmon: data error: {tail}: trace was simulated with n_a=6, "
+            f"the monitor config has n_a=5\n")
 
     def test_snapshot_without_state_object_is_data_error(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -789,6 +867,33 @@ class TestCli:
                          str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 2
         err = capsys.readouterr().err
         assert f"data error: {trace}: bad record t=5:" in err
+
+    @pytest.mark.parametrize("command, sim, mon, field", [
+        ("monitor", SIM, dict(MON, n_a=6), "n_a"),
+        # A monitor told gamma = 0 on a trace simulated with gamma = 0.002
+        # contained the truth on 30 % of the steps and exited 0.
+        ("run", {"kind": "attention", "l": 2, "k": 1, "gamma": 0.002,
+                 "horizon": 4000, "policy": "greedy",
+                 "lambda_init_per_location": [6.0, 3.0]},
+         {"kind": "attention", "gamma": 0.0, "lambda_min": 0.5,
+          "lambda_max": 14.0, "delta": 0.05}, "gamma"),
+        ("monitor", COIN_SIM, dict(COIN_MON, epsilon=0.002), "epsilon"),
+    ], ids=["lending-n-a", "attention-gamma", "coin-epsilon"])
+    def test_trace_of_another_model_is_exit_2(self, tmp_path, capsys,
+                                             command, sim, mon, field):
+        cfg = self.write_config(tmp_path, sim, mon)
+        trace = tmp_path / "trace.jsonl"
+        if command == "run":
+            assert cli.main(["run", "--config", str(cfg), "--seed", "1",
+                             "--out-dir", str(tmp_path)]) == 2
+        else:
+            runner.simulate(sim, str(trace))
+            assert cli.main(["monitor", "--trace", str(trace), "--config",
+                             str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 2
+        assert capsys.readouterr().err == (
+            f"fairmon: data error: {trace}: trace was simulated with "
+            f"{field}={sim[field]!r}, the monitor config has "
+            f"{field}={mon[field]!r}\n")
 
     def test_non_object_record_is_data_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, mon=MON)
