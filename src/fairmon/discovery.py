@@ -11,7 +11,7 @@ import math
 
 from . import kernels
 from .errors import ConfigError
-from .estimator import SubExpParams
+from .estimator import SubExpParams, is_real
 from .intervals import trusted_interval
 
 # The series is evaluated with exp(-lam) folded into every term; beyond
@@ -19,13 +19,21 @@ from .intervals import trusted_interval
 MAX_RATE = 700.0
 
 
+def _check_units(y):
+    """Attention units as an int: an integral real (not a bool, nan or
+    inf) of at least 1."""
+    if not (is_real(y) and y >= 1 and y == int(y)):
+        raise ConfigError(
+            f"attention units must be a positive integer, got {y}")
+    return int(y)
+
+
 def eta(y, lam):
     """Closed-form discovery probability for y >= 1 units at rate lam > 0."""
-    if y < 1 or y != int(y):
-        raise ConfigError(f"attention units must be a positive integer, got {y}")
+    y = _check_units(y)
     if not 0.0 < lam <= MAX_RATE:
         raise ConfigError(f"rate must be in (0, {MAX_RATE}], got {lam}")
-    return kernels.eta(int(y), float(lam))
+    return kernels.eta(y, float(lam))
 
 
 def eta_interval(y, lambda_ci):
@@ -39,12 +47,9 @@ def eta_interval(y, lambda_ci):
     lo, hi, confidence = lambda_ci
     if lo <= 0.0:
         raise ConfigError(f"rate interval touches zero: lo={lo}")
-    if y < 1 or y != int(y):
-        raise ConfigError(
-            f"attention units must be a positive integer, got {y}")
+    y = _check_units(y)
     if hi > MAX_RATE:
         raise ConfigError(f"rate must be in (0, {MAX_RATE}], got {hi}")
-    y = int(y)
     return trusted_interval(kernels.eta(y, float(hi)),
                             kernels.eta(y, float(lo)), confidence)
 

@@ -1,12 +1,12 @@
 """Shift-corrected streaming mean estimator.
 
 Tracks the conditional mean of a drifting feature from a single
-observation stream.  A known change function reports, per observation,
-the exact shift it causes in that mean; the estimator removes the
-accumulated shift from each incoming sample, averages the de-shifted
-residuals, and adds the shift back to estimate the current mean.  A
-concentration bound on the de-shifted average gives a per-step
-confidence interval.
+observation stream.  Each update takes a sample and the exact shift its
+observation causes in that mean, which the caller reads off a known
+change function; the estimator removes the accumulated shift from each
+incoming sample, averages the de-shifted residuals, and adds the shift
+back to estimate the current mean.  A concentration bound on the
+de-shifted average gives a per-step confidence interval.
 """
 
 import math
@@ -131,12 +131,11 @@ class ShiftedMeanEstimator:
     trace order.  Distinct instances are independent.  ``delta`` and
     the :class:`SubExpParams` are fixed at construction."""
 
-    __slots__ = ("change_fn", "_confidence", "_log_term", "_sigma_sq",
-                 "_nu", "t", "_e1_hat", "_d", "_d_comp")
+    __slots__ = ("_confidence", "_log_term", "_sigma_sq", "_nu", "t",
+                 "_e1_hat", "_d", "_d_comp")
 
-    def __init__(self, change_fn, delta, params):
+    def __init__(self, delta, params):
         _check_delta(delta)
-        self.change_fn = change_fn
         self._confidence = 1.0 - delta
         self._log_term = math.log(2.0 / delta)
         self._sigma_sq = params.sigma_sq
@@ -150,12 +149,13 @@ class ShiftedMeanEstimator:
     def params(self):
         return SubExpParams(self._sigma_sq, self._nu)
 
-    def update(self, record):
-        """Consume one observation; returns the confidence interval for
-        the conditional mean at this step (given history, excluding the
-        shift this record itself causes)."""
-        x = float(record.x)
-        shift = float(self.change_fn(record))
+    def update(self, x, shift):
+        """Consume one sample ``x`` and the ``shift`` its observation
+        causes in the mean; returns the confidence interval for the
+        conditional mean at this step (given history, excluding
+        ``shift``)."""
+        x = float(x)
+        shift = float(shift)
         if not (-_INF < x < _INF and -_INF < shift < _INF):
             raise ValueError(
                 f"corrupt observation: x={x}, shift={shift}")

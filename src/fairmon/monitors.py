@@ -47,11 +47,10 @@ class TwoGroupMonitor:
 
     A subclass sets ``kind``, ``config_type`` and ``observation_type``
     (a namedtuple whose fields are those of a trace record), passes its
-    tail parameters and change function to ``__init__``, and defines
-    ``update``: check the observation, advance ``t``, store each updated
-    group's reported interval in ``_last`` and return :meth:`_emit`.
-    The change function must not reference the monitor: a cycle would
-    leave every discarded monitor to the cyclic garbage collector.
+    tail parameters to ``__init__``, and defines ``update``: check the
+    observation, advance ``t``, update each observed group's estimator
+    with its sample and the shift its change function gives, store the
+    reported interval in ``_last`` and return :meth:`_emit`.
 
     A subclass whose quantity has a known floor sets ``floor_violation``
     once the net shift may have driven the quantity through zero; the
@@ -60,12 +59,12 @@ class TwoGroupMonitor:
 
     kind = None
 
-    def __init__(self, cfg, params, change_fn):
+    def __init__(self, cfg, params):
         self.cfg = cfg
         # Every reported group interval holds at this level.
         self._confidence = 1.0 - cfg.delta / 2.0
         self._estimators = {
-            g: ShiftedMeanEstimator(change_fn, cfg.delta / 2.0, params)
+            g: ShiftedMeanEstimator(cfg.delta / 2.0, params)
             for g in GROUPS
         }
         self._last = {g: None for g in GROUPS}
@@ -154,8 +153,7 @@ class LendingMonitor(TwoGroupMonitor):
     observation_type = LendingObservation
 
     def __init__(self, cfg):
-        super().__init__(cfg, SubExpParams(float(cfg.c_max) ** 2, 0.0),
-                         lambda obs: lending_change(obs, cfg))
+        super().__init__(cfg, SubExpParams(float(cfg.c_max) ** 2, 0.0))
 
     def update(self, obs):
         x, g, y, z = obs
@@ -171,7 +169,8 @@ class LendingMonitor(TwoGroupMonitor):
         if y not in (0, 1) or z not in (0, 1):
             raise ValueError(f"decision/reaction must be 0 or 1: {obs}")
         self.t += 1
-        self._last[g] = self._estimators[g].update(obs)
+        self._last[g] = self._estimators[g].update(
+            x, lending_change(obs, self.cfg))
         return self._emit()
 
     def load_state_dict(self, state):
@@ -182,6 +181,10 @@ class LendingMonitor(TwoGroupMonitor):
             raise ValueError(
                 f"t={self.t} differs from the group step counts "
                 f"{t_a} + {t_b}")
+        # Only the attention monitor tracks a floor.
+        if self.floor_violation:
+            raise ValueError("floor_violation is never set by a lending "
+                             "monitor")
 
 
 # --------------------------------------------------------------------
@@ -227,12 +230,6 @@ def attention_change(y_units, gamma):
     return -gamma * y_units
 
 
-class _GroupStep(namedtuple("_GroupStep", "x y")):
-    """Per-location slice of an attention observation."""
-
-    __slots__ = ()
-
-
 class AttentionMonitor(TwoGroupMonitor):
     """Streams allocation rounds; estimates the disparity in incident
     discovery probability between the two monitored locations."""
@@ -242,8 +239,7 @@ class AttentionMonitor(TwoGroupMonitor):
     observation_type = AttentionObservation
 
     def __init__(self, cfg):
-        super().__init__(cfg, poisson_subexp_params(cfg.lambda_max),
-                         lambda step: attention_change(step.y, cfg.gamma))
+        super().__init__(cfg, poisson_subexp_params(cfg.lambda_max))
         # No attention discovers nothing: the mapping degenerates to 0.
         self._nothing = ConfidenceInterval(0.0, 0.0, self._confidence)
 
@@ -259,30 +255,31 @@ class AttentionMonitor(TwoGroupMonitor):
             raise ValueError(
                 f"allocation {y_a}+{y_b} exceeds capacity {k}")
         self.t += 1
-        clamped_a = self._group("A", _new(_GroupStep, (x_a, y_a)))
-        clamped_b = self._group("B", _new(_GroupStep, (x_b, y_b)))
+        clamped_a = self._group("A", x_a, y_a)
+        clamped_b = self._group("B", x_b, y_b)
         return self._emit(clamped_a or clamped_b)
 
-    def _group(self, g, step):
-        """Update location ``g`` and store its discovery-probability
-        interval; returns whether the rate interval was clamped into
-        ``[RATE_FLOOR, MAX_RATE]``, the range ``eta`` maps.  The upper
-        clamp loses nothing: the true rate is at most ``lambda_max``,
-        which the config bounds by ``MAX_RATE``."""
+    def _group(self, g, x, y):
+        """Update location ``g`` with its count ``x`` and ``y`` attention
+        units, and store its discovery-probability interval; returns
+        whether the rate interval was clamped into ``[RATE_FLOOR,
+        MAX_RATE]``, the range ``eta`` maps.  The upper clamp loses
+        nothing: the true rate is at most ``lambda_max``, which the
+        config bounds by ``MAX_RATE``."""
         est = self._estimators[g]
-        rate_ci = est.update(step)
+        rate_ci = est.update(x, attention_change(y, self.cfg.gamma))
         if self.cfg.lambda_min + est.net_shift <= 0.0:
             self.floor_violation = True
         lo, hi, confidence = rate_ci
         clamped = lo < RATE_FLOOR or hi > MAX_RATE
-        if step.y == 0:
+        if y == 0:
             self._last[g] = self._nothing
             return clamped
         if clamped:
             rate_ci = trusted_interval(
                 min(max(lo, RATE_FLOOR), MAX_RATE),
                 min(max(hi, RATE_FLOOR), MAX_RATE), confidence)
-        self._last[g] = eta_interval(step.y, rate_ci)
+        self._last[g] = eta_interval(y, rate_ci)
         return clamped
 
     def load_state_dict(self, state):
@@ -332,9 +329,8 @@ class CoinMonitor:
     def __init__(self, cfg):
         self.cfg = cfg
         # Outcomes lie in [0, 1]: lending's (c_max**2, 0) with c_max = 1.
-        self._estimator = ShiftedMeanEstimator(
-            lambda obs, eps=cfg.epsilon: coin_change(obs, eps),
-            cfg.delta, SubExpParams(1.0, 0.0))
+        self._estimator = ShiftedMeanEstimator(cfg.delta,
+                                               SubExpParams(1.0, 0.0))
         self.t = 0
 
     @property
@@ -347,7 +343,8 @@ class CoinMonitor:
         if obs.x not in (0, 1):
             raise ValueError(f"coin outcome must be 0 or 1, got {obs.x}")
         self.t += 1
-        ci = self._estimator.update(obs)
+        ci = self._estimator.update(obs.x,
+                                    coin_change(obs, self.cfg.epsilon))
         return _new(MonitorOutput, (self.t, ci, {"A": ci, "B": None},
                                     False, False))
 

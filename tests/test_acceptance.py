@@ -27,15 +27,6 @@ from fairmon.sim import attention, coin, lending
 from fairmon import runner, traceio
 
 
-class _Rec:
-    """Minimal observation record for driving the estimator directly."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x):
-        self.x = x
-
-
 def report(number, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
@@ -66,13 +57,12 @@ class TestAcceptance:
                                   seed=seed)
             proc = coin.CoinProcess(cfg)
             rng = random.Random(seed)
-            est = ShiftedMeanEstimator(
-                lambda rec: 0.001 if rec.x == 1 else -0.001, 0.05, params)
+            est = ShiftedMeanEstimator(0.05, params)
             ci = truth = None
             for _ in range(horizon):
                 x, p_used = proc.step(rng)
                 truth = p_used
-                ci = est.update(_Rec(x))
+                ci = est.update(x, 0.001 if x == 1 else -0.001)
             if ci.lo <= truth <= ci.hi:
                 hits += 1
         coverage = hits / runs
@@ -90,11 +80,10 @@ class TestAcceptance:
                                   seed=seed)
             proc = coin.CoinProcess(cfg)
             rng = random.Random(seed)
-            est = ShiftedMeanEstimator(
-                lambda rec: 0.001 if rec.x == 1 else -0.001, 0.05, params)
+            est = ShiftedMeanEstimator(0.05, params)
             for _ in range(horizon):
                 x, _ = proc.step(rng)
-                est.update(_Rec(x))
+                est.update(x, 0.001 if x == 1 else -0.001)
             estimates[seed] = est.point_estimate_initial()
         err = abs(float(np.mean(estimates)) - p1)
         bound = 3 * float(np.std(estimates, ddof=1)) / math.sqrt(runs)

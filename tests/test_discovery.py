@@ -104,6 +104,9 @@ class TestEta:
             eta(3, 0.0)
         with pytest.raises(ConfigError):
             eta(3, -0.5)
+        for y in (math.nan, math.inf, True):
+            with pytest.raises(ConfigError):
+                eta(y, 1.0)
 
 
 class TestEtaInterval:
@@ -128,7 +131,8 @@ class TestEtaInterval:
 
     @pytest.mark.parametrize("y, lo, hi", [
         (0, 1.0, 2.0), (1.5, 1.0, 2.0), (-3, 1.0, 2.0), (2, 1.0, 700.5),
-        (2, 699.0, 1e300)])
+        (2, 699.0, 1e300), (math.nan, 1.0, 2.0), (math.inf, 1.0, 2.0),
+        (True, 1.0, 2.0)])
     def test_errors_are_those_of_eta(self, y, lo, hi):
         # eta_interval checks y and the rate range once, in place of
         # eta's checks at both endpoints (upper endpoint first).

@@ -7,7 +7,6 @@ never from the implementation under test.
 
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -21,10 +20,6 @@ from fairmon import (
 from fairmon.errors import ConfigError
 from fairmon.intervals import trusted_interval
 from oracles import interval_map_decreasing
-
-
-def obs(x):
-    return SimpleNamespace(x=x)
 
 
 def _direct_estimate(xs, shifts):
@@ -64,13 +59,13 @@ class TestAzumaEpsilon:
         # The estimator computes ln(2/delta) once; every half-width must
         # still be bit for bit the formula with the log taken afresh.
         params = SubExpParams(2.0, 5.0)
-        est = ShiftedMeanEstimator(lambda o: 0.0, delta, params)
+        est = ShiftedMeanEstimator(delta, params)
         for t in range(1, 300):
             log_term = math.log(2.0 / delta)
             want = max(math.sqrt(2.0 * params.sigma_sq / t * log_term),
                        2.0 * params.nu / t * log_term)
             assert azuma_epsilon(t, delta, params) == want
-            assert est.update(obs(0.0)) == (-want, want, 1.0 - delta)
+            assert est.update(0.0, 0.0) == (-want, want, 1.0 - delta)
 
     def test_nonincreasing_in_t(self):
         params = SubExpParams(2.0, 3.0)
@@ -87,12 +82,11 @@ class TestAzumaEpsilon:
     def test_delta_whose_level_rounds_to_one_is_rejected(self, delta):
         # 1 - delta/2 == 1.0: no interval may carry confidence 1.
         with pytest.raises(ConfigError, match="too small"):
-            ShiftedMeanEstimator(lambda o: 0.0, delta, SubExpParams(1.0, 0.0))
+            ShiftedMeanEstimator(delta, SubExpParams(1.0, 0.0))
         smallest = 2.0 ** -52
         assert 1.0 - smallest / 2.0 < 1.0
-        est = ShiftedMeanEstimator(lambda o: 0.0, smallest,
-                                   SubExpParams(1.0, 0.0))
-        assert est.update(obs(0.0)).confidence == 1.0 - smallest
+        est = ShiftedMeanEstimator(smallest, SubExpParams(1.0, 0.0))
+        assert est.update(0.0, 0.0).confidence == 1.0 - smallest
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
@@ -113,12 +107,11 @@ class TestAzumaEpsilon:
 
 class TestShiftedMeanEstimator:
 
-    def make(self, shifts, delta=0.05, params=SubExpParams(1.0, 0.0)):
-        it = iter(shifts)
-        return ShiftedMeanEstimator(lambda rec: next(it), delta, params)
+    def make(self, delta=0.05, params=SubExpParams(1.0, 0.0)):
+        return ShiftedMeanEstimator(delta, params)
 
     def test_empty_estimator_has_no_estimate(self):
-        est = self.make([])
+        est = self.make()
         assert est.t == 0
         with pytest.raises(RuntimeError):
             est.point_estimate()
@@ -126,8 +119,8 @@ class TestShiftedMeanEstimator:
             est.point_estimate_initial()
 
     def test_single_update_interval(self):
-        est = self.make([0.0], delta=2 / math.e)
-        ci = est.update(obs(7.0))
+        est = self.make(delta=2 / math.e)
+        ci = est.update(7.0, 0.0)
         root2 = 1.4142135623730951
         assert ci.lo == pytest.approx(7.0 - root2, abs=1e-12)
         assert ci.hi == pytest.approx(7.0 + root2, abs=1e-12)
@@ -135,8 +128,8 @@ class TestShiftedMeanEstimator:
 
     def test_hand_trace_with_constant_shift(self):
         # x = (1, 0, 1) with a +0.1 shift after every step
-        est = self.make([0.1, 0.1, 0.1])
-        mids = [est.update(obs(x)).midpoint for x in (1.0, 0.0, 1.0)]
+        est = self.make()
+        mids = [est.update(x, 0.1).midpoint for x in (1.0, 0.0, 1.0)]
         assert mids[0] == pytest.approx(1.0, abs=1e-12)
         assert mids[1] == pytest.approx(0.55, abs=1e-12)
         assert mids[2] == pytest.approx(0.7666666666666668, abs=1e-12)
@@ -150,53 +143,55 @@ class TestShiftedMeanEstimator:
         rng = random.Random(11)
         xs = [rng.gauss(5.0, 2.0) for _ in range(200)]
         shifts = [rng.choice((-0.02, 0.0, 0.05)) for _ in range(200)]
-        est = self.make(shifts)
+        est = self.make()
         last = None
-        for x in xs:
-            last = est.update(obs(x))
+        for x, shift in zip(xs, shifts):
+            last = est.update(x, shift)
         e1, center, nxt = _direct_estimate(xs, shifts)
         assert est.point_estimate_initial() == pytest.approx(e1, rel=1e-9)
         assert last.midpoint == pytest.approx(center, rel=1e-9)
         assert est.point_estimate() == pytest.approx(nxt, rel=1e-9)
 
     def test_interval_width_follows_bound_exactly(self):
-        est = self.make([0.0] * 50, delta=0.1, params=SubExpParams(2.0, 1.0))
+        est = self.make(delta=0.1, params=SubExpParams(2.0, 1.0))
         for t in range(1, 51):
-            ci = est.update(obs(0.0))
+            ci = est.update(0.0, 0.0)
             eps = azuma_epsilon(t, 0.1, SubExpParams(2.0, 1.0))
             assert ci.width == pytest.approx(2 * eps, rel=1e-12)
 
     def test_rejects_non_finite_observation(self):
-        est = self.make([0.0] * 4)
-        est.update(obs(1.0))
+        est = self.make()
+        est.update(1.0, 0.0)
         with pytest.raises(ValueError):
-            est.update(obs(float("nan")))
-        for bad in (math.inf, -math.inf):
+            est.update(float("nan"), 0.0)
+        for x, shift in ((math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf),
+                         (0.0, math.nan)):
             with pytest.raises(ValueError, match="corrupt observation"):
-                est.update(obs(bad))
+                est.update(x, shift)
 
     def test_estimate_past_float_range_is_rejected(self):
         # The net shift overflows to inf on the third update, so the
         # interval's endpoints are not finite.
-        est = self.make([1.7e308] * 3)
-        est.update(obs(0.0))
-        est.update(obs(0.0))
+        est = self.make()
+        est.update(0.0, 1.7e308)
+        est.update(0.0, 1.7e308)
         with pytest.raises(ValueError, match="endpoints must be finite"):
-            est.update(obs(0.0))
+            est.update(0.0, 1.7e308)
 
     def test_state_round_trip(self):
         shifts = [0.01 * i for i in range(20)]
-        a = self.make(shifts)
-        b = self.make(shifts)
+        a = self.make()
+        b = self.make()
         rng = random.Random(3)
         xs = [rng.random() for _ in range(20)]
-        outs_a = [a.update(obs(x)) for x in xs]
+        outs_a = [a.update(x, shift) for x, shift in zip(xs, shifts)]
 
-        fresh = self.make(shifts[10:])
-        for x in xs[:10]:
-            b.update(obs(x))
+        fresh = self.make()
+        for x, shift in zip(xs[:10], shifts[:10]):
+            b.update(x, shift)
         fresh.load_state_dict(b.state_dict())
-        outs_b = [fresh.update(obs(x)) for x in xs[10:]]
+        outs_b = [fresh.update(x, shift)
+                  for x, shift in zip(xs[10:], shifts[10:])]
         for got, want in zip(outs_b, outs_a[10:]):
             assert got == want
 
@@ -207,13 +202,12 @@ class TestShiftedMeanEstimator:
         runs, horizon, p0, drift = 2000, 50, 0.5, 0.002
         errs = []
         for _ in range(runs):
-            est = ShiftedMeanEstimator(lambda rec: drift, 0.05,
-                                       SubExpParams(1.0, 0.0))
+            est = ShiftedMeanEstimator(0.05, SubExpParams(1.0, 0.0))
             p = p0
             ci = None
             for _ in range(horizon):
                 truth = p
-                ci = est.update(obs(1.0 if rng.random() < p else 0.0))
+                ci = est.update(1.0 if rng.random() < p else 0.0, drift)
                 p += drift
             errs.append(ci.midpoint - truth)
         mean_err = sum(errs) / runs

@@ -5,9 +5,9 @@ One record line of a small lending trace, a small attention trace or the
 lending estimates file is replaced by a mutated version: a field dropped
 or given a value of another JSON type, a huge integer, or a line that is
 not an object.  ``monitor`` and ``eval`` must then either succeed (exit
-0) or report a data error (exit 2), and ``export`` of a mutated
-estimates file may also report a usage error (exit 1); none of them
-ever raises.  A field of a lending, attention or coin snapshot's
+0) or report a data error (exit 2) that names the mutated file and its
+line or record, and ``export`` of a mutated estimates file may also
+report a usage error (exit 1); none of them ever raises.  A field of a lending, attention or coin snapshot's
 ``state`` or ``monitor_config``, at any depth, is mutated the same way,
 and ``monitor --resume`` from it must exit 0, 1 or 2.
 """
@@ -96,7 +96,8 @@ def _mutated_line(line, change):
 _PREFIXES = {1: "fairmon: error: ", 2: "fairmon: data error: "}
 
 
-def _main(argv, codes=(0, 2)):
+def _main(argv, codes=(0, 2), where=()):
+    """Run the CLI; a data error must contain one of ``where``, if given."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
@@ -104,6 +105,9 @@ def _main(argv, codes=(0, 2)):
     assert code in codes, (argv, code, err.getvalue())
     if code:
         assert err.getvalue().startswith(_PREFIXES[code]), err.getvalue()
+    if code == 2 and where:
+        assert any(w in err.getvalue() for w in where), (where,
+                                                         err.getvalue())
 
 
 @settings(derandomize=True, database=None, max_examples=200,
@@ -119,14 +123,19 @@ def test_mutated_record_is_ok_or_data_error(files, mutation):
             lines[index] = _mutated_line(lines[index], change)
         paths[name] = root / f"mutated.{name}"
         paths[name].write_text("\n".join(lines) + "\n")
+    # Line index ``index`` is record t=index on line index+1.
+    where = (f"{paths[target]}:{index + 1}:",
+             f"{paths[target]}: bad record t={index}:")
     if target == "trace":
         _main(["monitor", "--trace", str(paths["trace"]), "--config",
-               base[kind]["config"], "-o", str(root / "out.est")])
+               base[kind]["config"], "-o", str(root / "out.est")],
+              where=where)
     _main(["eval", "--estimates", str(paths["estimates"]), "--trace",
-           str(paths["trace"]), "-o", str(root / "report.json")])
+           str(paths["trace"]), "-o", str(root / "report.json")],
+          where=where)
     if target == "estimates":
         _main(["export", "--estimates", str(paths["estimates"]), "-o",
-               str(root / "out.csv")], codes=(0, 1, 2))
+               str(root / "out.csv")], codes=(0, 1, 2), where=where)
 
 
 def _paths(node, path):

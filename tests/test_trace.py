@@ -611,12 +611,14 @@ class TestSnapshotResume:
         (MON, lambda state: state["last"].update(A=None)),
         (MON, lambda state: state["estimators"]["B"].update(
             t=0, e1_hat=0.0, d=0.0, d_comp=0.0)),
+        (MON, lambda state: state.update(floor_violation=True)),
     ], ids=["fractional-t", "bool-estimator-t", "no-last",
             "no-floor-violation", "text-t", "list-estimator",
             "short-interval", "attention-int-floor-violation",
             "huge-e1-hat", "coin-t-not-estimator-t",
             "lending-t-not-group-sum", "attention-group-t-differs",
-            "last-null-after-updates", "last-set-without-updates"])
+            "last-null-after-updates", "last-set-without-updates",
+            "lending-floor-violation-set"])
     def test_bad_snapshot_state_is_data_error(self, tmp_path, capsys,
                                               mon, mutate):
         sim = {"lending": SIM, "coin": COIN_SIM,
@@ -991,6 +993,39 @@ class TestCli:
                          str(out["1"] / "estimates.jsonl"), "--trace",
                          str(out["2"] / "trace.jsonl")]) == 2
         assert "trace_config_hash" in capsys.readouterr().err
+
+    def test_truncated_file_never_exits_0(self, tmp_path, capsys,
+                                          monkeypatch):
+        # Every byte prefix of the estimates file or of the trace of a
+        # 12-record run fails eval, except the one that drops only the
+        # final newline; monitor fails on a trace cut inside a line.
+        # One parser serves the ~5,000 calls: building it is most of the
+        # cost of a call.
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        trace = tmp_path / "trace.jsonl"
+        est = tmp_path / "est.jsonl"
+        runner.simulate(dict(SIM, horizon=12), str(trace))
+        runner.monitor_trace(str(trace), MON, str(est))
+        cut = tmp_path / "cut.jsonl"
+        report = str(tmp_path / "report.json")
+        for whole in (est, trace):
+            data = whole.read_bytes()
+            files = {est: est, trace: trace, whole: cut}
+            for n in range(len(data) - 1):
+                cut.write_bytes(data[:n])
+                assert cli.main(["eval", "--estimates", str(files[est]),
+                                 "--trace", str(files[trace]), "-o",
+                                 report]) == 2, (whole.name, n)
+        cfg = str(self.write_config(tmp_path, mon=MON))
+        data = trace.read_bytes()
+        for n in range(1, len(data)):
+            if b"\n" in data[n - 1:n + 1]:
+                continue
+            cut.write_bytes(data[:n])
+            assert cli.main(["monitor", "--trace", str(cut), "--config", cfg,
+                             "-o", str(tmp_path / "e.jsonl")]) == 2, n
+        capsys.readouterr()
 
     def test_rate_interval_past_max_rate_runs(self, tmp_path, capsys):
         # The first rate interval around 600 reaches past 700, where the
