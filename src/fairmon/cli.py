@@ -134,7 +134,9 @@ def _cmd_monitor(args):
     if summary["updates"]:
         print(f"updates: {summary['updates']}  "
               f"median: {summary['median_us']:.2f} us  "
-              f"p99: {summary['p99_us']:.2f} us", file=sys.stderr)
+              f"p99: {summary['p99_us']:.2f} us  "
+              f"(every {runner.TIMED_EVERY}th update timed)",
+              file=sys.stderr)
 
 
 def _cmd_eval(args):

@@ -290,6 +290,14 @@ class AttentionMonitor(TwoGroupMonitor):
             raise ValueError(
                 f"t={self.t} differs from the group step counts "
                 f"{t_a}, {t_b}")
+        # The update that brought a net shift to the floor set the flag.
+        # A set flag cannot be checked: a later shift may have moved back.
+        if not self.floor_violation:
+            for g in GROUPS:
+                if self.cfg.lambda_min + self._estimators[g].net_shift <= 0.0:
+                    raise ValueError(
+                        f"floor_violation is false, but lambda_min plus "
+                        f"the net shift of {g} is at or below 0")
 
 
 # --------------------------------------------------------------------

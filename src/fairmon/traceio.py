@@ -10,6 +10,7 @@ guarantee does not survive silent gaps.
 import csv
 import json
 import math
+from operator import itemgetter
 
 # SHA-256 from CPython's built-in module, as random.py takes SHA-512:
 # hashlib would load OpenSSL (~3.5 MB of peak RSS) into every stage.
@@ -128,21 +129,46 @@ def bad_record(path, t, problem):
     return TraceFormatError(f"{path}: bad record t={t}: {problem}")
 
 
+def _fields_getter(fields):
+    """A function returning a record's values of ``fields``, in order, as
+    a tuple; the first missing field raises its KeyError."""
+    get = itemgetter(*fields)
+    if len(fields) > 1:
+        return get
+    # itemgetter of one key returns the bare value.
+    return lambda rec: (get(rec),)
+
+
+# kind -> (observation type, getter of its fields from a record)
+_OBSERVATIONS = {
+    kind: (cls.observation_type,
+           _fields_getter(cls.observation_type._fields))
+    for kind, cls in MONITORS.items()}
+
+_new = tuple.__new__
+
+
 def observation_from_record(kind, rec):
     """The monitor observation of one trace record: the kind's
     observation type filled from the record's fields of the same names.
     Field types and ranges are checked by the monitor's update."""
     try:
-        obs_type = MONITORS[kind].observation_type
+        obs_type, get_fields = _OBSERVATIONS[kind]
     except KeyError:
         raise TraceFormatError(f"unknown trace kind {kind!r}") from None
     try:
-        # From a list: from an iterator of unknown length the tuple is
-        # allocated oversized and shrunk, which counts one allocation per
-        # record toward the cyclic garbage collector's next run.
-        return obs_type._make([rec[f] for f in obs_type._fields])
+        return _new(obs_type, get_fields(rec))
     except KeyError as exc:
         raise TraceFormatError(f"missing field {exc}") from exc
+
+
+# Each group's last formatted interval and its "[lo,hi]" text.  A group
+# that did not move keeps the same interval object from one output to
+# the next.  The memo holds a reference to the object, so its identity
+# is not reused, and the tuple is immutable, so an identity match means
+# the same text whatever the caller.  Each entry is replaced whole: a
+# concurrent caller can miss the memo but never read another's text.
+_group_text = {"A": (None, "null"), "B": (None, "null")}
 
 
 def estimate_record(output):
@@ -153,13 +179,21 @@ def estimate_record(output):
     ``t``, ``conclusive``, ``phi_lo``, ``phi_hi``, ``point`` (the
     midpoint of phi), ``clamped``, ``floor_violation`` and
     ``group_intervals`` (``A`` then ``B``, each ``[lo, hi]`` or null).
-    Interval endpoints are finite by construction; a midpoint that
-    overflows raises ValueError.
+    An interval that is the object last formatted for its group reuses
+    that text.  Interval endpoints are finite by construction; a
+    midpoint that overflows raises ValueError.
     """
     t, phi, per_group, clamped, floor_violation = output
     a, b = per_group["A"], per_group["B"]
-    a = "null" if a is None else f"[{a.lo!r},{a.hi!r}]"
-    b = "null" if b is None else f"[{b.lo!r},{b.hi!r}]"
+    memo = _group_text
+    last, a_text = memo["A"]
+    if a is not last:
+        a_text = "null" if a is None else f"[{a.lo!r},{a.hi!r}]"
+        memo["A"] = a, a_text
+    last, b_text = memo["B"]
+    if b is not last:
+        b_text = "null" if b is None else f"[{b.lo!r},{b.hi!r}]"
+        memo["B"] = b, b_text
     if phi is None:
         head = (f'{{"t":{t!r},"conclusive":false,'
                 f'"phi_lo":null,"phi_hi":null,"point":null')
@@ -172,7 +206,7 @@ def estimate_record(output):
                 f'"phi_lo":{lo!r},"phi_hi":{hi!r},"point":{point!r}')
     return (f'{head},"clamped":{"true" if clamped else "false"},'
             f'"floor_violation":{"true" if floor_violation else "false"},'
-            f'"group_intervals":{{"A":{a},"B":{b}}}}}')
+            f'"group_intervals":{{"A":{a_text},"B":{b_text}}}}}')
 
 
 def write_estimates(path, kind, monitor_config, trace_meta, lines):

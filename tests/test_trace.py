@@ -16,6 +16,8 @@ import pytest
 
 from fairmon import ConfidenceInterval, MonitorOutput, cli, runner, traceio
 from fairmon.errors import ConfigError, TraceFormatError
+from fairmon.intervals import interval_sub
+from fairmon.monitors import MONITORS, CoinObservation, build_monitor
 from oracles import json_loads_records, oracle_record
 
 SIM = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "horizon": 10,
@@ -125,6 +127,32 @@ class TestTraceFiles:
     def test_observation_of_unknown_kind(self):
         with pytest.raises(TraceFormatError, match="unknown trace kind"):
             traceio.observation_from_record("housing", {"t": 1, "x": 1})
+
+    @pytest.mark.parametrize("sim", [SIM, ATTENTION_SIM, COIN_SIM],
+                             ids=["lending", "attention", "coin"])
+    def test_observation_is_the_type_made_from_the_fields(self, tmp_path,
+                                                         sim):
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(sim, str(trace))
+        obs_type = MONITORS[sim["kind"]].observation_type
+        _, records = read_all(str(trace))
+        for rec in records:
+            obs = traceio.observation_from_record(sim["kind"], rec)
+            want = obs_type._make([rec[f] for f in obs_type._fields])
+            assert type(obs) is obs_type
+            assert obs == want
+
+    @pytest.mark.parametrize("kind", ["lending", "attention", "coin"])
+    def test_observation_names_the_first_missing_field(self, kind):
+        fields = MONITORS[kind].observation_type._fields
+        full = {"t": 1, **{f: 0 for f in fields}}
+        for i, field in enumerate(fields):
+            alone = {k: v for k, v in full.items() if k != field}
+            rest = {k: v for k, v in full.items() if k not in fields[i:]}
+            for rec in (alone, rest):
+                with pytest.raises(TraceFormatError) as info:
+                    traceio.observation_from_record(kind, rec)
+                assert str(info.value) == f"missing field {field!r}"
 
     def test_metadata_must_be_an_object(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -319,23 +347,30 @@ def _random_output(rng):
         groups, rng.random() < 0.5, rng.random() < 0.5)
 
 
+def _check_lines(outputs):
+    """Each output's line equals ``json`` of its oracle dict."""
+    for out in outputs:
+        assert traceio.estimate_record(out) == json.dumps(
+            oracle_record(out), separators=(",", ":"), allow_nan=False)
+
+
+def _two_group_output(t, a, b):
+    phi = None if a is None or b is None else interval_sub(a, b)
+    return MonitorOutput(t, phi, {"A": a, "B": b})
+
+
 class TestEstimateRecord:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_line_matches_json_of_oracle_dict(self, seed):
         rng = random.Random(seed)
-        for _ in range(500):
-            out = _random_output(rng)
-            assert traceio.estimate_record(out) == json.dumps(
-                oracle_record(out), separators=(",", ":"), allow_nan=False)
+        _check_lines(_random_output(rng) for _ in range(500))
 
     def test_fixed_cases(self):
         ci = ConfidenceInterval(-0.0, 1e-05, 0.975)
-        for out in (MonitorOutput(1, None, {"A": ci, "B": None}),
-                    MonitorOutput(7, ci, {"A": ci, "B": ci}, True, True),
-                    MonitorOutput(3, ci, {"A": None, "B": None})):
-            assert traceio.estimate_record(out) == json.dumps(
-                oracle_record(out), separators=(",", ":"), allow_nan=False)
+        _check_lines([MonitorOutput(1, None, {"A": ci, "B": None}),
+                      MonitorOutput(7, ci, {"A": ci, "B": ci}, True, True),
+                      MonitorOutput(3, ci, {"A": None, "B": None})])
 
     def test_non_finite_midpoint_raises(self):
         phi = ConfidenceInterval(1e308, 1.7e308, 0.95)
@@ -344,6 +379,49 @@ class TestEstimateRecord:
             json.dumps(oracle_record(out), allow_nan=False)
         with pytest.raises(ValueError, match="not finite"):
             traceio.estimate_record(out)
+
+    # The text of a group interval that is the object last formatted for
+    # its group is reused; every other interval is formatted afresh.
+    def test_repeated_absent_and_equal_intervals(self):
+        x = ConfidenceInterval(0.1, 0.7, 0.975)
+        y = ConfidenceInterval(-2.5, 1e-05, 0.975)
+        zero = ConfidenceInterval(0.0, 1.0, 0.975)
+        groups = [
+            # A's object repeated while B moves, then back.
+            (x, y), (x, zero), (x, y), (x, y),
+            # A goes None -> interval -> None.
+            (None, y), (x, y), (None, y), (None, None), (x, None),
+            # New objects with equal values: the same numbers, another
+            # level, and a signed zero, which compares equal to 0.0.
+            (ConfidenceInterval(0.1, 0.7, 0.975), y),
+            (ConfidenceInterval(0.1, 0.7, 0.5), y),
+            (x, zero), (x, ConfidenceInterval(-0.0, 1.0, 0.975)),
+            (x, zero),
+            # The groups swap objects.
+            (y, x), (x, y), (x, x),
+        ]
+        _check_lines(_two_group_output(t, a, b)
+                     for t, (a, b) in enumerate(groups, start=1))
+
+    def test_interleaved_monitors(self):
+        rng = random.Random(11)
+        streams = [(build_monitor(config), observation)
+                   for config, observation in runner.BENCHES.values()]
+        streams.append((build_monitor(COIN_MON),
+                        lambda rng: CoinObservation(rng.randrange(2))))
+        for _ in range(900):
+            mon, observation = rng.choice(streams)
+            _check_lines([mon.update(observation(rng))])
+
+    def test_overflowing_midpoint_then_a_valid_line(self):
+        x = ConfidenceInterval(0.1, 0.7, 0.975)
+        huge = ConfidenceInterval(1e308, 1.7e308, 0.95)
+        _check_lines([_two_group_output(1, x, x)])
+        with pytest.raises(ValueError, match="not finite"):
+            traceio.estimate_record(MonitorOutput(2, huge, {"A": huge,
+                                                            "B": x}))
+        _check_lines([MonitorOutput(3, x, {"A": huge, "B": x}),
+                      _two_group_output(4, x, x)])
 
 
 class TestMonitorPipeline:
@@ -362,6 +440,15 @@ class TestMonitorPipeline:
         assert len(records) == 10
         assert summary["updates"] == 10
         assert summary["p99_us"] >= summary["median_us"]
+
+    @pytest.mark.parametrize("records", [1, 15, 16, 17, 40])
+    def test_summary_counts_every_update(self, tmp_path, records):
+        # One update in 16 is timed, from the first.
+        _, _, summary = self.run_pair(tmp_path, dict(SIM, horizon=records))
+        assert summary["updates"] == records
+        assert type(summary["median_us"]) is float
+        assert type(summary["p99_us"]) is float
+        assert summary["median_us"] <= summary["p99_us"]
 
     def test_estimates_reference_trace_hash(self, tmp_path):
         trace, est, _ = self.run_pair(tmp_path)
@@ -487,7 +574,7 @@ class TestLatencyHistogram:
         got = hist.summary()
         ordered = sorted(values)
         median = statistics.median(ordered) / 1e3
-        p99 = ordered[int(0.99 * (len(ordered) - 1))] / 1e3
+        p99 = ordered[-(-99 * n // 100) - 1] / 1e3
         assert got["updates"] == n
         assert got["mean_us"] == statistics.fmean(ordered) / 1e3
         if n < 1024:  # the buffer has not filled: exact
@@ -503,7 +590,7 @@ class TestLatencyHistogram:
         ordered = sorted(values)
         assert hist.summary() == {
             "updates": 3001, "median_us": statistics.median(ordered) / 1e3,
-            "p99_us": ordered[int(0.99 * 3000)] / 1e3,
+            "p99_us": ordered[-(-99 * 3001 // 100) - 1] / 1e3,
             "mean_us": statistics.fmean(ordered) / 1e3}
         assert runner.LatencyHistogram().summary() == {
             "updates": 0, "median_us": None, "p99_us": None,
@@ -570,6 +657,20 @@ class TestSnapshotResume:
             part2 = list(tail_records)
             assert part1 + part2 == want, f"split at {split}"
 
+    def test_one_record_resumed_batch_is_timed(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(dict(SIM, horizon=18), str(trace))
+        head, tail = self.split_trace(tmp_path, trace, 17)
+        snap = tmp_path / "snap.json"
+        runner.monitor_trace(str(head), MON, str(tmp_path / "e1.jsonl"),
+                             snapshot_out=str(snap))
+        summary = runner.monitor_trace(str(tail), None,
+                                       str(tmp_path / "e2.jsonl"),
+                                       snapshot_in=str(snap))
+        assert summary["updates"] == 1
+        assert type(summary["median_us"]) is float
+        assert summary["median_us"] <= summary["p99_us"]
+
     def test_snapshot_config_mismatch_rejected(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         runner.simulate(SIM, str(trace))
@@ -612,13 +713,16 @@ class TestSnapshotResume:
         (MON, lambda state: state["estimators"]["B"].update(
             t=0, e1_hat=0.0, d=0.0, d_comp=0.0)),
         (MON, lambda state: state.update(floor_violation=True)),
+        (ATTENTION_MON, lambda state: state["estimators"]["A"].update(
+            d=-4.5)),
     ], ids=["fractional-t", "bool-estimator-t", "no-last",
             "no-floor-violation", "text-t", "list-estimator",
             "short-interval", "attention-int-floor-violation",
             "huge-e1-hat", "coin-t-not-estimator-t",
             "lending-t-not-group-sum", "attention-group-t-differs",
             "last-null-after-updates", "last-set-without-updates",
-            "lending-floor-violation-set"])
+            "lending-floor-violation-set",
+            "attention-floor-unset-below-floor"])
     def test_bad_snapshot_state_is_data_error(self, tmp_path, capsys,
                                               mon, mutate):
         sim = {"lending": SIM, "coin": COIN_SIM,
