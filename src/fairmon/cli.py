@@ -135,7 +135,7 @@ def _cmd_monitor(args):
         print(f"updates: {summary['updates']}  "
               f"median: {summary['median_us']:.2f} us  "
               f"p99: {summary['p99_us']:.2f} us  "
-              f"(every {runner.TIMED_EVERY}th update timed)",
+              f"timed: {summary['samples']}",
               file=sys.stderr)
 
 

@@ -16,8 +16,11 @@ _INF = math.inf
 
 # monitor_trace times one update in TIMED_EVERY, from each call's first
 # record, so a resumed batch of one record still gets a sample.  Reading
-# the clock around every update cost about 1 us per record.
+# the clock around every update cost about 1 us per record.  At
+# LATENCY_SAMPLES samples it drops every other one and times half as
+# often, so memory stays bounded and the samples evenly spread.
 TIMED_EVERY = 16
+LATENCY_SAMPLES = 1024
 
 # kind -> (config type, payload generator)
 _SIMULATORS = {
@@ -55,8 +58,8 @@ def monitor_trace(trace_path, monitor_config, out_path,
     """Stream a trace file through a monitor, one estimate per record.
 
     Never holds more than one record in memory.  Returns ``updates``,
-    the number of records monitored, and the median, p99 and mean
-    latency (microseconds) of one update in ``TIMED_EVERY``.
+    the number of records monitored, and the :func:`latency_summary` of
+    the updates timed as the comment on ``TIMED_EVERY`` says.
     """
     if snapshot_in is not None:
         _, cfg, state = traceio.read_snapshot(snapshot_in)
@@ -80,32 +83,36 @@ def monitor_trace(trace_path, monitor_config, out_path,
             f"{mon.kind!r}")
     _check_shared_fields(trace_path, meta.get("config"), monitor_config)
 
-    latencies = LatencyHistogram()
+    samples, stride = [], TIMED_EVERY
     kind, update, clock = mon.kind, mon.update, time.perf_counter_ns
-    record = latencies.record
 
     def estimates():
+        nonlocal stride
         for i, rec in enumerate(records):
             # A record the monitor cannot take (missing field, wrong type,
             # value out of range, a count too large for a float) is a data
             # error located in the trace.
             try:
                 obs = traceio.observation_from_record(kind, rec)
-                if i % TIMED_EVERY:
+                if i % stride:
                     out = update(obs)
                 else:
                     start = clock()
                     out = update(obs)
-                    record(clock() - start)
+                    samples.append(clock() - start)
+                    if len(samples) == LATENCY_SAMPLES:
+                        del samples[1::2]
+                        stride *= 2
             except (TypeError, ValueError, OverflowError) as exc:
-                raise traceio.bad_record(trace_path, rec["t"], exc) from exc
+                raise traceio.bad_record(trace_path, rec["t"], exc,
+                                         first_t + 1) from exc
             yield traceio.estimate_record(out)
 
     traceio.write_estimates(out_path, mon.kind, dict(monitor_config),
                             meta, estimates())
     if snapshot_out is not None:
         traceio.write_snapshot(snapshot_out, mon, dict(monitor_config))
-    summary = latencies.summary()
+    summary = latency_summary(samples)
     summary["updates"] = mon.t - first_t
     return summary
 
@@ -125,99 +132,21 @@ def _check_shared_fields(trace_path, trace_config, monitor_config):
                 f"{value!r}")
 
 
-# LatencyHistogram layout: a buffer of _RECENT raw values, then
-# 2**_SUB_BITS buckets per power-of-two octave below 2**40 ns.
-_RECENT = 1024
-_SUB_BITS = 5
-_EXACT = 1 << (_SUB_BITS + 1)
-_TOP = ((40 - _SUB_BITS + 1) << _SUB_BITS) - 1
-
-
-def _bucket_middle(index):
-    shift = (index >> _SUB_BITS) - 1
-    if shift <= 0:
-        return float(index)
-    lo = (index - (shift << _SUB_BITS)) << shift
-    return lo + ((1 << shift) - 1) / 2.0
-
-
-class LatencyHistogram:
-    """Per-update latencies (nonnegative integer nanoseconds) in fixed-size
-    memory, whatever the number of updates.
-
-    The latest latencies wait in a buffer of 1024 slots.  Until it first
-    fills, the summary is exact: a short resumed run pays for no
-    bucketing.  Each time the buffer fills it is folded into a
-    log-linear histogram.  Every value below ``2**6`` has its own
-    bucket; above that each power-of-two octave is split into ``2**5``
-    equal buckets, so a bucket starting at ``lo`` is at most ``lo / 32``
-    wide.  A percentile is then reported as the middle of the bucket
-    holding the ranked value, which bounds its relative error by
-    ``1/64`` (under 1.6 %).  Values of ``2**40`` ns (about 18 minutes)
-    or more are counted in the top bucket.  The count and the sum, hence
-    the mean, are always exact.
-    """
-
-    __slots__ = ("_recent", "_pending", "_counts", "_folded", "_total_ns")
-
-    def __init__(self):
-        # Unsigned 64-bit slots over bytearrays: fixed-size, no per-value
-        # int objects, and no extension module to load.
-        self._recent = memoryview(bytearray(8 * _RECENT)).cast("Q")
-        self._pending = 0
-        self._counts = memoryview(bytearray(8 * (_TOP + 1))).cast("Q")
-        self._folded = 0
-        self._total_ns = 0
-
-    def record(self, ns):
-        n = self._pending
-        self._recent[n] = ns
-        self._pending = n + 1
-        if n + 1 == _RECENT:
-            self._fold()
-
-    def _fold(self):
-        pending = self._recent[:self._pending]
-        counts = self._counts
-        for ns in pending:
-            if ns >= _EXACT:
-                shift = ns.bit_length() - _SUB_BITS - 1
-                ns = (shift << _SUB_BITS) + (ns >> shift)
-                if ns > _TOP:
-                    ns = _TOP
-            counts[ns] += 1
-        self._total_ns += sum(pending)
-        self._folded += self._pending
-        self._pending = 0
-
-    def summary(self):
-        """``updates`` and ``mean_us`` (exact), ``median_us`` and
-        ``p99_us``, in microseconds; None without updates.  Both read
-        the same ranks, from the sorted buffer or from the buckets.  The
-        p99 is the nearest rank, ``ceil(0.99 n)``, so it is never below
-        the median, even of two values."""
-        pending = self._recent[:self._pending]
-        n = self._folded + len(pending)
-        if not n:
-            return {"updates": 0, "median_us": None, "p99_us": None,
-                    "mean_us": None}
-        total_ns = self._total_ns + sum(pending)
-        ranks = (n - 1) // 2, n // 2, -(-99 * n // 100) - 1
-        if self._folded:
-            self._fold()
-            counts, index, seen, at_rank = self._counts, 0, 0, {}
-            for rank in sorted(set(ranks)):
-                while seen <= rank:
-                    seen += counts[index]
-                    index += 1
-                at_rank[rank] = _bucket_middle(index - 1)
-        else:
-            at_rank = sorted(pending)
-        lo_mid, hi_mid, p99 = (at_rank[r] for r in ranks)
-        return {"updates": n,
-                "median_us": (lo_mid + hi_mid) / 2 / 1e3,
-                "p99_us": p99 / 1e3,
-                "mean_us": total_ns / n / 1e3}
+def latency_summary(samples_ns):
+    """``samples`` (their count) and the exact ``median_us``, ``p99_us``
+    and ``mean_us``, in microseconds, of latencies in integer
+    nanoseconds; None for each without samples.  The p99 is the nearest
+    rank, ``ceil(0.99 n)``, so it is never below the median, even of two
+    values."""
+    n = len(samples_ns)
+    if not n:
+        return {"samples": 0, "median_us": None, "p99_us": None,
+                "mean_us": None}
+    ordered = sorted(samples_ns)
+    return {"samples": n,
+            "median_us": (ordered[(n - 1) // 2] + ordered[n // 2]) / 2 / 1e3,
+            "p99_us": ordered[-(-99 * n // 100) - 1] / 1e3,
+            "mean_us": sum(ordered) / n / 1e3}
 
 
 def evaluate(estimates_path, trace_path):
@@ -324,7 +253,8 @@ BENCHES = {
 
 
 def bench(kind, updates, seed=0):
-    """Median / p99 per-update latency over an in-memory trace."""
+    """Exact median, p99 and mean latency of every update over an
+    in-memory trace."""
     if kind not in BENCHES:
         raise ConfigError(f"no benchmark for kind {kind!r}")
     if updates < 1:
@@ -334,14 +264,15 @@ def bench(kind, updates, seed=0):
     rng = random.Random(seed)
     observations = [observation(rng) for _ in range(updates)]
     mon = build_monitor(config)
-    latencies = LatencyHistogram()
-    record = latencies.record
+    latencies = []
+    record = latencies.append
     clock = time.perf_counter_ns
     update = mon.update
     for obs in observations:
         start = clock()
         update(obs)
         record(clock() - start)
-    summary = latencies.summary()
+    summary = latency_summary(latencies)
+    summary["updates"] = updates
     summary["kind"] = kind
     return summary

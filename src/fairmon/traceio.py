@@ -10,6 +10,7 @@ guarantee does not survive silent gaps.
 import csv
 import json
 import math
+from itertools import islice
 from operator import itemgetter
 
 # SHA-256 from CPython's built-in module, as random.py takes SHA-512:
@@ -124,9 +125,16 @@ def _records(path, expected_file, start_t):
             yield rec
 
 
-def bad_record(path, t, problem):
-    """The data error for record ``t`` of ``path``."""
-    return TraceFormatError(f"{path}: bad record t={t}: {problem}")
+def bad_record(path, t, problem, start_t=1):
+    """The data error for record ``t`` of ``path``, whose first record is
+    ``start_t``.  The record iterator yields no line numbers, so this
+    re-reads ``path`` for the record's line, skipping blank lines as
+    :func:`_records` does."""
+    with open(path) as fh:
+        fh.readline()  # the metadata line
+        lines = (n for n, line in enumerate(fh, start=2) if line.strip())
+        lineno = next(islice(lines, t - start_t, None))
+    return TraceFormatError(f"{path}:{lineno}: bad record t={t}: {problem}")
 
 
 def _fields_getter(fields):

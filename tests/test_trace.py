@@ -9,8 +9,9 @@ import statistics
 import subprocess
 import sys
 import tracemalloc
-from array import array
+from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -523,8 +524,33 @@ class TestMonitorPipeline:
         lines[9] = json.dumps(rec)
         write_lines(path, lines)
         with pytest.raises(TraceFormatError,
-                           match=f"{path}: bad record t=9: "):
+                           match=f"{path}:10: bad record t=9: "):
             runner.evaluate(str(est), str(trace))
+
+    # Blank lines before the bad record count in its line number.
+    @pytest.mark.parametrize("target", ["monitor", "eval", "export"])
+    def test_bad_record_after_blank_lines_names_its_line(self, tmp_path,
+                                                         target):
+        trace, est, _ = self.run_pair(tmp_path)
+        path = trace if target == "monitor" else est
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[7])
+        if target == "monitor":
+            rec["x"] = "bad"
+        else:
+            del rec["conclusive"]
+        lines[7] = json.dumps(rec)
+        lines[5:5] = ["", "  \t"]
+        lines.insert(2, "")
+        write_lines(path, lines)
+        run = {"monitor": lambda: runner.monitor_trace(
+                   str(trace), MON, str(tmp_path / "e2.jsonl")),
+               "eval": lambda: runner.evaluate(str(est), str(trace)),
+               "export": lambda: traceio.export_csv(
+                   str(est), str(tmp_path / "est.csv"))}[target]
+        with pytest.raises(TraceFormatError,
+                           match=f"{path}:11: bad record t=7: "):
+            run()
 
     def test_evaluate_memory_does_not_grow_with_records(self, tmp_path):
         peaks = []
@@ -539,6 +565,25 @@ class TestMonitorPipeline:
                 tracemalloc.stop()
             assert report["steps"] == horizon
         # width_decay gains an entry per doubling of t: 4 more at 20k.
+        assert peaks[1] - peaks[0] < 2048, peaks
+
+    def test_monitor_memory_does_not_grow_with_records(self, tmp_path,
+                                                       monkeypatch):
+        # Both runs fill the list of samples and thin it.
+        monkeypatch.setattr(runner, "LATENCY_SAMPLES", 64)
+        peaks = []
+        for horizon in (2_000, 20_000):
+            trace = tmp_path / f"trace{horizon}.jsonl"
+            runner.simulate(dict(SIM, horizon=horizon), str(trace))
+            tracemalloc.start()
+            try:
+                summary = runner.monitor_trace(
+                    str(trace), MON, str(tmp_path / f"est{horizon}.jsonl"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert summary["updates"] == horizon
+            assert 32 <= summary["samples"] < 64
         assert peaks[1] - peaks[0] < 2048, peaks
 
     def test_evaluate_accepts_the_full_twin_of_a_no_truth_trace(
@@ -561,60 +606,66 @@ class TestMonitorPipeline:
             runner.evaluate(str(est), str(short))
 
 
-class TestLatencyHistogram:
+class TestLatencySummary:
+
+    @staticmethod
+    def exact(values):
+        ordered = sorted(values)
+        n = len(ordered)
+        return {"samples": n, "median_us": statistics.median(ordered) / 1e3,
+                "p99_us": ordered[-(-99 * n // 100) - 1] / 1e3,
+                "mean_us": statistics.fmean(ordered) / 1e3}
 
     @pytest.mark.parametrize("n", [1, 2, 10, 1023, 1024, 5000, 20000])
-    def test_percentiles_within_bound_of_exact(self, n):
+    def test_percentiles_are_exact(self, n):
         rng = random.Random(n)
         values = [int(rng.lognormvariate(8.0, 1.5)) for _ in range(n - 6)]
         values += [0, 1, 63, 64, 65, 10 ** 7][:n]
-        hist = runner.LatencyHistogram()
-        for v in values:
-            hist.record(v)
-        got = hist.summary()
-        ordered = sorted(values)
-        median = statistics.median(ordered) / 1e3
-        p99 = ordered[-(-99 * n // 100) - 1] / 1e3
-        assert got["updates"] == n
-        assert got["mean_us"] == statistics.fmean(ordered) / 1e3
-        if n < 1024:  # the buffer has not filled: exact
-            assert (got["median_us"], got["p99_us"]) == (median, p99)
-        assert got["median_us"] == pytest.approx(median, rel=1 / 64)
-        assert got["p99_us"] == pytest.approx(p99, rel=1 / 64)
+        assert runner.latency_summary(values) == self.exact(values)
 
-    def test_values_below_64_ns_are_bucketed_exactly(self):
+    def test_values_below_64_ns_and_no_values(self):
         values = [(7 * i) % 64 for i in range(3001)]
-        hist = runner.LatencyHistogram()
-        for v in values:
-            hist.record(v)
-        ordered = sorted(values)
-        assert hist.summary() == {
-            "updates": 3001, "median_us": statistics.median(ordered) / 1e3,
-            "p99_us": ordered[-(-99 * 3001 // 100) - 1] / 1e3,
-            "mean_us": statistics.fmean(ordered) / 1e3}
-        assert runner.LatencyHistogram().summary() == {
-            "updates": 0, "median_us": None, "p99_us": None,
+        assert runner.latency_summary(values) == self.exact(values)
+        assert runner.latency_summary([]) == {
+            "samples": 0, "median_us": None, "p99_us": None,
             "mean_us": None}
 
-    def test_memory_does_not_grow_with_updates(self):
-        rng = random.Random(5)
-        values = [rng.randrange(50, 5000) for _ in range(100_000)]
-        # An array slot holds each reading without a live int object that
-        # the second reading would count.
-        traced = array("q", [0, 0])
-        tracemalloc.start()
-        try:
-            hist = runner.LatencyHistogram()
-            for i in range(10_000):
-                hist.record(values[i])
-            traced[0] = tracemalloc.get_traced_memory()[0]
-            for i in range(10_000, 100_000):
-                hist.record(values[i])
-            traced[1] = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert hist.summary()["updates"] == 100_000
-        assert traced[1] == traced[0]
+    # With room for 8 samples, the list is thinned at record 112, where
+    # the stride doubles to 32, then at 224 (to 64), 448 (to 128) and
+    # 896 (to 256).
+    @pytest.mark.parametrize("horizon, stride", [
+        (112, 16), (113, 32), (200, 32), (1000, 256)])
+    def test_monitor_keeps_evenly_thinned_samples(self, tmp_path,
+                                                  monkeypatch, horizon,
+                                                  stride):
+        monkeypatch.setattr(runner, "LATENCY_SAMPLES", 8)
+        seen_t, calls, kept = [], count(), []
+        observation, summarize = (traceio.observation_from_record,
+                                  runner.latency_summary)
+
+        def observe(kind, rec):
+            seen_t.append(rec["t"])
+            return observation(kind, rec)
+
+        def clock():
+            # 0 before an update and the record's t after it, so each
+            # sample is the t of the record it timed.
+            return seen_t[-1] if next(calls) % 2 else 0
+
+        def summary(samples):
+            kept.extend(samples)
+            return summarize(samples)
+
+        monkeypatch.setattr(traceio, "observation_from_record", observe)
+        monkeypatch.setattr(runner, "time",
+                            SimpleNamespace(perf_counter_ns=clock))
+        monkeypatch.setattr(runner, "latency_summary", summary)
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(dict(SIM, horizon=horizon), str(trace))
+        got = runner.monitor_trace(str(trace), MON, str(tmp_path / "e"))
+        # Record i (from 0) is t = i + 1.
+        assert kept == list(range(1, horizon + 1, stride))
+        assert got == dict(self.exact(kept), updates=horizon)
 
 
 class TestSnapshotResume:
@@ -670,6 +721,24 @@ class TestSnapshotResume:
         assert summary["updates"] == 1
         assert type(summary["median_us"]) is float
         assert summary["median_us"] <= summary["p99_us"]
+
+    def test_bad_record_in_resumed_batch_names_its_line(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(dict(SIM, horizon=20), str(trace))
+        head, tail = self.split_trace(tmp_path, trace, 7)
+        snap = tmp_path / "snap.json"
+        runner.monitor_trace(str(head), MON, str(tmp_path / "e1.jsonl"),
+                             snapshot_out=str(snap))
+        lines = tail.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["x"] = "bad"
+        lines[3] = json.dumps(rec)
+        lines.insert(2, "")
+        write_lines(tail, lines)
+        with pytest.raises(TraceFormatError,
+                           match=f"{tail}:5: bad record t=10: "):
+            runner.monitor_trace(str(tail), None, str(tmp_path / "e2.jsonl"),
+                                 snapshot_in=str(snap))
 
     def test_snapshot_config_mismatch_rejected(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -860,8 +929,8 @@ class TestCsvExport:
         assert cli.main(["export", "--estimates", str(est),
                          "-o", str(tmp_path / "est.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"fairmon: data error: {est}: bad record t=3: "
-                              f"{problem}"), err
+        assert err.startswith(f"fairmon: data error: {est}:4: bad record "
+                              f"t=3: {problem}"), err
 
 
 class TestCli:
@@ -972,7 +1041,7 @@ class TestCli:
         assert cli.main(["monitor", "--trace", str(trace), "--config",
                          str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 2
         err = capsys.readouterr().err
-        assert f"data error: {trace}: bad record t=5:" in err
+        assert f"data error: {trace}:6: bad record t=5:" in err
 
     @pytest.mark.parametrize("command, sim, mon, field", [
         ("monitor", SIM, dict(MON, n_a=6), "n_a"),
@@ -1161,7 +1230,21 @@ class TestCli:
         assert cli.main(["bench", "--kind", "attention",
                          "--updates", "50"]) == 0
         out = capsys.readouterr().out
-        assert "median" in out
+        for key in ("median=", "p99=", "mean="):
+            assert out.count(key) == 2, out
+
+    def test_monitor_prints_the_sample_count(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, dict(SIM, horizon=40), MON)
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main(["simulate", "--config", str(cfg), "--seed", "42",
+                         "-o", str(trace)]) == 0
+        capsys.readouterr()
+        assert cli.main(["monitor", "--trace", str(trace), "--config",
+                         str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 0
+        err = capsys.readouterr().err
+        # Records 0, 16 and 32 are timed.
+        assert err.startswith("updates: 40  median: "), err
+        assert err.endswith(" us  timed: 3\n"), err
 
     def test_export_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, SIM, MON)
