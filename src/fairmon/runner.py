@@ -195,7 +195,8 @@ def evaluate(estimates_path, trace_path):
         width_sum += width
         if t >= next_checkpoint:
             decay.append({"t": t, "width": width})
-            next_checkpoint *= 2
+            while next_checkpoint <= t:
+                next_checkpoint *= 2
         truth = rec.get("truth")
         if truth is None:
             continue

@@ -18,6 +18,8 @@ from ..estimator import check_field_types, is_real
 from ..monitors import AttentionObservation, attention_change
 from .sampling import poisson
 
+_new = tuple.__new__
+
 POLICIES = ("uniform", "greedy", "constrained_greedy")
 
 
@@ -156,8 +158,8 @@ class AttentionEnv:
                 raise AssumptionViolation(
                     f"incident rate of location {i} reached "
                     f"{self.rates[i]}", step=self.t)
-        obs = AttentionObservation(x_a=counts[0], x_b=counts[1],
-                                   y_a=y_a, y_b=y_b, k=self.cfg.k)
+        obs = _new(AttentionObservation,
+                   (counts[0], counts[1], y_a, y_b, self.cfg.k))
         truth = {"omega_a": omega_a, "omega_b": omega_b,
                  "phi": omega_a - omega_b, "lam_a": lam_a, "lam_b": lam_b}
         return obs, truth

@@ -46,16 +46,88 @@ _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 _scan_once = json.JSONDecoder().scan_once
 
 
+# Trace lines of the payloads the simulators yield are filled into one
+# template per kind, like estimate lines.  A template applies only to a
+# dict with exactly its keys in its order, ints of type int (json writes
+# a bool as true), a str group (escaped by json's own function) and
+# finite floats of type float as truth; it then gives the bytes _dumps
+# gives.  Any other payload goes through _dumps, with json's bytes and
+# errors.
+_quote = json.encoder.encode_basestring_ascii
+_isfinite = math.isfinite
+
+
+def _lending_line(p):
+    if type(p) is dict and tuple(p) == ("t", "x", "g", "y", "z", "truth"):
+        t, x, g, y, z, truth = p.values()
+        if (type(t) is int and type(x) is int and type(g) is str
+                and type(y) is int and type(z) is int
+                and type(truth) is dict
+                and tuple(truth) == ("psi_a", "psi_b", "phi")):
+            a, b, phi = truth.values()
+            if (type(a) is float and type(b) is float and type(phi) is float
+                    and _isfinite(a) and _isfinite(b) and _isfinite(phi)):
+                return (f'{{"t":{t!r},"x":{x!r},"g":{_quote(g)},'
+                        f'"y":{y!r},"z":{z!r},"truth":{{"psi_a":{a!r},'
+                        f'"psi_b":{b!r},"phi":{phi!r}}}}}')
+    return _dumps(p)
+
+
+def _attention_line(p):
+    if type(p) is dict and tuple(p) == ("t", "x_a", "x_b", "y_a", "y_b",
+                                        "k", "truth"):
+        t, x_a, x_b, y_a, y_b, k, truth = p.values()
+        if (type(t) is int and type(x_a) is int and type(x_b) is int
+                and type(y_a) is int and type(y_b) is int and type(k) is int
+                and type(truth) is dict
+                and tuple(truth) == ("omega_a", "omega_b", "phi", "lam_a",
+                                     "lam_b")):
+            w_a, w_b, phi, lam_a, lam_b = truth.values()
+            if (type(w_a) is float and type(w_b) is float
+                    and type(phi) is float and type(lam_a) is float
+                    and type(lam_b) is float and _isfinite(w_a)
+                    and _isfinite(w_b) and _isfinite(phi)
+                    and _isfinite(lam_a) and _isfinite(lam_b)):
+                return (f'{{"t":{t!r},"x_a":{x_a!r},"x_b":{x_b!r},'
+                        f'"y_a":{y_a!r},"y_b":{y_b!r},"k":{k!r},'
+                        f'"truth":{{"omega_a":{w_a!r},"omega_b":{w_b!r},'
+                        f'"phi":{phi!r},"lam_a":{lam_a!r},'
+                        f'"lam_b":{lam_b!r}}}}}')
+    return _dumps(p)
+
+
+def _coin_line(p):
+    if type(p) is dict and tuple(p) == ("t", "x", "truth"):
+        t, x, truth = p.values()
+        if (type(t) is int and type(x) is int and type(truth) is dict
+                and tuple(truth) == ("phi",)):
+            phi, = truth.values()
+            if type(phi) is float and _isfinite(phi):
+                return f'{{"t":{t!r},"x":{x!r},"truth":{{"phi":{phi!r}}}}}'
+    return _dumps(p)
+
+
+# kind -> its trace-line function
+_TRACE_LINES = {"lending": _lending_line, "attention": _attention_line,
+                "coin": _coin_line}
+
+
 def write_trace(path, kind, config, payloads):
-    """Write a trace file; ``payloads`` yields per-step dicts with "t"."""
+    """Write a trace file; ``payloads`` yields per-step dicts with "t".
+
+    Each line is what ``json`` writes for its payload (compact
+    separators, no NaN).  A payload laid out as the kind's simulator
+    yields it is filled into the kind's template; any other goes through
+    the JSON encoder."""
     if kind not in MONITORS:
         raise TraceFormatError(f"unknown trace kind {kind!r}")
     meta = {"format": FORMAT_VERSION, "file": "trace", "kind": kind,
             "config": config, "config_hash": config_hash(config)}
+    line = _TRACE_LINES[kind]
     with open(path, "w") as fh:
         fh.write(_dumps(meta) + "\n")
         for payload in payloads:
-            fh.write(_dumps(payload) + "\n")
+            fh.write(line(payload) + "\n")
 
 
 def _read_meta(fh, path, expected_file):

@@ -3,6 +3,7 @@
 import filecmp
 import hashlib
 import json
+import math
 import os
 import random
 import statistics
@@ -253,6 +254,134 @@ class TestTraceFiles:
         _, records = traceio.read_records(str(bad), "trace")
         with pytest.raises(TraceFormatError, match="expected t=2"):
             list(records)
+
+
+def _json_line(payload):
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False)
+
+
+def _written_lines(path, kind, payloads):
+    traceio.write_trace(str(path), kind, {}, payloads)
+    return path.read_text().split("\n")[1:-1]
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int()"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float()"
+
+
+class _Str(str):
+    pass
+
+
+_LENDING = {"t": 1, "x": 5, "g": "A", "y": 1, "z": 0,
+            "truth": {"psi_a": 5.5, "psi_b": 4.25, "phi": 1.25}}
+_ATTENTION = {"t": 1, "x_a": 3, "x_b": 0, "y_a": 1, "y_b": 0, "k": 2,
+              "truth": {"omega_a": 0.25, "omega_b": 0.0, "phi": 0.25,
+                        "lam_a": 8.0, "lam_b": 7.5}}
+_COIN = {"t": 1, "x": 1, "truth": {"phi": 0.5}}
+
+
+def _lending(truth=None, **fields):
+    payload = dict(_LENDING, **fields)
+    if truth is not None:
+        payload["truth"] = dict(_LENDING["truth"], **truth)
+    return payload
+
+
+# Payloads off the simulators' layout, each of which write_trace must
+# write as json does, or refuse with json's exception and message.
+_OFF_TEMPLATE = {
+    "bool-field": ("lending", _lending(y=True)),
+    "bool-t": ("lending", _lending(t=True)),
+    "bool-capacity": ("attention", dict(_ATTENTION, k=True)),
+    "bool-coin": ("coin", dict(_COIN, x=False)),
+    "int-rate": ("attention", dict(_ATTENTION, truth=dict(
+        _ATTENTION["truth"], lam_a=8))),
+    "int-coin-bias": ("coin", dict(_COIN, truth={"phi": 1})),
+    "nan-truth": ("lending", _lending(truth={"phi": math.nan})),
+    "inf-truth": ("lending", _lending(truth={"psi_a": math.inf})),
+    "minus-inf-rate": ("attention", dict(_ATTENTION, truth=dict(
+        _ATTENTION["truth"], lam_b=-math.inf))),
+    "nan-coin-bias": ("coin", dict(_COIN, truth={"phi": math.nan})),
+    "non-ascii-g": ("lending", _lending(g="\u00c4\U0001f600")),
+    "quote-g": ("lending", _lending(g='A"\\\n')),
+    "reordered-keys": ("lending", {"x": 5, "t": 1, "g": "A", "y": 1, "z": 0,
+                                   "truth": _LENDING["truth"]}),
+    "reordered-truth": ("lending", dict(_LENDING, truth={
+        "psi_b": 4.25, "psi_a": 5.5, "phi": 1.25})),
+    "extra-key": ("lending", dict(_LENDING, note="hand-written")),
+    "extra-truth-key": ("coin", dict(_COIN, truth={"phi": 0.5, "p": 0.5})),
+    "missing-truth": ("attention", {k: v for k, v in _ATTENTION.items()
+                                    if k != "truth"}),
+    "truth-not-a-dict": ("lending", dict(_LENDING, truth=[5.5, 4.25, 1.25])),
+    "truth-null": ("coin", dict(_COIN, truth=None)),
+    "int-subclass": ("lending", _lending(x=_Int(5))),
+    "float-subclass": ("coin", dict(_COIN, truth={"phi": _Float(0.5)})),
+    "str-subclass": ("lending", _lending(g=_Str("A"))),
+    "key-list": ("lending", list(_LENDING)),
+    "huge-int": ("lending", _lending(x=10 ** 5000)),
+    "unencodable": ("coin", dict(_COIN, x={1})),
+}
+
+
+class TestTraceLines:
+    """write_trace writes each payload as json.dumps does; a payload of
+    its simulator's layout is filled into the kind's template, any other
+    goes through the JSON encoder."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 12])
+    @pytest.mark.parametrize("config", [
+        SIM, dict(SIM, policy="eq_opp"),
+        dict(SIM, policy="eq_opp", use_true_tallies=False),
+        ATTENTION_SIM, dict(ATTENTION_SIM, policy="greedy"),
+        dict(ATTENTION_SIM, policy="constrained_greedy"), COIN_SIM],
+        ids=["max_reward", "eq_opp", "eq_opp-seen", "uniform", "greedy",
+             "constrained_greedy", "coin"])
+    def test_simulated_lines_are_json_from_the_template(
+            self, tmp_path, monkeypatch, config, seed):
+        kind, cfg = runner.build_sim(dict(config, seed=seed, horizon=300))
+        generate = runner._SIMULATORS[kind][1]
+        encoded = []
+        encode = traceio._dumps
+
+        def counting_encode(obj):
+            encoded.append(obj)
+            return encode(obj)
+
+        monkeypatch.setattr(traceio, "_dumps", counting_encode)
+        lines = _written_lines(tmp_path / "trace.jsonl", kind, generate(cfg))
+        assert lines == [_json_line(p) for p in generate(cfg)]
+        assert len(encoded) == 1  # the metadata line
+
+    @pytest.mark.parametrize("kind, payload", list(_OFF_TEMPLATE.values()),
+                             ids=list(_OFF_TEMPLATE))
+    def test_other_payloads_are_written_as_json_writes_them(
+            self, tmp_path, kind, payload):
+        path = tmp_path / "trace.jsonl"
+        try:
+            want = _json_line(payload)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                _written_lines(path, kind, [payload])
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            assert _written_lines(path, kind, [payload]) == [want]
+
+    def test_int_initial_rates_are_written_as_ints(self, tmp_path):
+        kind, cfg = runner.build_sim(
+            dict(ATTENTION_SIM, lambda_init_per_location=[8, 9]))
+        generate = runner._SIMULATORS[kind][1]
+        lines = _written_lines(tmp_path / "trace.jsonl", kind, generate(cfg))
+        assert lines == [_json_line(p) for p in generate(cfg)]
+        assert lines[0].endswith(',"lam_a":8,"lam_b":9}}')
+        assert '"lam_a":8,' not in lines[1]
 
 
 _META = json.dumps({"format": 1, "file": "trace", "kind": "coin",
@@ -596,6 +725,19 @@ class TestMonitorPipeline:
         runner.monitor_trace(str(bare), MON, str(est))
         report = runner.evaluate(str(est), str(full))
         assert report["truth_steps"] == report["conclusive_steps"] > 0
+
+    def test_width_decay_samples_once_per_doubling_of_t(self, tmp_path):
+        # Group B first appears at t = 100, the first conclusive step.
+        trace = tmp_path / "trace.jsonl"
+        est = tmp_path / "est.jsonl"
+        payloads = [{"t": t, "x": 5, "g": "B" if t >= 100 and t % 2 == 0
+                     else "A", "y": 0, "z": 0} for t in range(1, 601)]
+        traceio.write_trace(str(trace), "lending", {}, payloads)
+        runner.monitor_trace(str(trace), MON, str(est))
+        report = runner.evaluate(str(est), str(trace))
+        assert report["conclusive_steps"] == 501
+        assert [d["t"] for d in report["width_decay"]] == [100, 128, 256,
+                                                            512]
 
     def test_evaluate_rejects_length_mismatch(self, tmp_path):
         trace, est, _ = self.run_pair(tmp_path)
