@@ -9,7 +9,6 @@ from itertools import zip_longest
 from .errors import ConfigError, TraceFormatError
 from .estimator import is_real
 from .monitors import AttentionObservation, LendingObservation, build_monitor
-from .sim import attention, coin, lending
 from . import traceio
 
 _INF = math.inf
@@ -22,22 +21,28 @@ _INF = math.inf
 TIMED_EVERY = 16
 LATENCY_SAMPLES = 1024
 
-# kind -> (config type, payload generator)
-_SIMULATORS = {
-    "coin": (coin.CoinConfig, coin.generate),
-    "lending": (lending.LendingSimConfig, lending.generate),
-    "attention": (attention.AttentionSimConfig, attention.generate),
-}
+
+def _simulators():
+    """kind -> (config type, payload generator).  The simulators are
+    imported here, so monitoring, evaluating and exporting never load
+    them."""
+    from .sim import attention, coin, lending
+    return {
+        "coin": (coin.CoinConfig, coin.generate),
+        "lending": (lending.LendingSimConfig, lending.generate),
+        "attention": (attention.AttentionSimConfig, attention.generate),
+    }
 
 
 def build_sim(config):
     """Parse a simulator config dict (with a ``kind`` field)."""
     cfg = dict(config)
     kind = cfg.pop("kind", None)
-    if not isinstance(kind, str) or kind not in _SIMULATORS:
+    simulators = _simulators()
+    if not isinstance(kind, str) or kind not in simulators:
         raise ConfigError(f"unknown simulator kind {kind!r}")
     try:
-        return kind, _SIMULATORS[kind][0](**cfg)
+        return kind, simulators[kind][0](**cfg)
     except TypeError as exc:
         raise ConfigError(f"bad simulator config for {kind!r}: {exc}") from exc
 
@@ -45,7 +50,7 @@ def build_sim(config):
 def simulate(config, out_path, include_truth=True):
     """Generate a trace file; deterministic per (config, seed)."""
     kind, cfg = build_sim(config)
-    payloads = _SIMULATORS[kind][1](cfg)
+    payloads = _simulators()[kind][1](cfg)
     if not include_truth:
         payloads = (
             {k: v for k, v in p.items() if k != "truth"} for p in payloads)
@@ -166,6 +171,7 @@ def evaluate(estimates_path, trace_path):
             f"differs from the trace's config_hash "
             f"{trace_meta.get('config_hash')!r}")
 
+    read = traceio.estimates_reader(est_meta)
     steps = conclusive = contained = truth_steps = 0
     width_sum = 0.0
     decay = []
@@ -180,16 +186,13 @@ def evaluate(estimates_path, trace_path):
         # read_records numbers both files from 1, so the steps align.
         t = est["t"]
         steps += 1
-        flag = est.get("conclusive")
-        if flag is False:
+        try:
+            phi = read(est)[0]
+        except ValueError as exc:
+            raise traceio.bad_record(estimates_path, t, exc) from exc
+        if phi is None:
             continue
-        # The monitor writes every endpoint as a float.
-        lo, hi = est.get("phi_lo"), est.get("phi_hi")
-        if flag is not True or type(lo) is not float \
-                or type(hi) is not float or not -_INF < lo <= hi < _INF:
-            raise traceio.bad_record(
-                estimates_path, t, "need conclusive false, or true with "
-                f"finite phi_lo <= phi_hi; got {flag!r}, {lo!r}, {hi!r}")
+        lo, hi = phi
         conclusive += 1
         width = hi - lo
         width_sum += width

@@ -1,7 +1,9 @@
 """JSON-lines trace and estimates files.
 
 Every file starts with one metadata line (format version, kind, config,
-config hash); each following line is one record.  Floats are written as
+config hash); each following line is one record.  Each file kind has
+its own format version: traces and snapshots are at 1, estimates at 2,
+and estimates files of format 1 are still read.  Floats are written as
 ``float.__repr__``, as ``json`` writes them, which round-trips doubles
 exactly.  Corrupt lines abort with their line number: the per-sequence
 guarantee does not survive silent gaps.
@@ -26,7 +28,9 @@ except ImportError:  # CPython 3.12+
 from .errors import TraceFormatError
 from .monitors import MONITORS
 
-FORMAT_VERSION = 1
+# file kind -> the format version written, and the versions read
+FORMATS = {"trace": (1, (1,)), "estimates": (2, (1, 2)),
+           "snapshot": (1, (1,))}
 
 
 def config_hash(config):
@@ -55,6 +59,7 @@ _scan_once = json.JSONDecoder().scan_once
 # errors.
 _quote = json.encoder.encode_basestring_ascii
 _isfinite = math.isfinite
+_INF = math.inf
 
 
 def _lending_line(p):
@@ -121,7 +126,7 @@ def write_trace(path, kind, config, payloads):
     the JSON encoder."""
     if kind not in MONITORS:
         raise TraceFormatError(f"unknown trace kind {kind!r}")
-    meta = {"format": FORMAT_VERSION, "file": "trace", "kind": kind,
+    meta = {"format": FORMATS["trace"][0], "file": "trace", "kind": kind,
             "config": config, "config_hash": config_hash(config)}
     line = _TRACE_LINES[kind]
     with open(path, "w") as fh:
@@ -140,15 +145,16 @@ def _read_meta(fh, path, expected_file):
         raise TraceFormatError(f"{path}:1: corrupt metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise TraceFormatError(f"{path}:1: metadata is not a JSON object")
-    version = meta.get("format")
-    # JSON true and 1.0 compare equal to 1.
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise TraceFormatError(
-            f"{path}: unsupported format version {version!r}")
     if meta.get("file") != expected_file:
         raise TraceFormatError(
             f"{path}: expected a {expected_file} file, got "
             f"{meta.get('file')!r}")
+    version = meta.get("format")
+    # JSON true and 1.0 compare equal to 1.
+    if type(version) is not int or version not in FORMATS[expected_file][1]:
+        raise TraceFormatError(
+            f"{path}: unsupported format version {version!r} of a "
+            f"{expected_file} file")
     kind = meta.get("kind")
     if not isinstance(kind, str) or kind not in MONITORS:
         raise TraceFormatError(f"{path}:1: unknown or missing kind {kind!r}")
@@ -252,16 +258,18 @@ _group_text = {"A": (None, "null"), "B": (None, "null")}
 
 
 def estimate_record(output):
-    """One MonitorOutput as its estimates-file line, without the newline.
+    """One MonitorOutput as its estimates-file line (format 2), without
+    the newline.
 
     The line is filled into a fixed template and is byte for byte what
     ``json`` writes for the record dict (compact separators, no NaN):
-    ``t``, ``conclusive``, ``phi_lo``, ``phi_hi``, ``point`` (the
-    midpoint of phi), ``clamped``, ``floor_violation`` and
-    ``group_intervals`` (``A`` then ``B``, each ``[lo, hi]`` or null).
-    An interval that is the object last formatted for its group reuses
-    that text.  Interval endpoints are finite by construction; a
-    midpoint that overflows raises ValueError.
+    ``t``, the group intervals ``A`` and ``B`` (each ``[lo, hi]`` or
+    null), ``clamped`` and ``floor_violation``.  phi and its midpoint
+    are not written: a reader derives them from ``A`` and ``B`` (see
+    :func:`estimates_reader`).  An interval that is the object last
+    formatted for its group reuses that text.  Interval endpoints are
+    finite by construction; a phi whose midpoint overflows raises
+    ValueError, so every value a reader derives is finite.
     """
     t, phi, per_group, clamped, floor_violation = output
     a, b = per_group["A"], per_group["B"]
@@ -274,26 +282,21 @@ def estimate_record(output):
     if b is not last:
         b_text = "null" if b is None else f"[{b.lo!r},{b.hi!r}]"
         memo["B"] = b, b_text
-    if phi is None:
-        head = (f'{{"t":{t!r},"conclusive":false,'
-                f'"phi_lo":null,"phi_hi":null,"point":null')
-    else:
+    if phi is not None:
         lo, hi, _ = phi
-        point = 0.5 * (lo + hi)  # the operations of phi.midpoint
-        if not math.isfinite(point):
+        # the operations of phi.midpoint
+        if not _isfinite(0.5 * (lo + hi)):
             raise ValueError(f"midpoint of [{lo!r}, {hi!r}] is not finite")
-        head = (f'{{"t":{t!r},"conclusive":true,'
-                f'"phi_lo":{lo!r},"phi_hi":{hi!r},"point":{point!r}')
-    return (f'{head},"clamped":{"true" if clamped else "false"},'
-            f'"floor_violation":{"true" if floor_violation else "false"},'
-            f'"group_intervals":{{"A":{a_text},"B":{b_text}}}}}')
+    return (f'{{"t":{t!r},"A":{a_text},"B":{b_text},'
+            f'"clamped":{"true" if clamped else "false"},'
+            f'"floor_violation":{"true" if floor_violation else "false"}}}')
 
 
 def write_estimates(path, kind, monitor_config, trace_meta, lines):
     """Write an estimates file; ``lines`` yields :func:`estimate_record`
     lines."""
-    meta = {"format": FORMAT_VERSION, "file": "estimates", "kind": kind,
-            "monitor_config": monitor_config,
+    meta = {"format": FORMATS["estimates"][0], "file": "estimates",
+            "kind": kind, "monitor_config": monitor_config,
             "trace_config_hash": trace_meta.get("config_hash")}
     with open(path, "w") as fh:
         fh.write(_dumps(meta) + "\n")
@@ -302,7 +305,7 @@ def write_estimates(path, kind, monitor_config, trace_meta, lines):
 
 
 def write_snapshot(path, monitor, monitor_config):
-    blob = {"format": FORMAT_VERSION, "file": "snapshot",
+    blob = {"format": FORMATS["snapshot"][0], "file": "snapshot",
             "kind": monitor.kind, "monitor_config": monitor_config,
             "state": monitor.state_dict()}
     with open(path, "w") as fh:
@@ -325,44 +328,129 @@ def read_snapshot(path):
     return kind, config, state
 
 
-# Estimate-record fields copied to the CSV as they are; the group
-# intervals follow as four endpoint columns.
-_RECORD_FIELDS = ["t", "conclusive", "phi_lo", "phi_hi", "point",
-                  "clamped", "floor_violation"]
-CSV_FIELDS = _RECORD_FIELDS + ["a_lo", "a_hi", "b_lo", "b_hi"]
+def _v1_phi(rec):
+    """phi of a format-1 estimates record, as written in it."""
+    flag = rec.get("conclusive")
+    if flag is False:
+        return None
+    # The monitor writes every endpoint as a float.
+    lo, hi = rec.get("phi_lo"), rec.get("phi_hi")
+    if flag is not True or type(lo) is not float \
+            or type(hi) is not float or not -_INF < lo <= hi < _INF:
+        raise ValueError(
+            "need conclusive false, or true with finite phi_lo <= phi_hi; "
+            f"got {flag!r}, {lo!r}, {hi!r}")
+    return lo, hi
 
 
-def _csv_row(rec):
-    """The CSV row of one estimates record; TypeError if a field is
-    missing or ``group_intervals`` is not an object of ``[lo, hi]`` pairs
-    or nulls."""
+def _group(g, pair):
+    """Group ``g``'s interval: None, or a list of two finite floats with
+    lo <= hi."""
+    if pair is None:
+        return None
+    if type(pair) is list and len(pair) == 2:
+        lo, hi = pair
+        if type(lo) is float and type(hi) is float \
+                and -_INF < lo <= hi < _INF:
+            return pair
+    raise ValueError(f"group {g} interval must be [lo, hi] or null, with "
+                     f"finite floats lo <= hi; got {pair!r}")
+
+
+def _step(phi, clamped, floor_violation, a, b):
+    """The checks both formats share: phi's midpoint is finite and each
+    flag is a bool."""
+    if phi is not None:
+        lo, hi = phi
+        if not (-_INF < lo and hi < _INF and _isfinite(0.5 * (lo + hi))):
+            raise ValueError(
+                f"phi [{lo!r}, {hi!r}] or its midpoint is not finite")
+    if type(clamped) is not bool or type(floor_violation) is not bool:
+        raise ValueError("clamped and floor_violation must be true or "
+                         f"false; got {clamped!r}, {floor_violation!r}")
+    return phi, clamped, floor_violation, a, b
+
+
+_v1_fields = itemgetter("conclusive", "clamped", "floor_violation",
+                        "group_intervals")
+_v2_fields = itemgetter("A", "B", "clamped", "floor_violation")
+
+
+def _v1_step(rec):
+    """A format-1 record, which carries conclusive and phi as written."""
     try:
-        row = [rec[f] for f in _RECORD_FIELDS]
-        groups = rec["group_intervals"]
+        _, clamped, floor_violation, groups = _v1_fields(rec)
     except KeyError as exc:
-        raise TypeError(f"missing field {exc}") from None
+        raise ValueError(f"missing field {exc}") from None
+    phi = _v1_phi(rec)
     if type(groups) is not dict:
-        raise TypeError(f"group_intervals must be an object, got {groups!r}")
-    for g in ("A", "B"):
-        pair = groups.get(g)
-        if pair is None:
-            pair = [None, None]
-        elif type(pair) is not list or len(pair) != 2:
-            raise TypeError(
-                f"group {g} interval must be [lo, hi] or null, got {pair!r}")
-        row += pair
-    return row
+        raise ValueError(
+            f"group_intervals must be an object, got {groups!r}")
+    return _step(phi, clamped, floor_violation,
+                 _group("A", groups.get("A")), _group("B", groups.get("B")))
+
+
+def _v2_step(rec):
+    """A format-2 record of a two-group monitor: phi is None while a
+    group is null and else ``[A.lo - B.hi, A.hi - B.lo]``, the operations
+    of ``interval_sub``.  Rounding is monotone, so lo <= hi; either may
+    overflow, which :func:`_step` rejects."""
+    try:
+        a, b, clamped, floor_violation = _v2_fields(rec)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    a, b = _group("A", a), _group("B", b)
+    phi = None if a is None or b is None else (a[0] - b[1], a[1] - b[0])
+    return _step(phi, clamped, floor_violation, a, b)
+
+
+def _v2_coin_step(rec):
+    """A format-2 record of the coin monitor, whose phi is group A."""
+    try:
+        a, b, clamped, floor_violation = _v2_fields(rec)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    a, b = _group("A", a), _group("B", b)
+    return _step(a, clamped, floor_violation, a, b)
+
+
+def estimates_reader(meta):
+    """The reader of the records of an estimates file with metadata
+    ``meta``.  It returns a record's ``(phi, clamped, floor_violation, A,
+    B)``: phi is ``(lo, hi)``, finite with lo <= hi and a finite
+    midpoint, or None while the record is inconclusive; each group is
+    ``[lo, hi]`` or None.  It raises ValueError on a record it cannot
+    read.  Format 1 records carry phi; format 2 records derive it from
+    their group intervals."""
+    if meta["format"] == 1:
+        return _v1_step
+    return _v2_coin_step if meta["kind"] == "coin" else _v2_step
+
+
+CSV_FIELDS = ["t", "conclusive", "phi_lo", "phi_hi", "point", "clamped",
+              "floor_violation", "a_lo", "a_hi", "b_lo", "b_hi"]
+_NULL_PAIR = [None, None]
 
 
 def export_csv(estimates_path, csv_path):
-    """Flatten an estimates file to CSV for plotting."""
-    _, records = read_records(estimates_path, expected_file="estimates")
+    """Flatten an estimates file to CSV for plotting.  The columns are
+    those of format 1; ``point`` is phi's midpoint, ``0.5 * (lo + hi)``
+    as the monitor computes it."""
+    meta, records = read_records(estimates_path, expected_file="estimates")
+    read = estimates_reader(meta)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for rec in records:
+            t = rec["t"]
             try:
-                row = _csv_row(rec)
-            except TypeError as exc:
-                raise bad_record(estimates_path, rec["t"], exc) from exc
-            writer.writerow(row)
+                phi, clamped, floor_violation, a, b = read(rec)
+            except ValueError as exc:
+                raise bad_record(estimates_path, t, exc) from exc
+            if phi is None:
+                row = [t, False, None, None, None]
+            else:
+                lo, hi = phi
+                row = [t, True, lo, hi, 0.5 * (lo + hi)]
+            writer.writerow(row + [clamped, floor_violation]
+                            + (a or _NULL_PAIR) + (b or _NULL_PAIR))

@@ -3,7 +3,7 @@
 import json
 import math
 
-from fairmon import ConfidenceInterval
+from fairmon import ConfidenceInterval, build_monitor, traceio
 
 
 def check_parameter_floor(lambda_min, shifts):
@@ -24,24 +24,51 @@ def interval_map_decreasing(f, ci):
     return ConfidenceInterval(f(ci.hi), f(ci.lo), ci.confidence)
 
 
-def oracle_record(output):
-    """The estimates-file record of one MonitorOutput as a dict;
-    ``json.dumps(..., separators=(",", ":"), allow_nan=False)`` of it is
-    the line ``traceio.estimate_record`` writes."""
-    def pair(ci):
-        return None if ci is None else [ci.lo, ci.hi]
+def _pair(ci):
+    return None if ci is None else [ci.lo, ci.hi]
 
+
+def oracle_record(output):
+    """The format-1 estimates record of one MonitorOutput as a dict, as
+    the package wrote it before format 2: ``json.dumps(...,
+    separators=(",", ":"), allow_nan=False)`` of it is a format-1 line,
+    with phi and its midpoint written out."""
     rec = {"t": output.t, "conclusive": output.conclusive,
            "phi_lo": None, "phi_hi": None, "point": None,
            "clamped": output.clamped,
            "floor_violation": output.floor_violation,
-           "group_intervals": {g: pair(ci)
+           "group_intervals": {g: _pair(ci)
                                for g, ci in output.per_group.items()}}
     if output.conclusive:
         rec["phi_lo"] = output.phi.lo
         rec["phi_hi"] = output.phi.hi
         rec["point"] = output.phi.midpoint
     return rec
+
+
+def oracle_record_v2(output):
+    """The format-2 estimates record of one MonitorOutput as a dict;
+    ``json.dumps(..., separators=(",", ":"), allow_nan=False)`` of it is
+    the line ``traceio.estimate_record`` writes."""
+    return {"t": output.t, "A": _pair(output.per_group["A"]),
+            "B": _pair(output.per_group["B"]), "clamped": output.clamped,
+            "floor_violation": output.floor_violation}
+
+
+def write_v1_estimates(trace_path, monitor_config, out_path):
+    """Monitor ``trace_path`` and write its estimates file in format 1,
+    metadata line included, from :func:`oracle_record`."""
+    meta, records = traceio.read_records(trace_path)
+    mon = build_monitor(monitor_config)
+    head = {"format": 1, "file": "estimates", "kind": mon.kind,
+            "monitor_config": dict(monitor_config),
+            "trace_config_hash": meta.get("config_hash")}
+    with open(out_path, "w") as fh:
+        fh.write(json.dumps(head, separators=(",", ":")) + "\n")
+        for rec in records:
+            out = mon.update(traceio.observation_from_record(mon.kind, rec))
+            fh.write(json.dumps(oracle_record(out), separators=(",", ":"),
+                                allow_nan=False) + "\n")
 
 
 def oracle_repay_mass(env, scores, theta_bank):

@@ -20,7 +20,8 @@ from fairmon import ConfidenceInterval, MonitorOutput, cli, runner, traceio
 from fairmon.errors import ConfigError, TraceFormatError
 from fairmon.intervals import interval_sub
 from fairmon.monitors import MONITORS, CoinObservation, build_monitor
-from oracles import json_loads_records, oracle_record
+from oracles import (json_loads_records, oracle_record, oracle_record_v2,
+                     write_v1_estimates)
 
 SIM = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "horizon": 10,
        "seed": 42}
@@ -88,6 +89,44 @@ class TestTraceFiles:
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[:2] == ["[]", "[]"], proc.stdout
+
+    def test_cli_import_loads_no_simulator(self):
+        # monitor, eval and export never simulate; simulate imports the
+        # simulators on first use.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; import fairmon.runner, fairmon.cli; "
+             "print(sorted(n for n in sys.modules "
+             "if n.startswith('fairmon.sim')))"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", proc.stdout
+
+    def test_file_kinds_have_their_own_format_versions(self, tmp_path):
+        trace, est = tmp_path / "trace.jsonl", tmp_path / "est.jsonl"
+        snap = tmp_path / "snap.json"
+        runner.simulate(SIM, str(trace))
+        runner.monitor_trace(str(trace), MON, str(est),
+                             snapshot_out=str(snap))
+        formats = [json.loads(path.read_text().split("\n")[0])["format"]
+                   for path in (trace, est, snap)]
+        assert formats == [1, 2, 1]
+
+    @pytest.mark.parametrize("file, version", [
+        ("estimates", 0), ("estimates", 3), ("trace", 2)])
+    def test_unsupported_version_of_a_file_kind(self, tmp_path, file,
+                                                version):
+        bad = tmp_path / "bad.jsonl"
+        write_lines(bad, [json.dumps({"format": version, "file": file,
+                                      "kind": "coin"})])
+        with pytest.raises(TraceFormatError,
+                           match=f"unsupported format version {version} "
+                                 f"of a {file} file"):
+            traceio.read_records(str(bad), file)
 
     def test_zero_horizon_trace_is_metadata_only(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -346,7 +385,7 @@ class TestTraceLines:
     def test_simulated_lines_are_json_from_the_template(
             self, tmp_path, monkeypatch, config, seed):
         kind, cfg = runner.build_sim(dict(config, seed=seed, horizon=300))
-        generate = runner._SIMULATORS[kind][1]
+        generate = runner._simulators()[kind][1]
         encoded = []
         encode = traceio._dumps
 
@@ -377,11 +416,26 @@ class TestTraceLines:
     def test_int_initial_rates_are_written_as_ints(self, tmp_path):
         kind, cfg = runner.build_sim(
             dict(ATTENTION_SIM, lambda_init_per_location=[8, 9]))
-        generate = runner._SIMULATORS[kind][1]
+        generate = runner._simulators()[kind][1]
         lines = _written_lines(tmp_path / "trace.jsonl", kind, generate(cfg))
         assert lines == [_json_line(p) for p in generate(cfg)]
         assert lines[0].endswith(',"lam_a":8,"lam_b":9}}')
         assert '"lam_a":8,' not in lines[1]
+
+    @pytest.mark.parametrize("config", [
+        SIM, dict(SIM, policy="eq_opp"), ATTENTION_SIM,
+        dict(ATTENTION_SIM, policy="greedy"), COIN_SIM],
+        ids=["max_reward", "eq_opp", "uniform", "greedy", "coin"])
+    def test_no_truth_lines_are_json(self, tmp_path, config):
+        config = dict(config, horizon=300)
+        kind, cfg = runner.build_sim(config)
+        generate = runner._simulators()[kind][1]
+        path = tmp_path / "trace.jsonl"
+        runner.simulate(config, str(path), include_truth=False)
+        lines = path.read_text().split("\n")[1:-1]
+        assert lines == [
+            _json_line({k: v for k, v in p.items() if k != "truth"})
+            for p in generate(cfg)]
 
 
 _META = json.dumps({"format": 1, "file": "trace", "kind": "coin",
@@ -478,10 +532,10 @@ def _random_output(rng):
 
 
 def _check_lines(outputs):
-    """Each output's line equals ``json`` of its oracle dict."""
+    """Each output's line equals ``json`` of its format-2 oracle dict."""
     for out in outputs:
         assert traceio.estimate_record(out) == json.dumps(
-            oracle_record(out), separators=(",", ":"), allow_nan=False)
+            oracle_record_v2(out), separators=(",", ":"), allow_nan=False)
 
 
 def _two_group_output(t, a, b):
@@ -503,6 +557,8 @@ class TestEstimateRecord:
                       MonitorOutput(3, ci, {"A": None, "B": None})])
 
     def test_non_finite_midpoint_raises(self):
+        # Format 1 wrote the midpoint; format 2 still refuses a phi whose
+        # midpoint a reader would derive as inf.
         phi = ConfidenceInterval(1e308, 1.7e308, 0.95)
         out = MonitorOutput(1, phi, {"A": phi, "B": phi})
         with pytest.raises(ValueError):
@@ -601,10 +657,10 @@ class TestMonitorPipeline:
                             payloads)
         est = tmp_path / "est.jsonl"
         runner.monitor_trace(str(trace), MON, str(est))
-        _, records = read_all(str(est), "estimates")
-        assert all(not r["conclusive"] for r in records)
-        assert all(r["phi_lo"] is None for r in records)
-        assert all(r["group_intervals"]["B"] is None for r in records)
+        meta, records = read_all(str(est), "estimates")
+        read = traceio.estimates_reader(meta)
+        assert all(read(r)[0] is None for r in records)
+        assert all(r["A"] is not None and r["B"] is None for r in records)
 
     def test_evaluate_reports_containment(self, tmp_path):
         trace, est, _ = self.run_pair(tmp_path)
@@ -612,9 +668,9 @@ class TestMonitorPipeline:
         assert report["steps"] == 10
         assert report["truth_steps"] == report["conclusive_steps"]
         assert 0.0 <= report["containment"] <= 1.0
-        _, records = read_all(str(est), "estimates")
-        widths = [r["phi_hi"] - r["phi_lo"] for r in records
-                  if r["conclusive"]]
+        meta, records = read_all(str(est), "estimates")
+        phis = [traceio.estimates_reader(meta)(r)[0] for r in records]
+        widths = [hi - lo for lo, hi in filter(None, phis)]
         assert report["mean_width"] == pytest.approx(
             statistics.fmean(widths), rel=1e-12)
         assert "median_width" not in report
@@ -635,6 +691,7 @@ class TestMonitorPipeline:
         with pytest.raises(TraceFormatError, match=f"{est}:10: corrupt"):
             runner.evaluate(str(est), str(trace))
 
+    # A format-1 estimates file carries conclusive and phi as written.
     @pytest.mark.parametrize("target, mutate", [
         ("estimates", lambda rec: rec.pop("conclusive")),
         ("estimates", lambda rec: rec.update(phi_hi="x")),
@@ -642,10 +699,16 @@ class TestMonitorPipeline:
         ("estimates", lambda rec: rec.update(conclusive="yes")),
         ("trace", lambda rec: rec.update(truth=5)),
         ("trace", lambda rec: rec.update(truth={"phi": "1"})),
+        ("estimates", lambda rec: rec.update(group_intervals=None)),
+        ("estimates", lambda rec: rec.update(floor_violation=0)),
+        ("estimates", lambda rec: rec.update(phi_lo=1e308, phi_hi=1.7e308)),
     ], ids=["no-conclusive", "text-phi-hi", "huge-phi-lo", "text-flag",
-            "number-truth", "text-truth-phi"])
+            "number-truth", "text-truth-phi", "null-groups", "int-flag",
+            "midpoint-overflows"])
     def test_evaluate_reports_bad_record(self, tmp_path, target, mutate):
-        trace, est, _ = self.run_pair(tmp_path)
+        trace, _, _ = self.run_pair(tmp_path)
+        est = tmp_path / "est_v1.jsonl"
+        write_v1_estimates(str(trace), MON, str(est))
         path = est if target == "estimates" else trace
         lines = path.read_text().splitlines()
         rec = json.loads(lines[9])
@@ -655,6 +718,58 @@ class TestMonitorPipeline:
         with pytest.raises(TraceFormatError,
                            match=f"{path}:10: bad record t=9: "):
             runner.evaluate(str(est), str(trace))
+
+    # A format-2 record derives phi from its group intervals, A - B.
+    @pytest.mark.parametrize("mutate, problem", [
+        (lambda rec: rec.pop("A"), "missing field 'A'"),
+        (lambda rec: rec.pop("B"), "missing field 'B'"),
+        (lambda rec: rec.update(A="x"), "group A interval must be"),
+        (lambda rec: rec.update(A=[0.5]), "group A interval must be"),
+        (lambda rec: rec.update(A=[0.5, 1.0, 2.0]),
+         "group A interval must be"),
+        (lambda rec: rec.update(A=[0, 1]), "group A interval must be"),
+        (lambda rec: rec.update(A=[10 ** 400, 10 ** 401]),
+         "group A interval must be"),
+        (lambda rec: rec.update(A=[0.0, math.inf]),
+         "group A interval must be"),
+        (lambda rec: rec.update(B=[1.0, 0.5]), "group B interval must be"),
+        (lambda rec: rec.update(A=[-1.7e308, -1e308], B=[1e308, 1.7e308]),
+         r"phi \[-inf, -inf\] or its midpoint is not finite"),
+        (lambda rec: rec.update(A=[1e308, 1.7e308], B=[0.0, 0.0]),
+         r"phi \[1e\+308, 1.7e\+308\] or its midpoint is not finite"),
+        (lambda rec: rec.pop("clamped"), "missing field 'clamped'"),
+        (lambda rec: rec.update(floor_violation=None),
+         "clamped and floor_violation must be true or false"),
+    ], ids=["no-A", "no-B", "text-A", "short-A", "long-A", "int-A",
+            "huge-int-A", "inf-A", "B-lo-above-hi", "phi-overflows",
+            "midpoint-overflows", "no-clamped", "null-flag"])
+    def test_evaluate_reports_bad_v2_record(self, tmp_path, mutate,
+                                            problem):
+        trace, est, _ = self.run_pair(tmp_path)
+        lines = est.read_text().splitlines()
+        rec = json.loads(lines[9])
+        assert rec["A"] is not None and rec["B"] is not None
+        mutate(rec)
+        lines[9] = json.dumps(rec)
+        write_lines(est, lines)
+        with pytest.raises(TraceFormatError,
+                           match=f"{est}:10: bad record t=9: {problem}"):
+            runner.evaluate(str(est), str(trace))
+
+    @pytest.mark.parametrize("target", ["eval", "export"])
+    def test_v2_record_without_t_names_its_line(self, tmp_path, target):
+        trace, est, _ = self.run_pair(tmp_path)
+        lines = est.read_text().splitlines()
+        rec = json.loads(lines[9])
+        del rec["t"]
+        lines[9] = json.dumps(rec)
+        write_lines(est, lines)
+        run = {"eval": lambda: runner.evaluate(str(est), str(trace)),
+               "export": lambda: traceio.export_csv(
+                   str(est), str(tmp_path / "est.csv"))}[target]
+        with pytest.raises(TraceFormatError,
+                           match=f"{est}:10: expected t=9, got None"):
+            run()
 
     # Blank lines before the bad record count in its line number.
     @pytest.mark.parametrize("target", ["monitor", "eval", "export"])
@@ -667,7 +782,7 @@ class TestMonitorPipeline:
         if target == "monitor":
             rec["x"] = "bad"
         else:
-            del rec["conclusive"]
+            del rec["A"]
         lines[7] = json.dumps(rec)
         lines[5:5] = ["", "  \t"]
         lines.insert(2, "")
@@ -1047,6 +1162,31 @@ class TestCsvExport:
         assert lines[0].split(",") == traceio.CSV_FIELDS
         assert len(lines) == 11
 
+    # The format-1 and format-2 files of one run give the same report
+    # and the same CSV bytes: format 2 derives conclusive, phi and the
+    # midpoint by the monitor's own operations.
+    @pytest.mark.parametrize("sim, mon", [
+        (dict(SIM, horizon=400), MON),
+        (dict(ATTENTION_SIM, horizon=400), ATTENTION_MON),
+        (dict(COIN_SIM, horizon=400), COIN_MON)],
+        ids=["lending", "attention", "coin"])
+    def test_v1_and_v2_files_read_the_same(self, tmp_path, sim, mon):
+        trace = tmp_path / "trace.jsonl"
+        v1, v2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+        runner.simulate(sim, str(trace))
+        write_v1_estimates(str(trace), mon, str(v1))
+        runner.monitor_trace(str(trace), mon, str(v2))
+        assert [json.loads(path.read_text().split("\n")[0])["format"]
+                for path in (v1, v2)] == [1, 2]
+        report = runner.evaluate(str(v2), str(trace))
+        assert report["conclusive_steps"] > 0
+        assert runner.evaluate(str(v1), str(trace)) == report
+        for path in (v1, v2):
+            traceio.export_csv(str(path), str(path) + ".csv")
+        assert Path(str(v1) + ".csv").read_bytes() == \
+            Path(str(v2) + ".csv").read_bytes()
+
+    # Format 1 records.
     @pytest.mark.parametrize("mutate, problem", [
         (lambda rec: rec.update(group_intervals=[[0.0, 1.0], None]),
          "group_intervals must be an object"),
@@ -1055,14 +1195,48 @@ class TestCsvExport:
          "group A interval must be [lo, hi] or null"),
         (lambda rec: rec["group_intervals"].update(A=[1]),
          "group A interval must be [lo, hi] or null"),
+        (lambda rec: rec.update(conclusive=True, phi_lo="x", phi_hi=1.0),
+         "need conclusive false, or true with finite phi_lo <= phi_hi; "
+         "got True, 'x', 1.0"),
+        (lambda rec: rec["group_intervals"].update(A=[1.0, 0.5]),
+         "group A interval must be [lo, hi] or null"),
+        (lambda rec: rec.update(clamped=1),
+         "clamped and floor_violation must be true or false; got 1, False"),
     ], ids=["groups-list", "missing-conclusive", "interval-int",
-            "interval-short"])
+            "interval-short", "text-phi-lo", "lo-above-hi", "int-flag"])
     def test_malformed_record_is_data_error(self, tmp_path, capsys, mutate,
                                             problem):
         trace = tmp_path / "trace.jsonl"
         est = tmp_path / "est.jsonl"
         runner.simulate(SIM, str(trace))
+        write_v1_estimates(str(trace), MON, str(est))
+        self.check_export_error(tmp_path, capsys, est, mutate, problem)
+
+    # Format 2 records.
+    @pytest.mark.parametrize("mutate, problem", [
+        (lambda rec: rec.pop("A"), "missing field 'A'"),
+        (lambda rec: rec.pop("clamped"), "missing field 'clamped'"),
+        (lambda rec: rec.pop("floor_violation"),
+         "missing field 'floor_violation'"),
+        (lambda rec: rec.update(A=5), "group A interval must be [lo, hi] "
+         "or null, with finite floats lo <= hi; got 5"),
+        (lambda rec: rec.update(B=[1.0]), "group B interval must be"),
+        (lambda rec: rec.update(A=[2.0, 1.0]), "group A interval must be"),
+        (lambda rec: rec.update(A=[-1.7e308, -1e308], B=[1e308, 1.7e308]),
+         "phi [-inf, -inf] or its midpoint is not finite"),
+    ], ids=["missing-A", "missing-clamped", "missing-floor-violation",
+            "interval-int", "interval-short", "lo-above-hi",
+            "phi-overflows"])
+    def test_malformed_v2_record_is_data_error(self, tmp_path, capsys,
+                                               mutate, problem):
+        trace = tmp_path / "trace.jsonl"
+        est = tmp_path / "est.jsonl"
+        runner.simulate(SIM, str(trace))
         runner.monitor_trace(str(trace), MON, str(est))
+        self.check_export_error(tmp_path, capsys, est, mutate, problem)
+
+    def check_export_error(self, tmp_path, capsys, est, mutate, problem):
+        """Mutate record t=3 of ``est``; export must name its line."""
         lines = est.read_text().splitlines()
         rec = json.loads(lines[3])
         mutate(rec)
