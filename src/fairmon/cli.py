@@ -7,6 +7,7 @@ aborted because the drift assumptions were violated.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,14 +22,45 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got "
+                          f"{_JSON_TYPES[type(config)]}")
+    return config
+
+
+def _same_file(a, b):
+    """Whether paths ``a`` and ``b`` name one file: the same path, or,
+    when both exist, the same file under two names."""
+    if os.path.abspath(a) == os.path.abspath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
+def _check_outputs(outputs, inputs):
+    """Raise ConfigError, before anything is written, if an output path
+    names one of the ``inputs`` (the writer would destroy what the
+    reader still reads) or another output.  ``None`` entries are
+    options that were not given."""
+    outputs = [p for p in outputs if p is not None]
+    inputs = [p for p in inputs if p is not None]
+    for i, out in enumerate(outputs):
+        for role, others in (("input", inputs), ("output", outputs[:i])):
+            for other in others:
+                if _same_file(out, other):
+                    raise ConfigError(
+                        f"output {out} is the same file as {role} {other}")
 
 
 def _section(config, name):
@@ -108,6 +140,7 @@ def build_parser():
 
 
 def _cmd_simulate(args):
+    _check_outputs([args.out], [args.config])
     section = _section(_load_config(args.config), "simulator")
     section["seed"] = args.seed
     _apply_overrides(section, [_parse_override(o) for o in args.overrides])
@@ -117,6 +150,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_monitor(args):
+    _check_outputs([args.out, args.snapshot],
+                   [args.trace, args.resume, args.config])
     section = None
     if args.config is not None:
         section = _section(_load_config(args.config), "monitor")
@@ -140,6 +175,7 @@ def _cmd_monitor(args):
 
 
 def _cmd_eval(args):
+    _check_outputs([args.out], [args.estimates, args.trace])
     report = runner.evaluate(args.estimates, args.trace)
     text = json.dumps(report, indent=2)
     if args.out:
@@ -154,10 +190,11 @@ def _cmd_run(args):
     mon_section = _section(config, "monitor")
     sim_section["seed"] = args.seed
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace = out_dir / "trace.jsonl"
     estimates = out_dir / "estimates.jsonl"
     report_path = out_dir / "report.json"
+    _check_outputs([trace, estimates, report_path], [args.config])
+    out_dir.mkdir(parents=True, exist_ok=True)
     runner.simulate(sim_section, trace)
     runner.monitor_trace(str(trace), mon_section, str(estimates))
     report = runner.evaluate(str(estimates), str(trace))
@@ -178,6 +215,7 @@ def _cmd_bench(args):
 
 
 def _cmd_export(args):
+    _check_outputs([args.out], [args.estimates])
     traceio.export_csv(args.estimates, args.out)
     print(f"wrote {args.out}")
 

@@ -11,29 +11,10 @@ de-shifted average gives a per-step confidence interval.
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import kernels
 from .errors import ConfigError
 from .intervals import trusted_interval
-
-
-@dataclass(frozen=True)
-class SubExpParams:
-    """Sub-exponential tail parameters (variance proxy, scale) of the
-    centered feature.  ``nu == 0`` is the sub-gaussian case."""
-
-    sigma_sq: float
-    nu: float
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.sigma_sq < 0 or self.nu < 0:
-            raise ConfigError(
-                f"invalid parameters: sigma_sq={self.sigma_sq}, nu={self.nu}")
-        if self.sigma_sq == 0 and self.nu == 0:
-            raise ConfigError("invalid parameters: sigma_sq and nu both zero")
-
 
 _FLOAT_MAX = sys.float_info.max
 _INF = math.inf
@@ -47,14 +28,10 @@ def is_real(value):
 
 def check_field_types(obj):
     """Raise ConfigError unless every ``int``, ``float`` or ``bool``
-    field of the dataclass ``obj`` holds that type: an ``int`` field an
-    int, a ``float`` field a real as :func:`is_real` has it, a ``bool``
-    field a bool.  Fields of other types are left to the caller.
-
-    The fields are read from the class annotations: ``dataclasses.fields``
-    builds a tuple from a generator, which counts toward the cyclic
-    garbage collector's next run, and a resumed run builds a monitor per
-    batch."""
+    field of the :class:`FrozenConfig` ``obj`` holds that type: an
+    ``int`` field an int, a ``float`` field a real as :func:`is_real`
+    has it, a ``bool`` field a bool.  Fields of other types are left to
+    the caller.  The fields are read from the class annotations."""
     for name, ftype in type(obj).__annotations__.items():
         value = getattr(obj, name)
         if ftype is int:
@@ -68,6 +45,81 @@ def check_field_types(obj):
         if not ok:
             raise ConfigError(f"{name} must be {ftype.__name__}, "
                               f"got {value!r}")
+
+
+_setattr = object.__setattr__
+
+
+class FrozenConfig:
+    """Base of the package's immutable configs.
+
+    A subclass annotates its fields in order, gives the trailing ones a
+    default as a class attribute, and checks the values in
+    ``__post_init__``, which runs after :func:`check_field_types`.
+    Instances are built with keyword or positional arguments, with the
+    ``TypeError`` of an ordinary call for an unknown or missing field;
+    equality, hash and ``repr`` follow the fields, and setting or
+    deleting an attribute raises ``AttributeError``.
+
+    Not a frozen dataclass: importing ``dataclasses`` loads ``inspect``
+    and ``ast``, about 1 MB of peak RSS, into every stage.  As in a
+    dataclass, each subclass gets a generated ``__init__`` that stores
+    every field in the instance dict, so a field reads as fast as a
+    plain attribute.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__annotations__)
+        # A default is written into the signature, so a field without
+        # one after a field with one is a SyntaxError, as it would be in
+        # a hand-written __init__.
+        params = "".join(f", {f}=_defaults[{f!r}]" if f in cls.__dict__
+                         else f", {f}" for f in fields)
+        body = "".join(f"\n _set(self, {f!r}, {f})" for f in fields)
+        namespace = {"_set": _setattr, "_check": check_field_types,
+                     "_defaults": cls.__dict__}
+        exec(f"def __init__(self{params}):{body}"
+             f"\n _check(self)\n self.__post_init__()", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._fields = fields
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self):
+        args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SubExpParams(FrozenConfig):
+    """Sub-exponential tail parameters (variance proxy, scale) of the
+    centered feature.  ``nu == 0`` is the sub-gaussian case."""
+
+    sigma_sq: float
+    nu: float
+
+    def __post_init__(self):
+        if self.sigma_sq < 0 or self.nu < 0:
+            raise ConfigError(
+                f"invalid parameters: sigma_sq={self.sigma_sq}, nu={self.nu}")
+        if self.sigma_sq == 0 and self.nu == 0:
+            raise ConfigError("invalid parameters: sigma_sq and nu both zero")
 
 
 def _check_delta(delta):

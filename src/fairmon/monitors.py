@@ -7,12 +7,11 @@ groups have produced an estimate the output is marked inconclusive.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .discovery import MAX_RATE, eta_interval, poisson_subexp_params
 from .errors import ConfigError
-from .estimator import (ShiftedMeanEstimator, SubExpParams, _check_delta,
-                        _check_population, check_field_types, state_count,
+from .estimator import (FrozenConfig, ShiftedMeanEstimator, SubExpParams,
+                        _check_delta, _check_population, state_count,
                         state_real)
 from .intervals import ConfidenceInterval, interval_sub, trusted_interval
 
@@ -119,15 +118,13 @@ class LendingObservation(namedtuple("LendingObservation", "x g y z")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LendingConfig:
+class LendingConfig(FrozenConfig):
     n_a: int
     n_b: int
     c_max: int
     delta: float
 
     def __post_init__(self):
-        check_field_types(self)
         _check_population(self.n_a, self.n_b, self.c_max)
         _check_delta(self.delta)
 
@@ -199,15 +196,13 @@ class AttentionObservation(namedtuple("AttentionObservation",
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AttentionConfig:
+class AttentionConfig(FrozenConfig):
     gamma: float
     lambda_min: float
     lambda_max: float
     delta: float
 
     def __post_init__(self):
-        check_field_types(self)
         if self.gamma < 0:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
         if not 0 < self.lambda_min < self.lambda_max:
@@ -309,13 +304,11 @@ class CoinObservation(namedtuple("CoinObservation", "x")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoinMonitorConfig:
+class CoinMonitorConfig(FrozenConfig):
     epsilon: float
     delta: float
 
     def __post_init__(self):
-        check_field_types(self)
         if not 0 <= self.epsilon < 1:
             raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
         _check_delta(self.delta)

@@ -9,12 +9,10 @@ fairness floor per location, remainder greedy).
 """
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from ..discovery import MAX_RATE, eta
 from ..errors import AssumptionViolation, ConfigError
-from ..estimator import check_field_types, is_real
+from ..estimator import FrozenConfig, is_real
 from ..monitors import AttentionObservation, attention_change
 from .sampling import poisson
 
@@ -23,8 +21,7 @@ _new = tuple.__new__
 POLICIES = ("uniform", "greedy", "constrained_greedy")
 
 
-@dataclass(frozen=True)
-class AttentionSimConfig:
+class AttentionSimConfig(FrozenConfig):
     l: int
     k: int
     gamma: float
@@ -33,11 +30,11 @@ class AttentionSimConfig:
     policy: str = "uniform"
     alpha: float = 0.75
     lambda_init: float = 10.0
-    lambda_init_per_location: Optional[tuple] = None
+    # None, or one positive rate per location (a list or tuple).
+    lambda_init_per_location: tuple = None
     omniscient: bool = False
 
     def __post_init__(self):
-        check_field_types(self)
         if self.l < 2:
             raise ConfigError(f"need at least 2 locations, got {self.l}")
         if self.k < 1:

@@ -1,24 +1,21 @@
 """Coin-toss process with outcome-dependent bias drift."""
 
 import random
-from dataclasses import dataclass
 
 from ..errors import AssumptionViolation, ConfigError
-from ..estimator import check_field_types
+from ..estimator import FrozenConfig
 from ..monitors import CoinObservation, coin_change
 
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class CoinConfig:
+class CoinConfig(FrozenConfig):
     p1: float
     epsilon: float
     horizon: int
     seed: int
 
     def __post_init__(self):
-        check_field_types(self)
         if not 0.0 < self.p1 < 1.0:
             raise ConfigError(f"p1 must be in (0, 1), got {self.p1}")
         if not 0.0 <= self.epsilon < 1.0:

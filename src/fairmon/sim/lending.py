@@ -10,11 +10,9 @@ that would-repay applicants of both groups are granted at the same rate.
 """
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import ConfigError
-from ..estimator import _check_population, check_field_types
+from ..estimator import FrozenConfig, _check_population
 from ..monitors import LendingObservation, lending_change
 
 _new = tuple.__new__
@@ -27,8 +25,7 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class LendingSimConfig:
+class LendingSimConfig(FrozenConfig):
     n_a: int
     n_b: int
     c_max: int
@@ -39,12 +36,13 @@ class LendingSimConfig:
     rho_min: float = 0.1
     rho_max: float = 0.95
     init: str = "mid-bias"
-    init_scores_a: Optional[tuple] = None
-    init_scores_b: Optional[tuple] = None
+    # None, or one integer score per member (a list or tuple); the two
+    # are given together.
+    init_scores_a: tuple = None
+    init_scores_b: tuple = None
     use_true_tallies: bool = True
 
     def __post_init__(self):
-        check_field_types(self)
         _check_population(self.n_a, self.n_b, self.c_max)
         if self.horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")

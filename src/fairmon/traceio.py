@@ -9,7 +9,6 @@ exactly.  Corrupt lines abort with their line number: the per-sequence
 guarantee does not survive silent gaps.
 """
 
-import csv
 import json
 import math
 from itertools import islice
@@ -436,6 +435,9 @@ def export_csv(estimates_path, csv_path):
     """Flatten an estimates file to CSV for plotting.  The columns are
     those of format 1; ``point`` is phi's midpoint, ``0.5 * (lo + hi)``
     as the monitor computes it."""
+    # Imported here, so the stages that write no CSV never load it.
+    import csv
+
     meta, records = read_records(estimates_path, expected_file="estimates")
     read = estimates_reader(meta)
     with open(csv_path, "w", newline="") as fh:

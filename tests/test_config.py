@@ -1,0 +1,130 @@
+"""The seven config classes behave as frozen value objects: keyword and
+positional construction, the simulator configs' defaults, ``repr``,
+equality and hash, immutability, and a ``TypeError`` (a ``ConfigError``
+through ``build_monitor`` and ``build_sim``) on an unknown or missing
+field."""
+
+import pytest
+
+from fairmon.errors import ConfigError
+from fairmon.estimator import SubExpParams
+from fairmon.monitors import (AttentionConfig, CoinMonitorConfig,
+                              LendingConfig, build_monitor)
+from fairmon.runner import build_sim
+from fairmon.sim.attention import AttentionSimConfig
+from fairmon.sim.coin import CoinConfig
+from fairmon.sim.lending import LendingSimConfig
+
+# (class, kind for build_monitor/build_sim or None, every field in order
+# with a value, the repr of that config, the fields left to defaults and
+# their default values).
+CASES = [
+    (SubExpParams, None, {"sigma_sq": 4.0, "nu": 0.5},
+     "SubExpParams(sigma_sq=4.0, nu=0.5)", {}),
+    (LendingConfig, ("monitor", "lending"),
+     {"n_a": 100, "n_b": 100, "c_max": 100, "delta": 0.05},
+     "LendingConfig(n_a=100, n_b=100, c_max=100, delta=0.05)", {}),
+    (AttentionConfig, ("monitor", "attention"),
+     {"gamma": 0.0025, "lambda_min": 4.0, "lambda_max": 12.0,
+      "delta": 0.05},
+     "AttentionConfig(gamma=0.0025, lambda_min=4.0, lambda_max=12.0, "
+     "delta=0.05)", {}),
+    (CoinMonitorConfig, ("monitor", "coin"),
+     {"epsilon": 0.001, "delta": 0.05},
+     "CoinMonitorConfig(epsilon=0.001, delta=0.05)", {}),
+    (LendingSimConfig, ("sim", "lending"),
+     {"n_a": 3, "n_b": 2, "c_max": 10, "horizon": 7, "seed": 42,
+      "policy": "eq_opp", "theta_bank": 0.6, "rho_min": 0.2,
+      "rho_max": 0.9, "init": "high-bias", "init_scores_a": [1, 2, 3],
+      "init_scores_b": [4, 5], "use_true_tallies": False},
+     "LendingSimConfig(n_a=3, n_b=2, c_max=10, horizon=7, seed=42, "
+     "policy='eq_opp', theta_bank=0.6, rho_min=0.2, rho_max=0.9, "
+     "init='high-bias', init_scores_a=[1, 2, 3], init_scores_b=[4, 5], "
+     "use_true_tallies=False)",
+     {"policy": "max_reward", "theta_bank": 0.5, "rho_min": 0.1,
+      "rho_max": 0.95, "init": "mid-bias", "init_scores_a": None,
+      "init_scores_b": None, "use_true_tallies": True}),
+    (AttentionSimConfig, ("sim", "attention"),
+     {"l": 3, "k": 6, "gamma": 0.0025, "horizon": 7, "seed": 42,
+      "policy": "greedy", "alpha": 0.5, "lambda_init": 8.0,
+      "lambda_init_per_location": [4.0, 5.0, 6.0], "omniscient": True},
+     "AttentionSimConfig(l=3, k=6, gamma=0.0025, horizon=7, seed=42, "
+     "policy='greedy', alpha=0.5, lambda_init=8.0, "
+     "lambda_init_per_location=[4.0, 5.0, 6.0], omniscient=True)",
+     {"policy": "uniform", "alpha": 0.75, "lambda_init": 10.0,
+      "lambda_init_per_location": None, "omniscient": False}),
+    (CoinConfig, ("sim", "coin"),
+     {"p1": 0.5, "epsilon": 0.001, "horizon": 7, "seed": 42},
+     "CoinConfig(p1=0.5, epsilon=0.001, horizon=7, seed=42)", {}),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+def _build(kind, fields):
+    stage, name = kind
+    config = {"kind": name, **fields}
+    return build_monitor(config) if stage == "monitor" else build_sim(config)
+
+
+@pytest.mark.parametrize("cls, kind, fields, text, defaults", CASES, ids=IDS)
+class TestConfigClass:
+
+    def test_keyword_and_positional_construction(self, cls, kind, fields,
+                                                 text, defaults):
+        by_name = cls(**fields)
+        by_position = cls(*fields.values())
+        for cfg in (by_name, by_position):
+            assert {f: getattr(cfg, f) for f in fields} == fields
+        assert by_name == by_position
+
+    def test_defaults(self, cls, kind, fields, text, defaults):
+        required = {f: v for f, v in fields.items() if f not in defaults}
+        for cfg in (cls(**required), cls(*required.values())):
+            assert {f: getattr(cfg, f) for f in fields} == {
+                **required, **defaults}
+
+    def test_repr(self, cls, kind, fields, text, defaults):
+        assert repr(cls(**fields)) == text
+
+    def test_equality_and_hash(self, cls, kind, fields, text, defaults):
+        cfg = cls(**fields)
+        assert cfg == cls(**fields)
+        assert not cfg != cls(**fields)
+        # A config equals only a config of its own class.
+        assert cfg != tuple(fields.values())
+        assert cfg != list(fields.values())
+        vary = next(f for f in ("seed", "delta", "nu") if f in fields)
+        assert cfg != cls(**{**fields, vary: fields[vary] * 2})
+        required = {f: v for f, v in fields.items() if f not in defaults}
+        assert hash(cls(**required)) == hash(cls(**required))
+
+    def test_fields_cannot_be_set(self, cls, kind, fields, text, defaults):
+        cfg = cls(**fields)
+        for name in (*fields, "bogus"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, 1)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(cfg, name)
+        assert repr(cfg) == text
+
+    def test_unknown_or_missing_field(self, cls, kind, fields, text,
+                                      defaults):
+        first = next(iter(fields))
+        missing = {f: v for f, v in fields.items() if f != first}
+        with pytest.raises(TypeError, match="unexpected keyword argument "
+                                            "'bogus'"):
+            cls(**fields, bogus=1)
+        with pytest.raises(TypeError, match=f"missing 1 required "
+                                            f"positional argument: "
+                                            f"'{first}'"):
+            cls(**missing)
+        with pytest.raises(TypeError):
+            cls(*fields.values(), 1)
+        if kind is None:
+            return
+        with pytest.raises(ConfigError, match="unexpected keyword "
+                                              "argument 'bogus'"):
+            _build(kind, {**fields, "bogus": 1})
+        with pytest.raises(ConfigError, match=f"'{first}'"):
+            _build(kind, missing)

@@ -106,6 +106,25 @@ class TestTraceFiles:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", proc.stdout
 
+    def test_stage_imports_load_no_dataclasses_csv_or_typing(self):
+        # dataclasses loads inspect, ast, dis and tokenize, about 1 MB of
+        # peak RSS in every stage; csv is for export alone.  Modules the
+        # interpreter's site start-up loaded are not counted.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; before = set(sys.modules); "
+             "import fairmon.runner, fairmon.cli, fairmon.sim; "
+             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', "
+             "'tokenize', 'csv', '_csv', 'typing'} "
+             "& (set(sys.modules) - before)))"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", proc.stdout
+
     def test_file_kinds_have_their_own_format_versions(self, tmp_path):
         trace, est = tmp_path / "trace.jsonl", tmp_path / "est.jsonl"
         snap = tmp_path / "snap.json"
@@ -1295,6 +1314,84 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(bad), "--seed", "1",
                          "-o", str(tmp_path / "t.jsonl")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text, json_type", [
+        ("[1, 2]", "array"), ("5", "number"), ('"x"', "string"),
+        ("null", "null")])
+    @pytest.mark.parametrize("command", ["simulate", "monitor", "run"])
+    def test_non_object_config_is_exit_1(self, tmp_path, capsys, command,
+                                         text, json_type):
+        # It ended in AttributeError: 'list' object has no attribute 'get'.
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        out = tmp_path / "out"
+        argv = {"simulate": ["simulate", "--seed", "1", "-o", str(out)],
+                "monitor": ["monitor", "--trace", str(trace), "-o", str(out)],
+                "run": ["run", "--seed", "1", "--out-dir", str(out)]}[command]
+        assert cli.main(argv + ["--config", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"fairmon: error: config {bad} must be a JSON object, got "
+            f"{json_type}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, names", [
+        ("simulate --config {cfg} --seed 1 -o {cfg}",
+         "input {cfg}"),
+        ("monitor --trace {trace} --config {cfg} -o {trace}",
+         "input {trace}"),
+        ("monitor --trace {trace} --config {cfg} -o {cfg}",
+         "input {cfg}"),
+        ("monitor --trace {trace} --resume {snap} -o {snap}",
+         "input {snap}"),
+        ("monitor --trace {trace} --config {cfg} -o {new} --snapshot {trace}",
+         "input {trace}"),
+        ("monitor --trace {trace} --config {cfg} -o {new} --snapshot {cfg}",
+         "input {cfg}"),
+        ("monitor --trace {trace} --resume {snap} -o {new} --snapshot {snap}",
+         "input {snap}"),
+        ("monitor --trace {trace} --config {cfg} -o {new} --snapshot {new}",
+         "output {new}"),
+        ("monitor --trace {trace} --config {cfg} -o {link}",
+         "input {trace}"),
+        ("eval --estimates {est} --trace {trace} -o {est}",
+         "input {est}"),
+        ("eval --estimates {est} --trace {trace} -o {trace}",
+         "input {trace}"),
+        ("export --estimates {est} -o {est}",
+         "input {est}"),
+        ("run --config {run_dir}/trace.jsonl --seed 1 --out-dir {run_dir}",
+         "input {run_dir}/trace.jsonl"),
+        ("run --config {run_dir}/estimates.jsonl --seed 1 --out-dir {run_dir}",
+         "input {run_dir}/estimates.jsonl"),
+        ("run --config {run_dir}/report.json --seed 1 --out-dir {run_dir}",
+         "input {run_dir}/report.json"),
+    ])
+    def test_output_naming_an_input_is_exit_1(self, tmp_path, capsys, argv,
+                                              names):
+        # monitor -o TRACE left the trace as 94 lines of estimates and
+        # exited 2; eval -o ESTIMATES replaced the estimates and exited 0.
+        cfg = self.write_config(tmp_path, SIM, MON)
+        paths = {"cfg": cfg, "trace": tmp_path / "trace.jsonl",
+                 "est": tmp_path / "est.jsonl", "snap": tmp_path / "snap",
+                 "new": tmp_path / "new.jsonl", "link": tmp_path / "link",
+                 "run_dir": tmp_path / "run"}
+        runner.simulate(SIM, str(paths["trace"]))
+        runner.monitor_trace(str(paths["trace"]), MON, str(paths["est"]),
+                             snapshot_out=str(paths["snap"]))
+        paths["link"].symlink_to(paths["trace"])
+        paths["run_dir"].mkdir()
+        for name in ("trace.jsonl", "estimates.jsonl", "report.json"):
+            (paths["run_dir"] / name).write_text(cfg.read_text())
+        files = sorted(p for p in tmp_path.rglob("*"))
+        before = {p: p.read_bytes() for p in files if p.is_file()}
+        assert cli.main(argv.format(**paths).split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fairmon: error: output "), err
+        assert err.endswith(f" is the same file as {names.format(**paths)}\n")
+        assert sorted(p for p in tmp_path.rglob("*")) == files
+        assert {p: p.read_bytes() for p in before} == before
 
     def test_missing_monitor_config_is_exit_1(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, SIM, MON)
