@@ -28,11 +28,11 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
 
 def _load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bytes not UTF-8 and the digit limit too
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object, got "

@@ -2,11 +2,12 @@
 
 Every file starts with one metadata line (format version, kind, config,
 config hash); each following line is one record.  Each file kind has
-its own format version: traces and snapshots are at 1, estimates at 2,
-and estimates files of format 1 are still read.  Floats are written as
-``float.__repr__``, as ``json`` writes them, which round-trips doubles
-exactly.  Corrupt lines abort with their line number: the per-sequence
-guarantee does not survive silent gaps.
+one format version, the one it is written at and the only one read:
+traces and snapshots are at 1, estimates at 2.  Files are UTF-8 text,
+whatever the locale.  Floats are written as ``float.__repr__``, as
+``json`` writes them, which round-trips doubles exactly.  Corrupt lines
+abort with their line number: the per-sequence guarantee does not
+survive silent gaps.
 """
 
 import json
@@ -27,9 +28,8 @@ except ImportError:  # CPython 3.12+
 from .errors import TraceFormatError
 from .monitors import MONITORS
 
-# file kind -> the format version written, and the versions read
-FORMATS = {"trace": (1, (1,)), "estimates": (2, (1, 2)),
-           "snapshot": (1, (1,))}
+# file kind -> its format version, written and read
+FORMATS = {"trace": 1, "estimates": 2, "snapshot": 1}
 
 
 def config_hash(config):
@@ -125,22 +125,25 @@ def write_trace(path, kind, config, payloads):
     the JSON encoder."""
     if kind not in MONITORS:
         raise TraceFormatError(f"unknown trace kind {kind!r}")
-    meta = {"format": FORMATS["trace"][0], "file": "trace", "kind": kind,
+    meta = {"format": FORMATS["trace"], "file": "trace", "kind": kind,
             "config": config, "config_hash": config_hash(config)}
     line = _TRACE_LINES[kind]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(meta) + "\n")
         for payload in payloads:
             fh.write(line(payload) + "\n")
 
 
 def _read_meta(fh, path, expected_file):
-    line = fh.readline()
+    try:
+        line = fh.readline()
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
     if not line:
         raise TraceFormatError(f"{path}: empty file, missing metadata line")
     try:
         meta = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # an int past the digit limit included
         raise TraceFormatError(f"{path}:1: corrupt metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise TraceFormatError(f"{path}:1: metadata is not a JSON object")
@@ -150,10 +153,15 @@ def _read_meta(fh, path, expected_file):
             f"{meta.get('file')!r}")
     version = meta.get("format")
     # JSON true and 1.0 compare equal to 1.
-    if type(version) is not int or version not in FORMATS[expected_file][1]:
+    if type(version) is not int or version != FORMATS[expected_file]:
+        hint = ""
+        if expected_file == "estimates":
+            hint = ("; re-run `fairmon monitor` on the trace whose "
+                    f"config_hash is {meta.get('trace_config_hash')!r} "
+                    "to regenerate it")
         raise TraceFormatError(
             f"{path}: unsupported format version {version!r} of a "
-            f"{expected_file} file")
+            f"{expected_file} file{hint}")
     kind = meta.get("kind")
     if not isinstance(kind, str) or kind not in MONITORS:
         raise TraceFormatError(f"{path}:1: unknown or missing kind {kind!r}")
@@ -173,33 +181,54 @@ def read_records(path, expected_file="trace", start_t=1):
 
 def _records(path, expected_file, start_t):
     """Yield the metadata, then each record, of ``path``."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         yield _read_meta(fh, path, expected_file)
         expected_t = start_t
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec, end = _scan_once(line, 0)
-            except (StopIteration, ValueError):
-                end = 0  # the line is not blank, so not "\n" from 0
-            if line[end:] != "\n":
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    rec, end = _scan_once(line, 0)
+                except (StopIteration, ValueError):
+                    end = 0  # the line is not blank, so not "\n" from 0
+                if line[end:] != "\n":
+                    try:
+                        rec = json.loads(line)
+                    except ValueError as exc:  # the digit limit included
+                        raise TraceFormatError(
+                            f"{path}:{lineno}: corrupt record: {exc}"
+                        ) from exc
+                try:
+                    t = rec.get("t")
+                except AttributeError:
                     raise TraceFormatError(
-                        f"{path}:{lineno}: corrupt record: {exc}") from exc
+                        f"{path}:{lineno}: record is not a JSON object"
+                    ) from None
+                if t != expected_t or type(t) is not int:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: expected t={expected_t}, "
+                        f"got {t!r}")
+                expected_t += 1
+                yield rec
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from exc
+
+
+def _undecodable(path, exc):
+    """The data error for the first line of ``path`` that is not UTF-8.
+    The reader decodes a buffered chunk of lines at a time, so ``exc``
+    does not tell which line; this re-reads ``path`` with each bad byte
+    kept as a lone surrogate, which no UTF-8 line decodes to, and
+    numbers its lines as the reader does."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
             try:
-                t = rec.get("t")
-            except AttributeError:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: record is not a JSON object"
-                ) from None
-            if t != expected_t or type(t) is not int:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected t={expected_t}, got {t!r}")
-            expected_t += 1
-            yield rec
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                break
+    return TraceFormatError(
+        f"{path}:{lineno}: line is not UTF-8 text ({exc.reason})")
 
 
 def bad_record(path, t, problem, start_t=1):
@@ -207,7 +236,7 @@ def bad_record(path, t, problem, start_t=1):
     ``start_t``.  The record iterator yields no line numbers, so this
     re-reads ``path`` for the record's line, skipping blank lines as
     :func:`_records` does."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         fh.readline()  # the metadata line
         lines = (n for n, line in enumerate(fh, start=2) if line.strip())
         lineno = next(islice(lines, t - start_t, None))
@@ -294,26 +323,26 @@ def estimate_record(output):
 def write_estimates(path, kind, monitor_config, trace_meta, lines):
     """Write an estimates file; ``lines`` yields :func:`estimate_record`
     lines."""
-    meta = {"format": FORMATS["estimates"][0], "file": "estimates",
+    meta = {"format": FORMATS["estimates"], "file": "estimates",
             "kind": kind, "monitor_config": monitor_config,
             "trace_config_hash": trace_meta.get("config_hash")}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(meta) + "\n")
         for line in lines:
             fh.write(line + "\n")
 
 
 def write_snapshot(path, monitor, monitor_config):
-    blob = {"format": FORMATS["snapshot"][0], "file": "snapshot",
+    blob = {"format": FORMATS["snapshot"], "file": "snapshot",
             "kind": monitor.kind, "monitor_config": monitor_config,
             "state": monitor.state_dict()}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(blob) + "\n")
 
 
 def read_snapshot(path):
     """Return (kind, monitor_config, state)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         meta = _read_meta(fh, path, "snapshot")
     kind = meta["kind"]
     config, state = meta.get("monitor_config"), meta.get("state")
@@ -325,21 +354,6 @@ def read_snapshot(path):
             f"{path}: snapshot kind {kind!r} differs from its "
             f"monitor_config kind {config.get('kind')!r}")
     return kind, config, state
-
-
-def _v1_phi(rec):
-    """phi of a format-1 estimates record, as written in it."""
-    flag = rec.get("conclusive")
-    if flag is False:
-        return None
-    # The monitor writes every endpoint as a float.
-    lo, hi = rec.get("phi_lo"), rec.get("phi_hi")
-    if flag is not True or type(lo) is not float \
-            or type(hi) is not float or not -_INF < lo <= hi < _INF:
-        raise ValueError(
-            "need conclusive false, or true with finite phi_lo <= phi_hi; "
-            f"got {flag!r}, {lo!r}, {hi!r}")
-    return lo, hi
 
 
 def _group(g, pair):
@@ -357,7 +371,7 @@ def _group(g, pair):
 
 
 def _step(phi, clamped, floor_violation, a, b):
-    """The checks both formats share: phi's midpoint is finite and each
+    """The checks every kind shares: phi's midpoint is finite and each
     flag is a bool."""
     if phi is not None:
         lo, hi = phi
@@ -370,32 +384,16 @@ def _step(phi, clamped, floor_violation, a, b):
     return phi, clamped, floor_violation, a, b
 
 
-_v1_fields = itemgetter("conclusive", "clamped", "floor_violation",
-                        "group_intervals")
-_v2_fields = itemgetter("A", "B", "clamped", "floor_violation")
+_estimate_fields = itemgetter("A", "B", "clamped", "floor_violation")
 
 
-def _v1_step(rec):
-    """A format-1 record, which carries conclusive and phi as written."""
-    try:
-        _, clamped, floor_violation, groups = _v1_fields(rec)
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
-    phi = _v1_phi(rec)
-    if type(groups) is not dict:
-        raise ValueError(
-            f"group_intervals must be an object, got {groups!r}")
-    return _step(phi, clamped, floor_violation,
-                 _group("A", groups.get("A")), _group("B", groups.get("B")))
-
-
-def _v2_step(rec):
-    """A format-2 record of a two-group monitor: phi is None while a
+def _two_group_step(rec):
+    """A record of a two-group monitor: phi is None while a
     group is null and else ``[A.lo - B.hi, A.hi - B.lo]``, the operations
     of ``interval_sub``.  Rounding is monotone, so lo <= hi; either may
     overflow, which :func:`_step` rejects."""
     try:
-        a, b, clamped, floor_violation = _v2_fields(rec)
+        a, b, clamped, floor_violation = _estimate_fields(rec)
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from None
     a, b = _group("A", a), _group("B", b)
@@ -403,10 +401,10 @@ def _v2_step(rec):
     return _step(phi, clamped, floor_violation, a, b)
 
 
-def _v2_coin_step(rec):
-    """A format-2 record of the coin monitor, whose phi is group A."""
+def _coin_step(rec):
+    """A record of the coin monitor, whose phi is group A."""
     try:
-        a, b, clamped, floor_violation = _v2_fields(rec)
+        a, b, clamped, floor_violation = _estimate_fields(rec)
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from None
     a, b = _group("A", a), _group("B", b)
@@ -419,11 +417,8 @@ def estimates_reader(meta):
     B)``: phi is ``(lo, hi)``, finite with lo <= hi and a finite
     midpoint, or None while the record is inconclusive; each group is
     ``[lo, hi]`` or None.  It raises ValueError on a record it cannot
-    read.  Format 1 records carry phi; format 2 records derive it from
-    their group intervals."""
-    if meta["format"] == 1:
-        return _v1_step
-    return _v2_coin_step if meta["kind"] == "coin" else _v2_step
+    read.  A record derives phi from its group intervals."""
+    return _coin_step if meta["kind"] == "coin" else _two_group_step
 
 
 CSV_FIELDS = ["t", "conclusive", "phi_lo", "phi_hi", "point", "clamped",
@@ -432,15 +427,19 @@ _NULL_PAIR = [None, None]
 
 
 def export_csv(estimates_path, csv_path):
-    """Flatten an estimates file to CSV for plotting.  The columns are
-    those of format 1; ``point`` is phi's midpoint, ``0.5 * (lo + hi)``
-    as the monitor computes it."""
+    """Flatten an estimates file to CSV for plotting, one row per record.
+    The columns are :data:`CSV_FIELDS`: ``t``; ``conclusive``; phi's
+    ``phi_lo`` and ``phi_hi``; ``point``, phi's midpoint ``0.5 * (lo +
+    hi)`` as the monitor computes it; the ``clamped`` and
+    ``floor_violation`` flags; and each group's endpoints ``a_lo``,
+    ``a_hi``, ``b_lo`` and ``b_hi``.  phi, ``point`` and an absent
+    group's endpoints are empty while null."""
     # Imported here, so the stages that write no CSV never load it.
     import csv
 
     meta, records = read_records(estimates_path, expected_file="estimates")
     read = estimates_reader(meta)
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for rec in records:

@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
-from fairmon import ConfidenceInterval, build_monitor, traceio
+from fairmon import ConfidenceInterval
 
 
 def check_parameter_floor(lambda_min, shifts):
@@ -28,24 +30,6 @@ def _pair(ci):
     return None if ci is None else [ci.lo, ci.hi]
 
 
-def oracle_record(output):
-    """The format-1 estimates record of one MonitorOutput as a dict, as
-    the package wrote it before format 2: ``json.dumps(...,
-    separators=(",", ":"), allow_nan=False)`` of it is a format-1 line,
-    with phi and its midpoint written out."""
-    rec = {"t": output.t, "conclusive": output.conclusive,
-           "phi_lo": None, "phi_hi": None, "point": None,
-           "clamped": output.clamped,
-           "floor_violation": output.floor_violation,
-           "group_intervals": {g: _pair(ci)
-                               for g, ci in output.per_group.items()}}
-    if output.conclusive:
-        rec["phi_lo"] = output.phi.lo
-        rec["phi_hi"] = output.phi.hi
-        rec["point"] = output.phi.midpoint
-    return rec
-
-
 def oracle_record_v2(output):
     """The format-2 estimates record of one MonitorOutput as a dict;
     ``json.dumps(..., separators=(",", ":"), allow_nan=False)`` of it is
@@ -53,22 +37,6 @@ def oracle_record_v2(output):
     return {"t": output.t, "A": _pair(output.per_group["A"]),
             "B": _pair(output.per_group["B"]), "clamped": output.clamped,
             "floor_violation": output.floor_violation}
-
-
-def write_v1_estimates(trace_path, monitor_config, out_path):
-    """Monitor ``trace_path`` and write its estimates file in format 1,
-    metadata line included, from :func:`oracle_record`."""
-    meta, records = traceio.read_records(trace_path)
-    mon = build_monitor(monitor_config)
-    head = {"format": 1, "file": "estimates", "kind": mon.kind,
-            "monitor_config": dict(monitor_config),
-            "trace_config_hash": meta.get("config_hash")}
-    with open(out_path, "w") as fh:
-        fh.write(json.dumps(head, separators=(",", ":")) + "\n")
-        for rec in records:
-            out = mon.update(traceio.observation_from_record(mon.kind, rec))
-            fh.write(json.dumps(oracle_record(out), separators=(",", ":"),
-                                allow_nan=False) + "\n")
 
 
 def oracle_repay_mass(env, scores, theta_bank):
@@ -141,21 +109,32 @@ def json_loads_records(path, start_t=1):
     """Reference for ``traceio.read_records``' record loop with
     ``json.loads`` on every line.  Returns ``(records, error)``:
     the records before the first bad line and that line's exception as
-    ``(type, message)``, or None.  The metadata line is skipped."""
+    ``(type, message)``, or None.  The metadata line is skipped.
+
+    The reader decodes UTF-8 one buffered chunk at a time, so in a file
+    of one chunk, as the tests write, bytes that are not UTF-8 come
+    before any record: they give no records and the error of the line
+    that holds them.  Lines end at ``\r\n``, ``\r`` or ``\n``, as in
+    a file read as text."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = 1 + len(re.findall(rb"\r\n|\r|\n", raw[:exc.start]))
+        return [], ("TraceFormatError", f"{path}:{lineno}: line is not "
+                                        f"UTF-8 text ({exc.reason})")
     records = []
     expected_t = start_t
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # an int past the digit limit too
                 return records, ("TraceFormatError",
                                  f"{path}:{lineno}: corrupt record: {exc}")
-            except ValueError as exc:  # e.g. an int past the digit limit
-                return records, (type(exc).__name__, str(exc))
             if not isinstance(rec, dict):
                 return records, ("TraceFormatError",
                                  f"{path}:{lineno}: record is not a JSON "

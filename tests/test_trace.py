@@ -1,5 +1,6 @@
 """File format, pipeline, snapshot/resume, and CLI exit-code tests."""
 
+import csv
 import filecmp
 import hashlib
 import json
@@ -20,8 +21,7 @@ from fairmon import ConfidenceInterval, MonitorOutput, cli, runner, traceio
 from fairmon.errors import ConfigError, TraceFormatError
 from fairmon.intervals import interval_sub
 from fairmon.monitors import MONITORS, CoinObservation, build_monitor
-from oracles import (json_loads_records, oracle_record, oracle_record_v2,
-                     write_v1_estimates)
+from oracles import json_loads_records, oracle_record_v2
 
 SIM = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "horizon": 10,
        "seed": 42}
@@ -136,7 +136,8 @@ class TestTraceFiles:
         assert formats == [1, 2, 1]
 
     @pytest.mark.parametrize("file, version", [
-        ("estimates", 0), ("estimates", 3), ("trace", 2)])
+        ("estimates", 0), ("estimates", 1), ("estimates", 3), ("trace", 2),
+        ("snapshot", 2)])
     def test_unsupported_version_of_a_file_kind(self, tmp_path, file,
                                                 version):
         bad = tmp_path / "bad.jsonl"
@@ -493,6 +494,7 @@ _TRICKY_LINES = {
     "nested": b'{"t":2,"x":{"a":[1,{"b":null}]}}\n',
     "empty-object": b'{}\n',
     "float-t": b'{"t":2.0,"x":1}\n',
+    "not-utf8": b'{"t":2,"x":"\xff"}\n',
 }
 
 
@@ -509,8 +511,8 @@ class TestFastParse:
                          + b'{"t":3,"x":1}\n')
         want_records, want_error = json_loads_records(str(path))
         got_records, got_error = [], None
-        _, records = traceio.read_records(str(path))
         try:
+            _, records = traceio.read_records(str(path))
             for rec in records:
                 got_records.append(rec)
         except ValueError as exc:  # TraceFormatError included
@@ -576,12 +578,9 @@ class TestEstimateRecord:
                       MonitorOutput(3, ci, {"A": None, "B": None})])
 
     def test_non_finite_midpoint_raises(self):
-        # Format 1 wrote the midpoint; format 2 still refuses a phi whose
-        # midpoint a reader would derive as inf.
+        # A line whose phi midpoint a reader would derive as inf.
         phi = ConfidenceInterval(1e308, 1.7e308, 0.95)
         out = MonitorOutput(1, phi, {"A": phi, "B": phi})
-        with pytest.raises(ValueError):
-            json.dumps(oracle_record(out), allow_nan=False)
         with pytest.raises(ValueError, match="not finite"):
             traceio.estimate_record(out)
 
@@ -710,24 +709,13 @@ class TestMonitorPipeline:
         with pytest.raises(TraceFormatError, match=f"{est}:10: corrupt"):
             runner.evaluate(str(est), str(trace))
 
-    # A format-1 estimates file carries conclusive and phi as written.
     @pytest.mark.parametrize("target, mutate", [
-        ("estimates", lambda rec: rec.pop("conclusive")),
-        ("estimates", lambda rec: rec.update(phi_hi="x")),
-        ("estimates", lambda rec: rec.update(phi_lo=10 ** 400)),
-        ("estimates", lambda rec: rec.update(conclusive="yes")),
         ("trace", lambda rec: rec.update(truth=5)),
         ("trace", lambda rec: rec.update(truth={"phi": "1"})),
-        ("estimates", lambda rec: rec.update(group_intervals=None)),
         ("estimates", lambda rec: rec.update(floor_violation=0)),
-        ("estimates", lambda rec: rec.update(phi_lo=1e308, phi_hi=1.7e308)),
-    ], ids=["no-conclusive", "text-phi-hi", "huge-phi-lo", "text-flag",
-            "number-truth", "text-truth-phi", "null-groups", "int-flag",
-            "midpoint-overflows"])
+    ], ids=["number-truth", "text-truth-phi", "int-flag"])
     def test_evaluate_reports_bad_record(self, tmp_path, target, mutate):
-        trace, _, _ = self.run_pair(tmp_path)
-        est = tmp_path / "est_v1.jsonl"
-        write_v1_estimates(str(trace), MON, str(est))
+        trace, est, _ = self.run_pair(tmp_path)
         path = est if target == "estimates" else trace
         lines = path.read_text().splitlines()
         rec = json.loads(lines[9])
@@ -1181,57 +1169,59 @@ class TestCsvExport:
         assert lines[0].split(",") == traceio.CSV_FIELDS
         assert len(lines) == 11
 
-    # The format-1 and format-2 files of one run give the same report
-    # and the same CSV bytes: format 2 derives conclusive, phi and the
-    # midpoint by the monitor's own operations.
+    # An estimates line carries only the group intervals and the flags;
+    # export and eval derive conclusive, phi and its midpoint bit for bit
+    # as the monitor computed them.
     @pytest.mark.parametrize("sim, mon", [
         (dict(SIM, horizon=400), MON),
         (dict(ATTENTION_SIM, horizon=400), ATTENTION_MON),
         (dict(COIN_SIM, horizon=400), COIN_MON)],
         ids=["lending", "attention", "coin"])
-    def test_v1_and_v2_files_read_the_same(self, tmp_path, sim, mon):
-        trace = tmp_path / "trace.jsonl"
-        v1, v2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+    def test_rows_and_report_are_the_monitor_outputs(self, tmp_path, sim,
+                                                      mon):
+        trace, est = tmp_path / "trace.jsonl", tmp_path / "est.jsonl"
+        out = tmp_path / "est.csv"
         runner.simulate(sim, str(trace))
-        write_v1_estimates(str(trace), mon, str(v1))
-        runner.monitor_trace(str(trace), mon, str(v2))
-        assert [json.loads(path.read_text().split("\n")[0])["format"]
-                for path in (v1, v2)] == [1, 2]
-        report = runner.evaluate(str(v2), str(trace))
-        assert report["conclusive_steps"] > 0
-        assert runner.evaluate(str(v1), str(trace)) == report
-        for path in (v1, v2):
-            traceio.export_csv(str(path), str(path) + ".csv")
-        assert Path(str(v1) + ".csv").read_bytes() == \
-            Path(str(v2) + ".csv").read_bytes()
+        runner.monitor_trace(str(trace), mon, str(est))
+        traceio.export_csv(str(est), str(out))
+        _, records = read_all(str(trace))
+        monitor = build_monitor(mon)
+        outputs = [monitor.update(traceio.observation_from_record(
+            monitor.kind, rec)) for rec in records]
 
-    # Format 1 records.
-    @pytest.mark.parametrize("mutate, problem", [
-        (lambda rec: rec.update(group_intervals=[[0.0, 1.0], None]),
-         "group_intervals must be an object"),
-        (lambda rec: rec.pop("conclusive"), "missing field 'conclusive'"),
-        (lambda rec: rec["group_intervals"].update(A=5),
-         "group A interval must be [lo, hi] or null"),
-        (lambda rec: rec["group_intervals"].update(A=[1]),
-         "group A interval must be [lo, hi] or null"),
-        (lambda rec: rec.update(conclusive=True, phi_lo="x", phi_hi=1.0),
-         "need conclusive false, or true with finite phi_lo <= phi_hi; "
-         "got True, 'x', 1.0"),
-        (lambda rec: rec["group_intervals"].update(A=[1.0, 0.5]),
-         "group A interval must be [lo, hi] or null"),
-        (lambda rec: rec.update(clamped=1),
-         "clamped and floor_violation must be true or false; got 1, False"),
-    ], ids=["groups-list", "missing-conclusive", "interval-int",
-            "interval-short", "text-phi-lo", "lo-above-hi", "int-flag"])
-    def test_malformed_record_is_data_error(self, tmp_path, capsys, mutate,
-                                            problem):
-        trace = tmp_path / "trace.jsonl"
-        est = tmp_path / "est.jsonl"
-        runner.simulate(SIM, str(trace))
-        write_v1_estimates(str(trace), MON, str(est))
-        self.check_export_error(tmp_path, capsys, est, mutate, problem)
+        # csv writes a float as its repr, so equal text is equal bits.
+        def text(*values):
+            return ["" if v is None else repr(v) for v in values]
 
-    # Format 2 records.
+        want = [traceio.CSV_FIELDS]
+        for o in outputs:
+            phi, a, b = o.phi, o.per_group["A"], o.per_group["B"]
+            want.append(
+                [str(o.t), str(o.conclusive)]
+                + (text(None, None, None) if phi is None
+                   else text(phi.lo, phi.hi, phi.midpoint))
+                + [str(o.clamped), str(o.floor_violation)]
+                + (text(None, None) if a is None else text(a.lo, a.hi))
+                + (text(None, None) if b is None else text(b.lo, b.hi)))
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == want
+
+        report = runner.evaluate(str(est), str(trace))
+        steps = [(o.t, o.phi, rec["truth"]["phi"])
+                 for o, rec in zip(outputs, records) if o.conclusive]
+        assert report["steps"] == len(outputs)
+        assert report["conclusive_steps"] == len(steps) > 0
+        assert report["truth_steps"] == len(steps)
+        assert report["contained"] == sum(phi.lo <= truth <= phi.hi
+                                          for _, phi, truth in steps)
+        width_sum = 0.0
+        for _, phi, _ in steps:
+            width_sum += phi.hi - phi.lo
+        assert report["mean_width"] == width_sum / len(steps)
+        widths = {t: phi.hi - phi.lo for t, phi, _ in steps}
+        for point in report["width_decay"]:
+            assert point["width"] == widths[point["t"]]
+
     @pytest.mark.parametrize("mutate, problem", [
         (lambda rec: rec.pop("A"), "missing field 'A'"),
         (lambda rec: rec.pop("clamped"), "missing field 'clamped'"),
@@ -1243,9 +1233,11 @@ class TestCsvExport:
         (lambda rec: rec.update(A=[2.0, 1.0]), "group A interval must be"),
         (lambda rec: rec.update(A=[-1.7e308, -1e308], B=[1e308, 1.7e308]),
          "phi [-inf, -inf] or its midpoint is not finite"),
+        (lambda rec: rec.update(clamped=1),
+         "clamped and floor_violation must be true or false; got 1, False"),
     ], ids=["missing-A", "missing-clamped", "missing-floor-violation",
             "interval-int", "interval-short", "lo-above-hi",
-            "phi-overflows"])
+            "phi-overflows", "int-flag"])
     def test_malformed_v2_record_is_data_error(self, tmp_path, capsys,
                                                mutate, problem):
         trace = tmp_path / "trace.jsonl"
@@ -1334,6 +1326,27 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"fairmon: error: config {bad} must be a JSON object, got "
             f"{json_type}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        b'{"simulator": {"n_a": ' + b"9" * 5000 + b'}}',
+        b'{"simulator": "\xff"}'], ids=["huge-int", "not-utf8"])
+    @pytest.mark.parametrize("command", ["simulate", "monitor", "run"])
+    def test_undecodable_config_is_exit_1(self, tmp_path, capsys, command,
+                                          text):
+        # An int past json's digit limit, or bytes that are not UTF-8,
+        # ended as a bare ValueError that did not name the config.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        out = tmp_path / "out"
+        argv = {"simulate": ["simulate", "--seed", "1", "-o", str(out)],
+                "monitor": ["monitor", "--trace", str(trace), "-o", str(out)],
+                "run": ["run", "--seed", "1", "--out-dir", str(out)]}[command]
+        assert cli.main(argv + ["--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"fairmon: error: config {bad} is not valid JSON: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, names", [
@@ -1425,6 +1438,78 @@ class TestCli:
         assert cli.main(["monitor", "--trace", str(bad), "--config",
                          str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 2
         capsys.readouterr()
+
+    # An int past json's digit limit, or a byte that is not UTF-8, on
+    # line index + 1 of a file.  Lines past the first 8 KiB are decoded
+    # after the earlier records were read.
+    @pytest.mark.parametrize("value, problem", [
+        (b"9" * 5000, "Exceeds the limit"),
+        (b'"\xff"', "line is not UTF-8 text (invalid start byte)")],
+        ids=["huge-int", "not-utf8"])
+    @pytest.mark.parametrize("target, index, command", [
+        ("trace", 0, "monitor"), ("trace", 5, "monitor"),
+        ("trace", 300, "monitor"), ("trace", 300, "eval"),
+        ("estimates", 0, "eval"), ("estimates", 5, "export"),
+        ("estimates", 300, "eval"), ("estimates", 300, "export"),
+        ("snapshot", 0, "monitor")],
+        ids=["trace-metadata", "trace-record", "trace-late-record",
+             "eval-trace-late-record", "estimates-metadata",
+             "estimates-record", "estimates-late-record",
+             "export-estimates-late-record", "snapshot"])
+    def test_undecodable_line_is_data_error(self, tmp_path, capsys, target,
+                                            index, command, value, problem):
+        files = {"trace": tmp_path / "trace.jsonl",
+                 "estimates": tmp_path / "est.jsonl",
+                 "snapshot": tmp_path / "snap.json"}
+        runner.simulate(dict(SIM, horizon=400), str(files["trace"]))
+        runner.monitor_trace(str(files["trace"]), MON,
+                             str(files["estimates"]),
+                             snapshot_out=str(files["snapshot"]))
+        path = files[target]
+        lines = path.read_bytes().split(b"\n")
+        if index == 300:
+            assert len(b"\n".join(lines[:index])) > 8192
+        lines[index] = b'{"bad":' + value + b"," + lines[index][1:]
+        path.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        trace, est = str(files["trace"]), str(files["estimates"])
+        argv = {"monitor": ["monitor", "--trace", trace, "-o", str(out)]
+                + (["--resume", str(path)] if target == "snapshot"
+                   else ["--config", str(self.write_config(tmp_path,
+                                                           mon=MON))]),
+                "eval": ["eval", "--estimates", est, "--trace", trace,
+                         "-o", str(out)],
+                "export": ["export", "--estimates", est,
+                           "-o", str(out)]}[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fairmon: data error: {path}:{index + 1}: ")
+        assert problem in err
+
+    # Estimates format 1 is no longer read; its metadata names the trace
+    # it was computed from, so it can be regenerated exactly.
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_format_1_estimates_is_exit_2(self, tmp_path, capsys, command):
+        trace, est = tmp_path / "trace.jsonl", tmp_path / "est.jsonl"
+        runner.simulate(SIM, str(trace))
+        runner.monitor_trace(str(trace), MON, str(est))
+        lines = est.read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["format"] = 1
+        lines[0] = json.dumps(meta)
+        write_lines(est, lines)
+        out = tmp_path / "out"
+        argv = {"eval": ["eval", "--estimates", str(est), "--trace",
+                         str(trace), "-o", str(out)],
+                "export": ["export", "--estimates", str(est),
+                           "-o", str(out)]}[command]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"fairmon: data error: {est}: unsupported format version 1 of "
+            f"a estimates file; re-run `fairmon monitor` on the trace "
+            f"whose config_hash is {meta['trace_config_hash']!r} to "
+            f"regenerate it\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("sim, mon, mutate", [
         (SIM, MON, lambda rec: rec.update(x="7")),
