@@ -85,6 +85,8 @@ def _parse_override(text):
         return key, json.loads(value)
     except json.JSONDecodeError:
         return key, value
+    except ValueError as exc:  # an integer past the digit limit
+        raise ConfigError(f"override {key}: {exc}") from None
 
 
 def build_parser():

@@ -1,9 +1,10 @@
 """Composed disparity monitors.
 
-A two-group monitor runs one shift-corrected estimator per group at
-budget delta/2 and reports the interval difference of the two per-group
-outputs at overall confidence 1 - delta (union bound).  Before both
-groups have produced an estimate the output is marked inconclusive.
+A monitor runs one shift-corrected estimator per group at budget
+delta / len(groups), so its group intervals hold together at confidence
+1 - delta (union bound).  Lending and attention report the interval
+difference of groups A and B, inconclusive until both groups have an
+estimate; the coin monitor reports the interval of its one group, A.
 """
 
 from collections import namedtuple
@@ -40,16 +41,18 @@ class MonitorOutput(namedtuple(
         return self.phi is not None
 
 
-class TwoGroupMonitor:
-    """One estimator per group at budget delta/2; the disparity interval
-    is the difference of the latest outputs of groups A and B.
+class Monitor:
+    """One estimator per group of ``groups`` at budget
+    delta / len(groups); a two-group monitor's disparity interval is the
+    difference of the latest outputs of groups A and B.
 
     A subclass sets ``kind``, ``config_type`` and ``observation_type``
-    (a namedtuple whose fields are those of a trace record), passes its
-    tail parameters to ``__init__``, and defines ``update``: check the
-    observation, advance ``t``, update each observed group's estimator
-    with its sample and the shift its change function gives, store the
-    reported interval in ``_last`` and return :meth:`_emit`.
+    (a namedtuple whose fields are those of a trace record), and
+    ``groups`` if not A and B, passes its tail parameters to
+    ``__init__``, and defines ``update``: check the observation, advance
+    ``t``, update each observed group's estimator with its sample and
+    the shift its change function gives, store the reported interval in
+    ``_last`` and return the output (:meth:`_emit` for two groups).
 
     A subclass whose quantity has a known floor sets ``floor_violation``
     once the net shift may have driven the quantity through zero; the
@@ -57,16 +60,17 @@ class TwoGroupMonitor:
     """
 
     kind = None
+    groups = GROUPS
 
     def __init__(self, cfg, params):
         self.cfg = cfg
+        budget = cfg.delta / len(self.groups)
         # Every reported group interval holds at this level.
-        self._confidence = 1.0 - cfg.delta / 2.0
+        self._confidence = 1.0 - budget
         self._estimators = {
-            g: ShiftedMeanEstimator(cfg.delta / 2.0, params)
-            for g in GROUPS
+            g: ShiftedMeanEstimator(budget, params) for g in self.groups
         }
-        self._last = {g: None for g in GROUPS}
+        self._last = {g: None for g in self.groups}
         self.floor_violation = False
         self.t = 0
 
@@ -85,7 +89,7 @@ class TwoGroupMonitor:
         return {
             "t": self.t,
             "estimators": {g: self._estimators[g].state_dict()
-                           for g in GROUPS},
+                           for g in self.groups},
             "last": {g: None if ci is None else [ci.lo, ci.hi]
                      for g, ci in self._last.items()},
             "floor_violation": self.floor_violation,
@@ -93,7 +97,7 @@ class TwoGroupMonitor:
 
     def load_state_dict(self, state):
         self.t = state_count(state["t"])
-        for g in GROUPS:
+        for g in self.groups:
             self._estimators[g].load_state_dict(state["estimators"][g])
             raw = state["last"][g]
             if (raw is None) != (self._estimators[g].t == 0):
@@ -106,6 +110,20 @@ class TwoGroupMonitor:
         if type(flag) is not bool:
             raise TypeError(f"floor_violation must be a bool, got {flag!r}")
         self.floor_violation = flag
+        self._check_state()
+
+    def _check_state(self):
+        """Raise ValueError if the loaded state's facts disagree.  By
+        default each record updates the estimator of its own group only,
+        and no floor is tracked."""
+        counts = [self._estimators[g].t for g in self.groups]
+        if self.t != sum(counts):
+            raise ValueError(
+                f"t={self.t} differs from the group step counts "
+                + " + ".join(map(str, counts)))
+        if self.floor_violation:
+            raise ValueError(f"floor_violation is never set by a "
+                             f"{self.kind} monitor")
 
 
 # --------------------------------------------------------------------
@@ -141,7 +159,7 @@ def lending_change(obs, cfg):
     return 0.0
 
 
-class LendingMonitor(TwoGroupMonitor):
+class LendingMonitor(Monitor):
     """Streams lending events; estimates the disparity in mean credit
     score between groups A and B."""
 
@@ -169,19 +187,6 @@ class LendingMonitor(TwoGroupMonitor):
         self._last[g] = self._estimators[g].update(
             x, lending_change(obs, self.cfg))
         return self._emit()
-
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
-        t_a, t_b = self._estimators["A"].t, self._estimators["B"].t
-        # Each event updates the estimator of its own group only.
-        if self.t != t_a + t_b:
-            raise ValueError(
-                f"t={self.t} differs from the group step counts "
-                f"{t_a} + {t_b}")
-        # Only the attention monitor tracks a floor.
-        if self.floor_violation:
-            raise ValueError("floor_violation is never set by a lending "
-                             "monitor")
 
 
 # --------------------------------------------------------------------
@@ -225,7 +230,7 @@ def attention_change(y_units, gamma):
     return -gamma * y_units
 
 
-class AttentionMonitor(TwoGroupMonitor):
+class AttentionMonitor(Monitor):
     """Streams allocation rounds; estimates the disparity in incident
     discovery probability between the two monitored locations."""
 
@@ -277,8 +282,7 @@ class AttentionMonitor(TwoGroupMonitor):
         self._last[g] = eta_interval(y, rate_ci)
         return clamped
 
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
+    def _check_state(self):
         t_a, t_b = self._estimators["A"].t, self._estimators["B"].t
         # Each round updates both locations' estimators.
         if not t_a == t_b == self.t:
@@ -288,7 +292,7 @@ class AttentionMonitor(TwoGroupMonitor):
         # The update that brought a net shift to the floor set the flag.
         # A set flag cannot be checked: a later shift may have moved back.
         if not self.floor_violation:
-            for g in GROUPS:
+            for g in self.groups:
                 if self.cfg.lambda_min + self._estimators[g].net_shift <= 0.0:
                     raise ValueError(
                         f"floor_violation is false, but lambda_min plus "
@@ -320,23 +324,17 @@ def coin_change(obs, epsilon):
     return epsilon if obs.x == 1 else -epsilon
 
 
-class CoinMonitor:
-    """Tracks the drifting bias of a single coin-toss stream."""
+class CoinMonitor(Monitor):
+    """Tracks the drifting bias of a single coin-toss stream, group A."""
 
     kind = "coin"
     config_type = CoinMonitorConfig
     observation_type = CoinObservation
+    groups = ("A",)
 
     def __init__(self, cfg):
-        self.cfg = cfg
         # Outcomes lie in [0, 1]: lending's (c_max**2, 0) with c_max = 1.
-        self._estimator = ShiftedMeanEstimator(cfg.delta,
-                                               SubExpParams(1.0, 0.0))
-        self.t = 0
-
-    @property
-    def estimator(self):
-        return self._estimator
+        super().__init__(cfg, SubExpParams(1.0, 0.0))
 
     def update(self, obs):
         if type(obs.x) is not int:
@@ -344,20 +342,10 @@ class CoinMonitor:
         if obs.x not in (0, 1):
             raise ValueError(f"coin outcome must be 0 or 1, got {obs.x}")
         self.t += 1
-        ci = self._estimator.update(obs.x,
-                                    coin_change(obs, self.cfg.epsilon))
+        ci = self._last["A"] = self._estimators["A"].update(
+            obs.x, coin_change(obs, self.cfg.epsilon))
         return _new(MonitorOutput, (self.t, ci, {"A": ci, "B": None},
                                     False, False))
-
-    def state_dict(self):
-        return {"t": self.t, "estimator": self._estimator.state_dict()}
-
-    def load_state_dict(self, state):
-        self.t = state_count(state["t"])
-        self._estimator.load_state_dict(state["estimator"])
-        if self._estimator.t != self.t:
-            raise ValueError(f"t={self.t} differs from the estimator step "
-                             f"count {self._estimator.t}")
 
 
 # --------------------------------------------------------------------

@@ -341,9 +341,18 @@ def write_snapshot(path, monitor, monitor_config):
 
 
 def read_snapshot(path):
-    """Return (kind, monitor_config, state)."""
+    """Return (kind, monitor_config, state).  A snapshot is its one
+    metadata line: any later line that is not blank is a data error."""
     with open(path, encoding="utf-8") as fh:
         meta = _read_meta(fh, path, "snapshot")
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                if line.strip():
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: unexpected line after the "
+                        f"snapshot")
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from exc
     kind = meta["kind"]
     config, state = meta.get("monitor_config"), meta.get("state")
     if not isinstance(config, dict) or not isinstance(state, dict):

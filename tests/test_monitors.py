@@ -303,12 +303,29 @@ class TestCoinMonitor:
 
     def test_tail_parameters_follow_outcome_range(self):
         mon = CoinMonitor(CoinMonitorConfig(epsilon=0.1, delta=0.05))
-        assert mon.estimator.params == SubExpParams(1.0, 0.0)
+        assert mon.estimator("A").params == SubExpParams(1.0, 0.0)
 
     def test_rejects_non_binary_outcome(self):
         mon = CoinMonitor(CoinMonitorConfig(epsilon=0.1, delta=0.05))
         with pytest.raises(ValueError):
             mon.update(CoinObservation(2))
+
+    def test_state_round_trip(self):
+        cfg = CoinMonitorConfig(epsilon=0.1, delta=0.05)
+        stream = [CoinObservation(x) for x in (1, 0, 0, 1, 1)]
+        mon = CoinMonitor(cfg)
+        outs = [mon.update(o) for o in stream]
+        first = CoinMonitor(cfg)
+        for o in stream[:2]:
+            first.update(o)
+        # The layout every kind shares, with the one group A.
+        state = json.loads(json.dumps(first.state_dict()))
+        assert sorted(state) == ["estimators", "floor_violation", "last", "t"]
+        assert list(state["estimators"]) == list(state["last"]) == ["A"]
+        resumed = CoinMonitor(cfg)
+        resumed.load_state_dict(state)
+        for o, want in zip(stream[2:], outs[2:]):
+            assert resumed.update(o) == want
 
 
 class TestObservations:

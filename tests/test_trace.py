@@ -932,6 +932,21 @@ class TestLatencySummary:
         assert got == dict(self.exact(kept), updates=horizon)
 
 
+def _two_group_layout_before_floor_bit(state, mon):
+    """The earlier two-group state: each group's confidence in "last" and
+    a per-group "min_shift" instead of the "floor_violation" bit."""
+    for g in ("A", "B"):
+        state["last"][g].append(1.0 - mon["delta"] / 2.0)
+    del state["floor_violation"]
+    state["min_shift"] = {"A": 0.0, "B": 0.0}
+    return state
+
+
+def _coin_layout_before_shared_state(state, mon):
+    """The earlier coin state, its one estimator outside the group maps."""
+    return {"t": state["t"], "estimator": state["estimators"]["A"]}
+
+
 class TestSnapshotResume:
 
     def split_trace(self, tmp_path, trace, split):
@@ -1048,6 +1063,9 @@ class TestSnapshotResume:
         (MON, lambda state: state.update(floor_violation=True)),
         (ATTENTION_MON, lambda state: state["estimators"]["A"].update(
             d=-4.5)),
+        (COIN_MON, lambda state: state.update(floor_violation=True)),
+        (COIN_MON, lambda state: state["last"].update(A=None)),
+        (COIN_MON, lambda state: state.pop("estimators")),
     ], ids=["fractional-t", "bool-estimator-t", "no-last",
             "no-floor-violation", "text-t", "list-estimator",
             "short-interval", "attention-int-floor-violation",
@@ -1055,7 +1073,8 @@ class TestSnapshotResume:
             "lending-t-not-group-sum", "attention-group-t-differs",
             "last-null-after-updates", "last-set-without-updates",
             "lending-floor-violation-set",
-            "attention-floor-unset-below-floor"])
+            "attention-floor-unset-below-floor", "coin-floor-violation-set",
+            "coin-last-null-after-updates", "coin-no-estimators"])
     def test_bad_snapshot_state_is_data_error(self, tmp_path, capsys,
                                               mon, mutate):
         sim = {"lending": SIM, "coin": COIN_SIM,
@@ -1074,24 +1093,20 @@ class TestSnapshotResume:
                          str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
         assert f"data error: {snap}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sim, mon", [
-        (SIM, MON), (ATTENTION_SIM, ATTENTION_MON)], ids=["lending",
-                                                          "attention"])
+    @pytest.mark.parametrize("sim, mon, older", [
+        (SIM, MON, _two_group_layout_before_floor_bit),
+        (ATTENTION_SIM, ATTENTION_MON, _two_group_layout_before_floor_bit),
+        (COIN_SIM, COIN_MON, _coin_layout_before_shared_state)],
+        ids=["lending", "attention", "coin"])
     def test_old_state_layout_is_data_error(self, tmp_path, capsys, sim,
-                                            mon):
-        # The earlier layout kept each group's confidence in "last" and a
-        # per-group "min_shift" instead of the "floor_violation" bit.
+                                            mon, older):
         trace = tmp_path / "trace.jsonl"
         runner.simulate(sim, str(trace))
         snap = tmp_path / "snap.json"
         runner.monitor_trace(str(trace), mon, str(tmp_path / "e.jsonl"),
                              snapshot_out=str(snap))
         blob = json.loads(snap.read_text())
-        state = blob["state"]
-        for g in ("A", "B"):
-            state["last"][g].append(1.0 - mon["delta"] / 2.0)
-        del state["floor_violation"]
-        state["min_shift"] = {"A": 0.0, "B": 0.0}
+        blob["state"] = older(blob["state"], mon)
         snap.write_text(json.dumps(blob) + "\n")
         assert cli.main(["monitor", "--trace", str(trace), "--resume",
                          str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
@@ -1146,6 +1161,28 @@ class TestSnapshotResume:
             runner.monitor_trace(str(trace), None,
                                  str(tmp_path / "e2.jsonl"),
                                  snapshot_in=str(snap))
+
+    # Blank lines are skipped; past the reader's first decoded chunk a
+    # byte that is not UTF-8 is a data error too.
+    @pytest.mark.parametrize("extra, lineno", [
+        (b"not json at all\n", 2), (b"\n" * 9000 + b"\xff\n", 9002)],
+        ids=["text", "not-utf8-after-blank-lines"])
+    def test_snapshot_with_extra_line_is_data_error(self, tmp_path, capsys,
+                                                     extra, lineno):
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        head, tail = self.split_trace(tmp_path, trace, 4)
+        snap = tmp_path / "snap.json"
+        runner.monitor_trace(str(head), MON, str(tmp_path / "e.jsonl"),
+                             snapshot_out=str(snap))
+        with open(snap, "ab") as fh:
+            fh.write(extra)
+        out = tmp_path / "e2.jsonl"
+        assert cli.main(["monitor", "--trace", str(tail), "--resume",
+                         str(snap), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"fairmon: data error: {snap}:{lineno}: ")
+        assert not out.exists()
 
     def test_trace_file_is_not_a_snapshot(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -1607,6 +1644,17 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(cfg), "--seed", "42",
                          "-o", str(trace), "--set", override]) == 1
         assert "error: horizon must be int" in capsys.readouterr().err
+
+    def test_override_past_the_digit_limit_names_its_key(self, tmp_path,
+                                                          capsys):
+        cfg = self.write_config(tmp_path, SIM, MON)
+        out = tmp_path / "t.jsonl"
+        assert cli.main(["simulate", "--config", str(cfg), "--seed", "42",
+                         "-o", str(out), "--set", "n_a=" + "9" * 5000]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fairmon: error: override n_a: "), err
+        assert "9" * 100 not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, override", [
         ("simulate", f"c_max={10 ** 400}"),
