@@ -70,7 +70,8 @@ def monitor_trace(trace_path, monitor_config, out_path,
         _, cfg, state = traceio.read_snapshot(snapshot_in)
         if monitor_config is not None and dict(cfg) != dict(monitor_config):
             raise TraceFormatError(
-                "snapshot monitor config differs from the requested one")
+                f"{snapshot_in}:1: snapshot monitor config differs from "
+                f"the requested one")
         monitor_config = cfg
         mon = build_monitor(cfg)
         try:
@@ -84,8 +85,8 @@ def monitor_trace(trace_path, monitor_config, out_path,
     meta, records = traceio.read_records(trace_path, start_t=first_t + 1)
     if meta["kind"] != mon.kind:
         raise TraceFormatError(
-            f"trace kind {meta['kind']!r} does not match monitor kind "
-            f"{mon.kind!r}")
+            f"{trace_path}:1: trace kind {meta['kind']!r} does not match "
+            f"monitor kind {mon.kind!r}")
     _check_shared_fields(trace_path, meta.get("config"), monitor_config)
 
     samples, stride = [], TIMED_EVERY
@@ -109,8 +110,7 @@ def monitor_trace(trace_path, monitor_config, out_path,
                         del samples[1::2]
                         stride *= 2
             except (TypeError, ValueError, OverflowError) as exc:
-                raise traceio.bad_record(trace_path, rec["t"], exc,
-                                         first_t + 1) from exc
+                records.throw(exc)
             yield traceio.estimate_record(out)
 
     traceio.write_estimates(out_path, mon.kind, dict(monitor_config),
@@ -163,7 +163,8 @@ def evaluate(estimates_path, trace_path):
         estimates_path, expected_file="estimates")
     trace_meta, trace_records = traceio.read_records(trace_path)
     if est_meta["kind"] != trace_meta["kind"]:
-        raise TraceFormatError("estimates and trace kinds differ")
+        raise TraceFormatError(
+            f"{estimates_path}:1: estimates and trace kinds differ")
     if est_meta.get("trace_config_hash") != trace_meta.get("config_hash"):
         raise TraceFormatError(
             f"{estimates_path} was not computed from {trace_path}: its "
@@ -189,7 +190,22 @@ def evaluate(estimates_path, trace_path):
         try:
             phi = read(est)[0]
         except ValueError as exc:
-            raise traceio.bad_record(estimates_path, t, exc) from exc
+            est_records.throw(exc)
+        # Every record's truth is checked, conclusive or not.
+        truth = rec.get("truth")
+        true_phi = None
+        if truth is not None:
+            if type(truth) is not dict:
+                trace_records.throw(ValueError(
+                    f"truth must be an object, got {truth!r}"))
+            if "phi" in truth:
+                true_phi = truth["phi"]
+                # is_real, with floats (what the simulators write) inline.
+                if type(true_phi) is not float and not is_real(true_phi) \
+                        or not -_INF < true_phi < _INF:
+                    trace_records.throw(ValueError(
+                        f"truth phi must be a finite number, got "
+                        f"{true_phi!r}"))
         if phi is None:
             continue
         lo, hi = phi
@@ -200,22 +216,9 @@ def evaluate(estimates_path, trace_path):
             decay.append({"t": t, "width": width})
             while next_checkpoint <= t:
                 next_checkpoint *= 2
-        truth = rec.get("truth")
-        if truth is None:
-            continue
-        if type(truth) is not dict:
-            raise traceio.bad_record(
-                trace_path, t, f"truth must be an object, got {truth!r}")
-        if "phi" in truth:
-            phi = truth["phi"]
-            # is_real, with floats (what the simulators write) inline.
-            if type(phi) is not float and not is_real(phi) \
-                    or not -_INF < phi < _INF:
-                raise traceio.bad_record(
-                    trace_path, t,
-                    f"truth phi must be a finite number, got {phi!r}")
+        if true_phi is not None:
             truth_steps += 1
-            if lo <= phi <= hi:
+            if lo <= true_phi <= hi:
                 contained += 1
     report = {
         "steps": steps,

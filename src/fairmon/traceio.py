@@ -12,7 +12,6 @@ survive silent gaps.
 
 import json
 import math
-from itertools import islice
 from operator import itemgetter
 
 # SHA-256 from CPython's built-in module, as random.py takes SHA-512:
@@ -134,11 +133,24 @@ def write_trace(path, kind, config, payloads):
             fh.write(line(payload) + "\n")
 
 
-def _read_meta(fh, path, expected_file):
+def _check_utf8(path, lineno, line):
+    """Raise the data error of a line that is not UTF-8.  Files are read
+    with each byte that is not UTF-8 kept as a lone surrogate, so the
+    text layer never fails partway through a chunk; this restores the
+    line's bytes and decodes them strictly.  Only a line that is not
+    ASCII needs it."""
     try:
-        line = fh.readline()
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
+        raise TraceFormatError(
+            f"{path}:{lineno}: line is not UTF-8 text ({exc.reason})"
+        ) from exc
+
+
+def _read_meta(fh, path, expected_file):
+    line = fh.readline()
+    if not line.isascii():
+        _check_utf8(path, 1, line)
     if not line:
         raise TraceFormatError(f"{path}: empty file, missing metadata line")
     try:
@@ -173,6 +185,11 @@ def read_records(path, expected_file="trace", start_t=1):
     syntax and that t starts at ``start_t`` (1 for whole files; a resumed
     run continues from its snapshot's step count) and increases by 1.
 
+    A consumer that rejects the record just yielded calls
+    ``records.throw(exc)``: the iterator, still at that record's line,
+    raises ``TraceFormatError("PATH:LINE: bad record t=T: EXC")`` from
+    ``exc``.
+
     The iterator owns the open file from the start: it closes it on a
     metadata error, at its end, and when it is dropped unfinished."""
     records = _records(path, expected_file, start_t)
@@ -181,66 +198,41 @@ def read_records(path, expected_file="trace", start_t=1):
 
 def _records(path, expected_file, start_t):
     """Yield the metadata, then each record, of ``path``."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         yield _read_meta(fh, path, expected_file)
         expected_t = start_t
-        try:
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    rec, end = _scan_once(line, 0)
-                except (StopIteration, ValueError):
-                    end = 0  # the line is not blank, so not "\n" from 0
-                if line[end:] != "\n":
-                    try:
-                        rec = json.loads(line)
-                    except ValueError as exc:  # the digit limit included
-                        raise TraceFormatError(
-                            f"{path}:{lineno}: corrupt record: {exc}"
-                        ) from exc
-                try:
-                    t = rec.get("t")
-                except AttributeError:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: record is not a JSON object"
-                    ) from None
-                if t != expected_t or type(t) is not int:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: expected t={expected_t}, "
-                        f"got {t!r}")
-                expected_t += 1
-                yield rec
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from exc
-
-
-def _undecodable(path, exc):
-    """The data error for the first line of ``path`` that is not UTF-8.
-    The reader decodes a buffered chunk of lines at a time, so ``exc``
-    does not tell which line; this re-reads ``path`` with each bad byte
-    kept as a lone surrogate, which no UTF-8 line decodes to, and
-    numbers its lines as the reader does."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(fh, start=2):
+            if not line.isascii():
+                _check_utf8(path, lineno, line)
+            if not line.strip():
+                continue
             try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                break
-    return TraceFormatError(
-        f"{path}:{lineno}: line is not UTF-8 text ({exc.reason})")
-
-
-def bad_record(path, t, problem, start_t=1):
-    """The data error for record ``t`` of ``path``, whose first record is
-    ``start_t``.  The record iterator yields no line numbers, so this
-    re-reads ``path`` for the record's line, skipping blank lines as
-    :func:`_records` does."""
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # the metadata line
-        lines = (n for n, line in enumerate(fh, start=2) if line.strip())
-        lineno = next(islice(lines, t - start_t, None))
-    return TraceFormatError(f"{path}:{lineno}: bad record t={t}: {problem}")
+                rec, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = 0  # the line is not blank, so not "\n" from 0
+            if line[end:] != "\n":
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:  # the digit limit included
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: corrupt record: {exc}"
+                    ) from exc
+            try:
+                t = rec.get("t")
+            except AttributeError:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: record is not a JSON object"
+                ) from None
+            if t != expected_t or type(t) is not int:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: expected t={expected_t}, "
+                    f"got {t!r}")
+            expected_t += 1
+            try:
+                yield rec
+            except Exception as exc:  # thrown in by the consumer
+                raise TraceFormatError(
+                    f"{path}:{lineno}: bad record t={t}: {exc}") from exc
 
 
 def _fields_getter(fields):
@@ -343,16 +335,14 @@ def write_snapshot(path, monitor, monitor_config):
 def read_snapshot(path):
     """Return (kind, monitor_config, state).  A snapshot is its one
     metadata line: any later line that is not blank is a data error."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         meta = _read_meta(fh, path, "snapshot")
-        try:
-            for lineno, line in enumerate(fh, start=2):
-                if line.strip():
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: unexpected line after the "
-                        f"snapshot")
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from exc
+        for lineno, line in enumerate(fh, start=2):
+            if not line.isascii():
+                _check_utf8(path, lineno, line)
+            if line.strip():
+                raise TraceFormatError(
+                    f"{path}:{lineno}: unexpected line after the snapshot")
     kind = meta["kind"]
     config, state = meta.get("monitor_config"), meta.get("state")
     if not isinstance(config, dict) or not isinstance(state, dict):
@@ -456,7 +446,7 @@ def export_csv(estimates_path, csv_path):
             try:
                 phi, clamped, floor_violation, a, b = read(rec)
             except ValueError as exc:
-                raise bad_record(estimates_path, t, exc) from exc
+                records.throw(exc)
             if phi is None:
                 row = [t, False, None, None, None]
             else:

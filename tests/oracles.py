@@ -2,7 +2,6 @@
 
 import json
 import math
-import re
 from pathlib import Path
 
 from fairmon import ConfidenceInterval
@@ -111,38 +110,36 @@ def json_loads_records(path, start_t=1):
     the records before the first bad line and that line's exception as
     ``(type, message)``, or None.  The metadata line is skipped.
 
-    The reader decodes UTF-8 one buffered chunk at a time, so in a file
-    of one chunk, as the tests write, bytes that are not UTF-8 come
-    before any record: they give no records and the error of the line
-    that holds them.  Lines end at ``\r\n``, ``\r`` or ``\n``, as in
-    a file read as text."""
-    raw = Path(path).read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = 1 + len(re.findall(rb"\r\n|\r|\n", raw[:exc.start]))
-        return [], ("TraceFormatError", f"{path}:{lineno}: line is not "
-                                        f"UTF-8 text ({exc.reason})")
+    Each line is decoded from UTF-8 on its own, so bytes that are not
+    UTF-8 are the error of the line that holds them, after the records
+    before it.  Lines end at ``\r\n``, ``\r`` or ``\n``, each read as
+    ``\n``, as in a file read as text."""
     records = []
     expected_t = start_t
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:  # an int past the digit limit too
-                return records, ("TraceFormatError",
-                                 f"{path}:{lineno}: corrupt record: {exc}")
-            if not isinstance(rec, dict):
-                return records, ("TraceFormatError",
-                                 f"{path}:{lineno}: record is not a JSON "
-                                 f"object")
-            if rec.get("t") != expected_t or type(rec["t"]) is not int:
-                return records, ("TraceFormatError",
-                                 f"{path}:{lineno}: expected "
-                                 f"t={expected_t}, got {rec.get('t')!r}")
-            expected_t += 1
-            records.append(rec)
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return records, ("TraceFormatError", f"{path}:{lineno}: line is "
+                                                 f"not UTF-8 text "
+                                                 f"({exc.reason})")
+        if lineno == 1 or not line.strip():
+            continue
+        line = line.replace("\r\n", "\n").replace("\r", "\n")
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:  # an int past the digit limit too
+            return records, ("TraceFormatError",
+                             f"{path}:{lineno}: corrupt record: {exc}")
+        if not isinstance(rec, dict):
+            return records, ("TraceFormatError",
+                             f"{path}:{lineno}: record is not a JSON "
+                             f"object")
+        if rec.get("t") != expected_t or type(rec["t"]) is not int:
+            return records, ("TraceFormatError",
+                             f"{path}:{lineno}: expected "
+                             f"t={expected_t}, got {rec.get('t')!r}")
+        expected_t += 1
+        records.append(rec)
     return records, None

@@ -664,8 +664,18 @@ class TestMonitorPipeline:
         trace = tmp_path / "trace.jsonl"
         runner.simulate({"kind": "coin", "p1": 0.5, "epsilon": 0.0,
                          "horizon": 5, "seed": 1}, str(trace))
-        with pytest.raises(TraceFormatError, match="kind"):
+        with pytest.raises(TraceFormatError,
+                           match=f"{trace}:1: trace kind 'coin'"):
             runner.monitor_trace(str(trace), MON, str(tmp_path / "e.jsonl"))
+
+    def test_evaluate_kind_mismatch_names_the_estimates(self, tmp_path):
+        _, est, _ = self.run_pair(tmp_path)
+        trace = tmp_path / "coin.jsonl"
+        runner.simulate(COIN_SIM, str(trace))
+        with pytest.raises(TraceFormatError,
+                           match=f"{est}:1: estimates and trace kinds "
+                                 f"differ"):
+            runner.evaluate(str(est), str(trace))
 
     def test_single_group_stream_stays_inconclusive(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -709,21 +719,27 @@ class TestMonitorPipeline:
         with pytest.raises(TraceFormatError, match=f"{est}:10: corrupt"):
             runner.evaluate(str(est), str(trace))
 
-    @pytest.mark.parametrize("target, mutate", [
-        ("trace", lambda rec: rec.update(truth=5)),
-        ("trace", lambda rec: rec.update(truth={"phi": "1"})),
-        ("estimates", lambda rec: rec.update(floor_violation=0)),
-    ], ids=["number-truth", "text-truth-phi", "int-flag"])
-    def test_evaluate_reports_bad_record(self, tmp_path, target, mutate):
+    # Truth is checked on every step, the inconclusive t=1 included.
+    @pytest.mark.parametrize("target, t, mutate", [
+        ("trace", 9, lambda rec: rec.update(truth=5)),
+        ("trace", 9, lambda rec: rec.update(truth={"phi": "1"})),
+        ("estimates", 9, lambda rec: rec.update(floor_violation=0)),
+        ("trace", 1, lambda rec: rec.update(truth=5)),
+        ("trace", 1, lambda rec: rec.update(truth={"phi": "1"})),
+        ("trace", 1, lambda rec: rec.update(truth={"phi": None})),
+    ], ids=["number-truth", "text-truth-phi", "int-flag", "t1-number-truth",
+            "t1-text-truth-phi", "t1-null-truth-phi"])
+    def test_evaluate_reports_bad_record(self, tmp_path, target, t, mutate):
         trace, est, _ = self.run_pair(tmp_path)
+        assert json.loads(est.read_text().splitlines()[1])["B"] is None
         path = est if target == "estimates" else trace
         lines = path.read_text().splitlines()
-        rec = json.loads(lines[9])
+        rec = json.loads(lines[t])
         mutate(rec)
-        lines[9] = json.dumps(rec)
+        lines[t] = json.dumps(rec)
         write_lines(path, lines)
         with pytest.raises(TraceFormatError,
-                           match=f"{path}:10: bad record t=9: "):
+                           match=f"{path}:{t + 1}: bad record t={t}: "):
             runner.evaluate(str(est), str(trace))
 
     # A format-2 record derives phi from its group intervals, A - B.
@@ -802,6 +818,35 @@ class TestMonitorPipeline:
         with pytest.raises(TraceFormatError,
                            match=f"{path}:11: bad record t=7: "):
             run()
+
+    # The reader that numbers a line reports the record's error, so a
+    # trace unlinked, or replaced as by log rotation, while the monitor
+    # reads it still gets the line of its bad record.
+    @pytest.mark.parametrize("change", ["unlink", "replace"])
+    def test_bad_record_in_trace_changed_mid_run(self, tmp_path,
+                                                 monkeypatch, change):
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        lines = trace.read_text().splitlines()
+        rec = json.loads(lines[9])
+        rec["x"] = "bad"
+        lines[9] = json.dumps(rec)
+        write_lines(trace, lines)
+        observation = traceio.observation_from_record
+
+        def changing_trace(kind, rec):
+            if rec["t"] == 1:
+                trace.unlink()
+                if change == "replace":
+                    write_lines(trace, lines[:1])
+            return observation(kind, rec)
+
+        monkeypatch.setattr(traceio, "observation_from_record",
+                            changing_trace)
+        with pytest.raises(TraceFormatError,
+                           match=f"{trace}:10: bad record t=9: "):
+            runner.monitor_trace(str(trace), MON, str(tmp_path / "e.jsonl"))
+        assert trace.exists() == (change == "replace")
 
     def test_evaluate_memory_does_not_grow_with_records(self, tmp_path):
         peaks = []
@@ -1026,7 +1071,8 @@ class TestSnapshotResume:
         runner.monitor_trace(str(trace), MON, str(tmp_path / "e.jsonl"),
                              snapshot_out=str(snap))
         other = dict(MON, delta=0.01)
-        with pytest.raises(TraceFormatError, match="config"):
+        with pytest.raises(TraceFormatError,
+                           match=f"{snap}:1: snapshot monitor config"):
             runner.monitor_trace(str(trace), other,
                                  str(tmp_path / "e2.jsonl"),
                                  snapshot_in=str(snap))
@@ -1477,8 +1523,7 @@ class TestCli:
         capsys.readouterr()
 
     # An int past json's digit limit, or a byte that is not UTF-8, on
-    # line index + 1 of a file.  Lines past the first 8 KiB are decoded
-    # after the earlier records were read.
+    # line index + 1 of a file, within or past the first 8 KiB.
     @pytest.mark.parametrize("value, problem", [
         (b"9" * 5000, "Exceeds the limit"),
         (b'"\xff"', "line is not UTF-8 text (invalid start byte)")],
