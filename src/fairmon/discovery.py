@@ -11,7 +11,7 @@ import math
 
 from . import kernels
 from .errors import ConfigError
-from .estimator import SubExpParams, is_real
+from .estimator import _FLOAT_MAX, SubExpParams, is_real
 from .intervals import trusted_interval
 
 # The series is evaluated with exp(-lam) folded into every term; beyond
@@ -21,7 +21,10 @@ MAX_RATE = 700.0
 
 def _check_units(y):
     """Attention units as an int: an integral real (not a bool, nan or
-    inf) of at least 1."""
+    inf) of at least 1.  An in-range int, such as the units a monitor's
+    ``update`` has typed, is returned as it is."""
+    if type(y) is int and 1 <= y <= _FLOAT_MAX:
+        return y
     if not (is_real(y) and y >= 1 and y == int(y)):
         raise ConfigError(
             f"attention units must be a positive integer, got {y}")

@@ -14,10 +14,11 @@ import sys
 
 from . import kernels
 from .errors import ConfigError
-from .intervals import trusted_interval
+from .intervals import ConfidenceInterval, bad_endpoints
 
 _FLOAT_MAX = sys.float_info.max
 _INF = math.inf
+_new = tuple.__new__
 
 
 def is_real(value):
@@ -215,8 +216,13 @@ class ShiftedMeanEstimator:
          e_hat, eps) = kernels.estimator_step(
             self.t, self._e1_hat, self._d, self._d_comp, x, shift,
             self._log_term, self._sigma_sq, self._nu)
-        # The confidence 1 - delta was checked at construction.
-        return trusted_interval(e_hat - eps, e_hat + eps, self._confidence)
+        # trusted_interval, inline: the confidence 1 - delta was checked
+        # at construction, so only the endpoints are.
+        lo = e_hat - eps
+        hi = e_hat + eps
+        if not -_INF < lo <= hi < _INF:
+            bad_endpoints(lo, hi)
+        return _new(ConfidenceInterval, (lo, hi, self._confidence))
 
     def point_estimate_initial(self):
         """Running estimate of the mean before any observed shift."""

@@ -66,6 +66,15 @@ def trusted_interval(lo, hi, confidence):
 
 def interval_sub(a, b):
     """Difference a - b; the error budgets add (union bound), which
-    keeps the confidence in [0, 1) for two valid intervals."""
-    confidence = max(0.0, 1.0 - ((1.0 - a.confidence) + (1.0 - b.confidence)))
-    return trusted_interval(a.lo - b.hi, a.hi - b.lo, confidence)
+    keeps the confidence in [0, 1) for two valid intervals.  The
+    endpoints get :func:`trusted_interval`'s check, inline."""
+    a_lo, a_hi, a_conf = a
+    b_lo, b_hi, b_conf = b
+    confidence = 1.0 - ((1.0 - a_conf) + (1.0 - b_conf))
+    if not confidence > 0.0:
+        confidence = 0.0
+    lo = a_lo - b_hi
+    hi = a_hi - b_lo
+    if not -_INF < lo <= hi < _INF:
+        bad_endpoints(lo, hi)
+    return _new(ConfidenceInterval, (lo, hi, confidence))

@@ -152,10 +152,11 @@ def lending_change(obs, cfg):
     +-1/N_g on a repaid/defaulted grant, unless the score pins at a bound.
     ``cfg`` is a monitor or a simulator config: the simulator moves the
     applicant's score by the sign of this shift."""
-    if obs.y == 1 and obs.z == 1 and obs.x < cfg.c_max:
-        return 1.0 / (cfg.n_a if obs.g == "A" else cfg.n_b)
-    if obs.y == 1 and obs.z == 0 and obs.x > 0:
-        return -1.0 / (cfg.n_a if obs.g == "A" else cfg.n_b)
+    x, g, y, z = obs
+    if y == 1 and z == 1 and x < cfg.c_max:
+        return 1.0 / (cfg.n_a if g == "A" else cfg.n_b)
+    if y == 1 and z == 0 and x > 0:
+        return -1.0 / (cfg.n_a if g == "A" else cfg.n_b)
     return 0.0
 
 
@@ -178,14 +179,14 @@ class LendingMonitor(Monitor):
         if type(x) is not int or type(y) is not int or type(z) is not int:
             raise TypeError(
                 f"score, decision and reaction must be integers: {obs}")
-        if not 0 <= x <= self.cfg.c_max:
-            raise ValueError(
-                f"credit score {x} outside [0, {self.cfg.c_max}]")
+        cfg = self.cfg
+        if not 0 <= x <= cfg.c_max:
+            raise ValueError(f"credit score {x} outside [0, {cfg.c_max}]")
         if y not in (0, 1) or z not in (0, 1):
             raise ValueError(f"decision/reaction must be 0 or 1: {obs}")
         self.t += 1
         self._last[g] = self._estimators[g].update(
-            x, lending_change(obs, self.cfg))
+            x, lending_change(obs, cfg))
         return self._emit()
 
 
@@ -240,6 +241,9 @@ class AttentionMonitor(Monitor):
 
     def __init__(self, cfg):
         super().__init__(cfg, poisson_subexp_params(cfg.lambda_max))
+        # Read on every update; the config is immutable.
+        self._gamma = cfg.gamma
+        self._lambda_min = cfg.lambda_min
         # No attention discovers nothing: the mapping degenerates to 0.
         self._nothing = ConfidenceInterval(0.0, 0.0, self._confidence)
 
@@ -249,7 +253,7 @@ class AttentionMonitor(Monitor):
                 or type(y_a) is not int or type(y_b) is not int \
                 or type(k) is not int:
             raise TypeError(f"counts and capacity must be integers: {obs}")
-        if min(x_a, x_b, y_a, y_b) < 0 or k < 1:
+        if not (x_a >= 0 <= x_b and y_a >= 0 <= y_b and k >= 1):
             raise ValueError(f"negative counts or capacity in {obs}")
         if y_a + y_b > k:
             raise ValueError(
@@ -267,8 +271,9 @@ class AttentionMonitor(Monitor):
         nothing: the true rate is at most ``lambda_max``, which the
         config bounds by ``MAX_RATE``."""
         est = self._estimators[g]
-        rate_ci = est.update(x, attention_change(y, self.cfg.gamma))
-        if self.cfg.lambda_min + est.net_shift <= 0.0:
+        rate_ci = est.update(x, attention_change(y, self._gamma))
+        # ``_d`` is the net shift: the property would cost a call.
+        if self._lambda_min + est._d <= 0.0:
             self.floor_violation = True
         lo, hi, confidence = rate_ci
         clamped = lo < RATE_FLOOR or hi > MAX_RATE

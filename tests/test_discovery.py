@@ -143,6 +143,20 @@ class TestEtaInterval:
             eta_interval(y, ConfidenceInterval(lo, hi, 0.9))
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("y", [10**400, True])
+    def test_units_past_the_int_fast_path(self, y):
+        # Only an int in [1, float max] skips the full check of the units.
+        with pytest.raises(ConfigError) as info:
+            eta_interval(y, ConfidenceInterval(1.0, 2.0, 0.9))
+        assert str(info.value) == (
+            f"attention units must be a positive integer, got {y}")
+
+    def test_integral_float_units_give_the_int_bits(self):
+        for lo, hi in ((1e-9, 0.5), (2.0, 5.0), (30.0, 700.0)):
+            ci = ConfidenceInterval(lo, hi, 0.975)
+            got, want = eta_interval(2.0, ci), eta_interval(2, ci)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_same_bits_as_eta_at_both_endpoints(self):
         for y in (1, 2, 3.0, 7):
             for lo, hi in ((1e-9, 0.5), (2.0, 5.0), (6.5, 7.5), (30.0,

@@ -178,6 +178,14 @@ class TestShiftedMeanEstimator:
         with pytest.raises(ValueError, match="endpoints must be finite"):
             est.update(0.0, 1.7e308)
 
+    def test_sample_past_float_range_is_rejected(self):
+        # The second sample at 1.7e308 overflows the running mean to inf.
+        est = self.make()
+        est.update(1.7e308, 0.0)
+        with pytest.raises(ValueError) as info:
+            est.update(1.7e308, 0.0)
+        assert str(info.value) == "interval endpoints must be finite"
+
     def test_state_round_trip(self):
         shifts = [0.01 * i for i in range(20)]
         a = self.make()
@@ -275,8 +283,17 @@ class TestConfidenceInterval:
 
     def test_subtraction_past_float_range_is_rejected(self):
         a = ConfidenceInterval(-1.7e308, 1.7e308, 0.975)
-        with pytest.raises(ValueError, match="endpoints must be finite"):
+        with pytest.raises(ValueError) as info:
             interval_sub(a, a)
+        assert str(info.value) == "interval endpoints must be finite"
+
+    def test_subtraction_exhausting_the_budget_has_confidence_zero(self):
+        # 1 - (0.6 + 0.6) is -0.2, clamped to +0.0.
+        a = ConfidenceInterval(0.0, 1.0, 0.4)
+        b = ConfidenceInterval(-1.0, 0.5, 0.4)
+        c = interval_sub(a, b)
+        assert c == (-0.5, 2.0, 0.0)
+        assert math.copysign(1.0, c.confidence) == 1.0
 
     def test_decreasing_map_swaps_endpoints(self):
         ci = ConfidenceInterval(1.0, 2.0, 0.9)

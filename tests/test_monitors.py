@@ -4,6 +4,7 @@ Fixture expectations are re-derived with the direct (batch) form of the
 underlying estimator, see `_direct_rate_interval`, or frozen by hand.
 """
 
+import contextlib
 import gc
 import json
 import math
@@ -38,6 +39,16 @@ from oracles import check_parameter_floor, literal_intervals
 
 def lend(x, g, y, z):
     return LendingObservation(x=x, g=g, y=y, z=z)
+
+
+@contextlib.contextmanager
+def raises_exactly(exc_type, text):
+    """Expect an exception of exactly ``exc_type`` whose message is
+    exactly ``text``."""
+    with pytest.raises(exc_type) as info:
+        yield
+    assert type(info.value) is exc_type
+    assert str(info.value) == text
 
 
 class TestLendingChange:
@@ -118,12 +129,15 @@ class TestLendingMonitor:
 
     def test_rejects_malformed_observations(self):
         mon = self.make()
-        with pytest.raises(ValueError):
+        with raises_exactly(ValueError, "credit score 11 outside [0, 10]"):
             mon.update(lend(11, "A", 0, 0))
-        with pytest.raises(ValueError):
+        with raises_exactly(ValueError, "unknown group 'C'"):
             mon.update(lend(5, "C", 0, 0))
-        with pytest.raises(ValueError):
+        with raises_exactly(ValueError, "decision/reaction must be 0 or 1: "
+                            "LendingObservation(x=5, g='A', y=2, z=0)"):
             mon.update(lend(5, "A", 2, 0))
+        # A rejected observation leaves the monitor as it was.
+        assert mon.t == 0
 
     def test_state_round_trip(self):
         mon = self.make()
@@ -270,7 +284,7 @@ class TestAttentionMonitor:
         assert not mon.update(attn(600, 600, 1, 1, k=2)).clamped
 
     def test_rejects_overallocated_capacity(self):
-        with pytest.raises(ValueError):
+        with raises_exactly(ValueError, "allocation 4+3 exceeds capacity 6"):
             self.make().update(attn(4, 4, 4, 3, k=6))
 
     def test_state_round_trip(self):
@@ -326,6 +340,82 @@ class TestCoinMonitor:
         resumed.load_state_dict(state)
         for o, want in zip(stream[2:], outs[2:]):
             assert resumed.update(o) == want
+
+
+class TestObservationChecks:
+    """The exact error of every check in the monitors' ``update``, with
+    the cases of the two ``test_rejects_*`` tests above."""
+
+    MONITORS = {
+        "lending": lambda: LendingMonitor(
+            LendingConfig(n_a=5, n_b=5, c_max=10, delta=0.05)),
+        "attention": lambda: AttentionMonitor(AttentionConfig(
+            gamma=0.01, lambda_min=1.0, lambda_max=8.0, delta=0.05)),
+        "coin": lambda: CoinMonitor(
+            CoinMonitorConfig(epsilon=0.1, delta=0.05)),
+    }
+
+    @pytest.mark.parametrize("kind, obs, exc_type, text", [
+        ("lending", lend(5, None, 1, 1), ValueError, "unknown group None"),
+        ("lending", lend(5.0, "A", 1, 1), TypeError,
+         "score, decision and reaction must be integers: "
+         "LendingObservation(x=5.0, g='A', y=1, z=1)"),
+        ("lending", lend(5, "B", True, 1), TypeError,
+         "score, decision and reaction must be integers: "
+         "LendingObservation(x=5, g='B', y=True, z=1)"),
+        ("lending", lend(5, "A", 1, 1.0), TypeError,
+         "score, decision and reaction must be integers: "
+         "LendingObservation(x=5, g='A', y=1, z=1.0)"),
+        ("lending", lend(-1, "A", 1, 1), ValueError,
+         "credit score -1 outside [0, 10]"),
+        ("lending", lend(5, "B", 1, -1), ValueError,
+         "decision/reaction must be 0 or 1: "
+         "LendingObservation(x=5, g='B', y=1, z=-1)"),
+        ("attention", attn(1.0, 2, 1, 1), TypeError,
+         "counts and capacity must be integers: "
+         "AttentionObservation(x_a=1.0, x_b=2, y_a=1, y_b=1, k=6)"),
+        ("attention", attn(1, 2, True, 1), TypeError,
+         "counts and capacity must be integers: "
+         "AttentionObservation(x_a=1, x_b=2, y_a=True, y_b=1, k=6)"),
+        ("attention", attn(1, 2, 1, 1, k=6.0), TypeError,
+         "counts and capacity must be integers: "
+         "AttentionObservation(x_a=1, x_b=2, y_a=1, y_b=1, k=6.0)"),
+        ("attention", attn(-1, 2, 1, 1), ValueError,
+         "negative counts or capacity in "
+         "AttentionObservation(x_a=-1, x_b=2, y_a=1, y_b=1, k=6)"),
+        ("attention", attn(1, -2, 1, 1), ValueError,
+         "negative counts or capacity in "
+         "AttentionObservation(x_a=1, x_b=-2, y_a=1, y_b=1, k=6)"),
+        ("attention", attn(1, 2, -1, 1), ValueError,
+         "negative counts or capacity in "
+         "AttentionObservation(x_a=1, x_b=2, y_a=-1, y_b=1, k=6)"),
+        ("attention", attn(1, 2, 1, -1), ValueError,
+         "negative counts or capacity in "
+         "AttentionObservation(x_a=1, x_b=2, y_a=1, y_b=-1, k=6)"),
+        ("attention", attn(1, 2, 0, 0, k=0), ValueError,
+         "negative counts or capacity in "
+         "AttentionObservation(x_a=1, x_b=2, y_a=0, y_b=0, k=0)"),
+        ("attention", attn(1, 2, 0, 0, k=-1), ValueError,
+         "negative counts or capacity in "
+         "AttentionObservation(x_a=1, x_b=2, y_a=0, y_b=0, k=-1)"),
+        ("attention", attn(1, 2, 0, 2, k=1), ValueError,
+         "allocation 0+2 exceeds capacity 1"),
+        ("coin", CoinObservation(1.0), TypeError,
+         "coin outcome must be an integer: CoinObservation(x=1.0)"),
+        ("coin", CoinObservation(True), TypeError,
+         "coin outcome must be an integer: CoinObservation(x=True)"),
+        ("coin", CoinObservation(2), ValueError,
+         "coin outcome must be 0 or 1, got 2"),
+        ("coin", CoinObservation(-1), ValueError,
+         "coin outcome must be 0 or 1, got -1"),
+    ])
+    def test_exact_error(self, kind, obs, exc_type, text):
+        mon = self.MONITORS[kind]()
+        before = mon.state_dict()
+        with raises_exactly(exc_type, text):
+            mon.update(obs)
+        # Every check runs before the monitor changes.
+        assert mon.state_dict() == before
 
 
 class TestObservations:
