@@ -73,12 +73,18 @@ def monitor_trace(trace_path, monitor_config, out_path,
                 f"{snapshot_in}:1: snapshot monitor config differs from "
                 f"the requested one")
         monitor_config = cfg
-        mon = build_monitor(cfg)
+        # A snapshot's config is data read from a file, not a usage
+        # error.
+        try:
+            mon = build_monitor(cfg)
+        except ConfigError as exc:
+            raise TraceFormatError(
+                f"{snapshot_in}:1: bad monitor_config: {exc}") from exc
         try:
             mon.load_state_dict(state)
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(
-                f"{snapshot_in}: invalid monitor state: {exc!r}") from exc
+                f"{snapshot_in}:1: invalid monitor state: {exc!r}") from exc
     else:
         mon = build_monitor(monitor_config)
     first_t = mon.t
@@ -132,7 +138,7 @@ def _check_shared_fields(trace_path, trace_config, monitor_config):
         if key != "kind" and key in trace_config \
                 and trace_config[key] != value:
             raise TraceFormatError(
-                f"{trace_path}: trace was simulated with {key}="
+                f"{trace_path}:1: trace was simulated with {key}="
                 f"{trace_config[key]!r}, the monitor config has {key}="
                 f"{value!r}")
 
@@ -159,38 +165,33 @@ def evaluate(estimates_path, trace_path):
     plus interval-width statistics.  Streams both files: memory does not
     grow with their length, apart from ``width_decay``, which has one
     entry per doubling of t."""
-    est_meta, est_records = traceio.read_records(
-        estimates_path, expected_file="estimates")
+    est_meta, est_steps = traceio.read_estimates(estimates_path)
     trace_meta, trace_records = traceio.read_records(trace_path)
     if est_meta["kind"] != trace_meta["kind"]:
         raise TraceFormatError(
             f"{estimates_path}:1: estimates and trace kinds differ")
     if est_meta.get("trace_config_hash") != trace_meta.get("config_hash"):
         raise TraceFormatError(
-            f"{estimates_path} was not computed from {trace_path}: its "
+            f"{estimates_path}:1: not computed from {trace_path}: its "
             f"trace_config_hash {est_meta.get('trace_config_hash')!r} "
             f"differs from the trace's config_hash "
             f"{trace_meta.get('config_hash')!r}")
 
-    read = traceio.estimates_reader(est_meta)
     steps = conclusive = contained = truth_steps = 0
     width_sum = 0.0
     decay = []
     next_checkpoint = 1
     missing = object()
-    for est, rec in zip_longest(est_records, trace_records,
-                                fillvalue=missing):
-        if est is missing or rec is missing:
+    for step, rec in zip_longest(est_steps, trace_records,
+                                 fillvalue=missing):
+        if step is missing or rec is missing:
+            short, long = ((estimates_path, trace_path) if step is missing
+                           else (trace_path, estimates_path))
             raise TraceFormatError(
-                f"estimates and trace files have different lengths: "
-                f"{estimates_path}, {trace_path}")
+                f"{short}: ends after {steps} records; {long} has more")
         # read_records numbers both files from 1, so the steps align.
-        t = est["t"]
+        t, phi, _, _, _, _ = step
         steps += 1
-        try:
-            phi = read(est)[0]
-        except ValueError as exc:
-            est_records.throw(exc)
         # Every record's truth is checked, conclusive or not.
         truth = rec.get("truth")
         true_phi = None

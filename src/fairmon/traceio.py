@@ -25,7 +25,7 @@ except ImportError:  # CPython 3.12+
         from hashlib import sha256
 
 from .errors import TraceFormatError
-from .monitors import MONITORS
+from .monitors import MONITORS, AttentionMonitor, CoinMonitor, LendingMonitor
 
 # file kind -> its format version, written and read
 FORMATS = {"trace": 1, "estimates": 2, "snapshot": 1}
@@ -110,9 +110,10 @@ def _coin_line(p):
     return _dumps(p)
 
 
-# kind -> its trace-line function
-_TRACE_LINES = {"lending": _lending_line, "attention": _attention_line,
-                "coin": _coin_line}
+# kind -> its trace-line function; the kind names live in the monitors.
+_TRACE_LINES = {LendingMonitor.kind: _lending_line,
+                AttentionMonitor.kind: _attention_line,
+                CoinMonitor.kind: _coin_line}
 
 
 def write_trace(path, kind, config, payloads):
@@ -159,10 +160,11 @@ def _read_meta(fh, path, expected_file):
         raise TraceFormatError(f"{path}:1: corrupt metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise TraceFormatError(f"{path}:1: metadata is not a JSON object")
+    a_file = ("an " if expected_file[0] in "aeiou" else "a ") \
+        + expected_file + " file"
     if meta.get("file") != expected_file:
         raise TraceFormatError(
-            f"{path}: expected a {expected_file} file, got "
-            f"{meta.get('file')!r}")
+            f"{path}:1: expected {a_file}, got {meta.get('file')!r}")
     version = meta.get("format")
     # JSON true and 1.0 compare equal to 1.
     if type(version) is not int or version != FORMATS[expected_file]:
@@ -172,8 +174,8 @@ def _read_meta(fh, path, expected_file):
                     f"config_hash is {meta.get('trace_config_hash')!r} "
                     "to regenerate it")
         raise TraceFormatError(
-            f"{path}: unsupported format version {version!r} of a "
-            f"{expected_file} file{hint}")
+            f"{path}:1: unsupported format version {version!r} of "
+            f"{a_file}{hint}")
     kind = meta.get("kind")
     if not isinstance(kind, str) or kind not in MONITORS:
         raise TraceFormatError(f"{path}:1: unknown or missing kind {kind!r}")
@@ -286,7 +288,7 @@ def estimate_record(output):
     ``t``, the group intervals ``A`` and ``B`` (each ``[lo, hi]`` or
     null), ``clamped`` and ``floor_violation``.  phi and its midpoint
     are not written: a reader derives them from ``A`` and ``B`` (see
-    :func:`estimates_reader`).  An interval that is the object last
+    :func:`read_estimates`).  An interval that is the object last
     formatted for its group reuses that text.  Interval endpoints are
     finite by construction; a phi whose midpoint overflows raises
     ValueError, so every value a reader derives is finite.
@@ -347,10 +349,11 @@ def read_snapshot(path):
     config, state = meta.get("monitor_config"), meta.get("state")
     if not isinstance(config, dict) or not isinstance(state, dict):
         raise TraceFormatError(
-            f"{path}: snapshot needs 'monitor_config' and 'state' objects")
+            f"{path}:1: snapshot needs 'monitor_config' and 'state' "
+            f"objects")
     if config.get("kind") != kind:
         raise TraceFormatError(
-            f"{path}: snapshot kind {kind!r} differs from its "
+            f"{path}:1: snapshot kind {kind!r} differs from its "
             f"monitor_config kind {config.get('kind')!r}")
     return kind, config, state
 
@@ -369,9 +372,49 @@ def _group(g, pair):
                      f"finite floats lo <= hi; got {pair!r}")
 
 
-def _step(phi, clamped, floor_violation, a, b):
-    """The checks every kind shares: phi's midpoint is finite and each
-    flag is a bool."""
+_estimate_fields = itemgetter("t", "A", "B", "clamped", "floor_violation")
+
+
+def read_estimates(path):
+    """Return (metadata, step iterator) of an estimates file.  Each step
+    is ``(t, phi, clamped, floor_violation, A, B)``, checked and derived
+    by :func:`_step`; a record that fails a check is a data error
+    ``PATH:LINE: bad record t=T: …``."""
+    meta, records = read_records(path, "estimates")
+    return meta, _steps(records, len(MONITORS[meta["kind"]].groups) == 1)
+
+
+def _steps(records, one_group):
+    for rec in records:
+        try:
+            step = _step(rec, one_group)
+        except ValueError as exc:
+            records.throw(exc)
+        yield step
+
+
+def _step(rec, one_group):
+    """The step of one estimates record; each group is ``[lo, hi]`` or
+    None, and so is phi, None while the step is inconclusive.  A monitor
+    with one group reports its stream as A, with B null, and phi is A.
+    With two, phi is None while a group is null and else ``(A.lo - B.hi,
+    A.hi - B.lo)``, the operations of ``interval_sub``: rounding is
+    monotone, so lo <= hi, but either may overflow.  phi and its
+    midpoint must be finite and each flag a bool; raises ValueError
+    otherwise."""
+    try:
+        t, a, b, clamped, floor_violation = _estimate_fields(rec)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    a = _group("A", a)
+    if one_group:
+        if b is not None:
+            raise ValueError("group B interval must be null for a monitor "
+                             f"with one group; got {b!r}")
+        phi = a
+    else:
+        b = _group("B", b)
+        phi = None if a is None or b is None else (a[0] - b[1], a[1] - b[0])
     if phi is not None:
         lo, hi = phi
         if not (-_INF < lo and hi < _INF and _isfinite(0.5 * (lo + hi))):
@@ -380,44 +423,7 @@ def _step(phi, clamped, floor_violation, a, b):
     if type(clamped) is not bool or type(floor_violation) is not bool:
         raise ValueError("clamped and floor_violation must be true or "
                          f"false; got {clamped!r}, {floor_violation!r}")
-    return phi, clamped, floor_violation, a, b
-
-
-_estimate_fields = itemgetter("A", "B", "clamped", "floor_violation")
-
-
-def _two_group_step(rec):
-    """A record of a two-group monitor: phi is None while a
-    group is null and else ``[A.lo - B.hi, A.hi - B.lo]``, the operations
-    of ``interval_sub``.  Rounding is monotone, so lo <= hi; either may
-    overflow, which :func:`_step` rejects."""
-    try:
-        a, b, clamped, floor_violation = _estimate_fields(rec)
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
-    a, b = _group("A", a), _group("B", b)
-    phi = None if a is None or b is None else (a[0] - b[1], a[1] - b[0])
-    return _step(phi, clamped, floor_violation, a, b)
-
-
-def _coin_step(rec):
-    """A record of the coin monitor, whose phi is group A."""
-    try:
-        a, b, clamped, floor_violation = _estimate_fields(rec)
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
-    a, b = _group("A", a), _group("B", b)
-    return _step(a, clamped, floor_violation, a, b)
-
-
-def estimates_reader(meta):
-    """The reader of the records of an estimates file with metadata
-    ``meta``.  It returns a record's ``(phi, clamped, floor_violation, A,
-    B)``: phi is ``(lo, hi)``, finite with lo <= hi and a finite
-    midpoint, or None while the record is inconclusive; each group is
-    ``[lo, hi]`` or None.  It raises ValueError on a record it cannot
-    read.  A record derives phi from its group intervals."""
-    return _coin_step if meta["kind"] == "coin" else _two_group_step
+    return t, phi, clamped, floor_violation, a, b
 
 
 CSV_FIELDS = ["t", "conclusive", "phi_lo", "phi_hi", "point", "clamped",
@@ -436,17 +442,11 @@ def export_csv(estimates_path, csv_path):
     # Imported here, so the stages that write no CSV never load it.
     import csv
 
-    meta, records = read_records(estimates_path, expected_file="estimates")
-    read = estimates_reader(meta)
+    _, steps = read_estimates(estimates_path)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for rec in records:
-            t = rec["t"]
-            try:
-                phi, clamped, floor_violation, a, b = read(rec)
-            except ValueError as exc:
-                records.throw(exc)
+        for t, phi, clamped, floor_violation, a, b in steps:
             if phi is None:
                 row = [t, False, None, None, None]
             else:

@@ -143,10 +143,24 @@ class TestTraceFiles:
         bad = tmp_path / "bad.jsonl"
         write_lines(bad, [json.dumps({"format": version, "file": file,
                                       "kind": "coin"})])
+        article = "an" if file == "estimates" else "a"
         with pytest.raises(TraceFormatError,
-                           match=f"unsupported format version {version} "
-                                 f"of a {file} file"):
+                           match=f"{bad}:1: unsupported format version "
+                                 f"{version} of {article} {file} file"):
             traceio.read_records(str(bad), file)
+
+    @pytest.mark.parametrize("file, expected", [
+        ("trace", "an estimates"), ("estimates", "a trace"),
+        ("trace", "a snapshot")])
+    def test_file_of_another_type_names_the_metadata_line(
+            self, tmp_path, file, expected):
+        bad = tmp_path / "bad.jsonl"
+        write_lines(bad, [json.dumps({"format": 1, "file": file,
+                                      "kind": "coin"})])
+        with pytest.raises(TraceFormatError) as info:
+            traceio.read_records(str(bad), expected.split()[1])
+        assert str(info.value) == \
+            f"{bad}:1: expected {expected} file, got {file!r}"
 
     def test_zero_horizon_trace_is_metadata_only(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -686,9 +700,11 @@ class TestMonitorPipeline:
         est = tmp_path / "est.jsonl"
         runner.monitor_trace(str(trace), MON, str(est))
         meta, records = read_all(str(est), "estimates")
-        read = traceio.estimates_reader(meta)
-        assert all(read(r)[0] is None for r in records)
-        assert all(r["A"] is not None and r["B"] is None for r in records)
+        _, steps = traceio.read_estimates(str(est))
+        steps = list(steps)
+        assert len(steps) == len(records) == 5
+        assert all(phi is None and a is not None and b is None
+                   for _, phi, _, _, a, b in steps)
 
     def test_evaluate_reports_containment(self, tmp_path):
         trace, est, _ = self.run_pair(tmp_path)
@@ -696,9 +712,8 @@ class TestMonitorPipeline:
         assert report["steps"] == 10
         assert report["truth_steps"] == report["conclusive_steps"]
         assert 0.0 <= report["containment"] <= 1.0
-        meta, records = read_all(str(est), "estimates")
-        phis = [traceio.estimates_reader(meta)(r)[0] for r in records]
-        widths = [hi - lo for lo, hi in filter(None, phis)]
+        _, steps = traceio.read_estimates(str(est))
+        widths = [phi[1] - phi[0] for _, phi, *_ in steps if phi]
         assert report["mean_width"] == pytest.approx(
             statistics.fmean(widths), rel=1e-12)
         assert "median_width" not in report
@@ -907,12 +922,16 @@ class TestMonitorPipeline:
                                                             512]
 
     def test_evaluate_rejects_length_mismatch(self, tmp_path):
+        # The error names the short file, whichever of the two it is.
         trace, est, _ = self.run_pair(tmp_path)
         short = tmp_path / "short.jsonl"
-        lines = trace.read_text().splitlines()
-        write_lines(short, lines[:-2])
-        with pytest.raises(TraceFormatError, match="length"):
-            runner.evaluate(str(est), str(short))
+        for cut, long, args in ((trace, est, (est, short)),
+                                (est, trace, (short, trace))):
+            write_lines(short, cut.read_text().splitlines()[:-2])
+            with pytest.raises(TraceFormatError) as info:
+                runner.evaluate(*map(str, args))
+            assert str(info.value) == \
+                f"{short}: ends after 8 records; {long} has more"
 
 
 class TestLatencySummary:
@@ -1137,7 +1156,8 @@ class TestSnapshotResume:
         snap.write_text(json.dumps(blob) + "\n")
         assert cli.main(["monitor", "--trace", str(trace), "--resume",
                          str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
-        assert f"data error: {snap}" in capsys.readouterr().err
+        assert f"data error: {snap}:1: invalid monitor state: " in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("sim, mon, older", [
         (SIM, MON, _two_group_layout_before_floor_bit),
@@ -1156,7 +1176,8 @@ class TestSnapshotResume:
         snap.write_text(json.dumps(blob) + "\n")
         assert cli.main(["monitor", "--trace", str(trace), "--resume",
                          str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
-        assert f"data error: {snap}" in capsys.readouterr().err
+        assert f"data error: {snap}:1: invalid monitor state: " in \
+            capsys.readouterr().err
 
     def test_snapshot_kind_must_match_its_config(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -1172,7 +1193,8 @@ class TestSnapshotResume:
         assert cli.main(["monitor", "--trace", str(rest), "--resume",
                          str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
         assert capsys.readouterr().err == (
-            f"fairmon: data error: {snap}: snapshot kind 'lending' differs "
+            f"fairmon: data error: {snap}:1: snapshot kind 'lending' "
+            f"differs "
             f"from its monitor_config kind 'coin'\n")
 
     def test_resume_onto_trace_of_another_model_is_exit_2(self, tmp_path,
@@ -1191,7 +1213,8 @@ class TestSnapshotResume:
         assert cli.main(["monitor", "--trace", str(tail), "--resume",
                          str(snap), "-o", str(tmp_path / "e2.jsonl")]) == 2
         assert capsys.readouterr().err == (
-            f"fairmon: data error: {tail}: trace was simulated with n_a=6, "
+            f"fairmon: data error: {tail}:1: trace was simulated with "
+            f"n_a=6, "
             f"the monitor config has n_a=5\n")
 
     def test_snapshot_without_state_object_is_data_error(self, tmp_path):
@@ -1203,7 +1226,9 @@ class TestSnapshotResume:
         blob = json.loads(snap.read_text())
         blob["state"] = [blob["state"]]
         snap.write_text(json.dumps(blob) + "\n")
-        with pytest.raises(TraceFormatError, match=str(snap)):
+        with pytest.raises(TraceFormatError,
+                           match=f"{snap}:1: snapshot needs 'monitor_config' "
+                                 f"and 'state' objects"):
             runner.monitor_trace(str(trace), None,
                                  str(tmp_path / "e2.jsonl"),
                                  snapshot_in=str(snap))
@@ -1230,10 +1255,40 @@ class TestSnapshotResume:
             f"fairmon: data error: {snap}:{lineno}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("n_a", 0, "group sizes must be in [1, 1.79769e+308]: n_a=0, "
+         "n_b=5"),
+        ("foo", 1, "unexpected keyword argument 'foo'"),
+        ("delta", "x", "delta must be float, got 'x'"),
+    ], ids=["zero-group-size", "unknown-field", "text-delta"])
+    def test_bad_snapshot_monitor_config_is_data_error(
+            self, tmp_path, capsys, field, value, problem):
+        # The config is read from the snapshot, so it is data, not usage.
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(SIM, str(trace))
+        head, tail = self.split_trace(tmp_path, trace, 4)
+        snap = tmp_path / "snap.json"
+        runner.monitor_trace(str(head), MON, str(tmp_path / "e.jsonl"),
+                             snapshot_out=str(snap))
+        blob = json.loads(snap.read_text())
+        blob["monitor_config"][field] = value
+        snap.write_text(json.dumps(blob) + "\n")
+        out, snap_out = tmp_path / "e2.jsonl", tmp_path / "snap2.json"
+        assert cli.main(["monitor", "--trace", str(tail), "--resume",
+                         str(snap), "-o", str(out), "--snapshot",
+                         str(snap_out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"fairmon: data error: {snap}:1: bad monitor_config: "), err
+        assert problem in err
+        assert not out.exists() and not snap_out.exists()
+
     def test_trace_file_is_not_a_snapshot(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         runner.simulate(SIM, str(trace))
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(TraceFormatError,
+                           match=f"{trace}:1: expected a snapshot file, "
+                                 f"got 'trace'"):
             runner.monitor_trace(str(trace), None,
                                  str(tmp_path / "e.jsonl"),
                                  snapshot_in=str(trace))
@@ -1587,11 +1642,35 @@ class TestCli:
                            "-o", str(out)]}[command]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
-            f"fairmon: data error: {est}: unsupported format version 1 of "
-            f"a estimates file; re-run `fairmon monitor` on the trace "
+            f"fairmon: data error: {est}:1: unsupported format version 1 "
+            f"of an estimates file; re-run `fairmon monitor` on the trace "
             f"whose config_hash is {meta['trace_config_hash']!r} to "
             f"regenerate it\n")
         assert not out.exists()
+
+    # The coin monitor reports its one stream as A; B is always null.
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_coin_estimates_with_a_b_interval_is_exit_2(self, tmp_path,
+                                                        capsys, command):
+        trace, est = tmp_path / "trace.jsonl", tmp_path / "est.jsonl"
+        runner.simulate(COIN_SIM, str(trace))
+        runner.monitor_trace(str(trace), COIN_MON, str(est))
+        lines = est.read_text().splitlines()
+        rec = json.loads(lines[3])
+        assert rec["A"] is not None and rec["B"] is None
+        rec["B"] = [0.25, 0.5]
+        lines[3] = json.dumps(rec)
+        write_lines(est, lines)
+        out = tmp_path / "out"
+        argv = {"eval": ["eval", "--estimates", str(est), "--trace",
+                         str(trace), "-o", str(out)],
+                "export": ["export", "--estimates", str(est),
+                           "-o", str(out)]}[command]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"fairmon: data error: {est}:4: bad record t=3: group B "
+            f"interval must be null for a monitor with one group; got "
+            f"[0.25, 0.5]\n")
 
     @pytest.mark.parametrize("sim, mon, mutate", [
         (SIM, MON, lambda rec: rec.update(x="7")),
@@ -1646,7 +1725,7 @@ class TestCli:
             assert cli.main(["monitor", "--trace", str(trace), "--config",
                              str(cfg), "-o", str(tmp_path / "e.jsonl")]) == 2
         assert capsys.readouterr().err == (
-            f"fairmon: data error: {trace}: trace was simulated with "
+            f"fairmon: data error: {trace}:1: trace was simulated with "
             f"{field}={sim[field]!r}, the monitor config has "
             f"{field}={mon[field]!r}\n")
 
@@ -1753,10 +1832,12 @@ class TestCli:
             out[seed] = tmp_path / seed
             assert cli.main(["run", "--config", str(cfg), "--seed", seed,
                              "--out-dir", str(out[seed])]) == 0
-        assert cli.main(["eval", "--estimates",
-                         str(out["1"] / "estimates.jsonl"), "--trace",
-                         str(out["2"] / "trace.jsonl")]) == 2
-        assert "trace_config_hash" in capsys.readouterr().err
+        est, trace = out["1"] / "estimates.jsonl", out["2"] / "trace.jsonl"
+        assert cli.main(["eval", "--estimates", str(est), "--trace",
+                         str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fairmon: data error: {est}:1: not computed "
+                              f"from {trace}: its trace_config_hash "), err
 
     def test_truncated_file_never_exits_0(self, tmp_path, capsys,
                                           monkeypatch):
