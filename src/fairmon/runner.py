@@ -68,7 +68,7 @@ def monitor_trace(trace_path, monitor_config, out_path,
     """
     if snapshot_in is not None:
         _, cfg, state = traceio.read_snapshot(snapshot_in)
-        if monitor_config is not None and dict(cfg) != dict(monitor_config):
+        if monitor_config is not None and cfg != dict(monitor_config):
             raise TraceFormatError(
                 f"{snapshot_in}:1: snapshot monitor config differs from "
                 f"the requested one")
@@ -93,7 +93,7 @@ def monitor_trace(trace_path, monitor_config, out_path,
         raise TraceFormatError(
             f"{trace_path}:1: trace kind {meta['kind']!r} does not match "
             f"monitor kind {mon.kind!r}")
-    _check_shared_fields(trace_path, meta.get("config"), monitor_config)
+    _check_shared_fields(trace_path, meta["config"], monitor_config)
 
     samples, stride = [], TIMED_EVERY
     kind, update, clock = mon.kind, mon.update, time.perf_counter_ns
@@ -132,8 +132,6 @@ def _check_shared_fields(trace_path, trace_config, monitor_config):
     """The interval holds only under the change function that moved the
     data, so each monitor-config field the trace's simulator config also
     has (population, ``gamma``, ``epsilon``) must agree with it."""
-    if not isinstance(trace_config, dict):
-        return
     for key, value in monitor_config.items():
         if key != "kind" and key in trace_config \
                 and trace_config[key] != value:
@@ -169,13 +167,14 @@ def evaluate(estimates_path, trace_path):
     trace_meta, trace_records = traceio.read_records(trace_path)
     if est_meta["kind"] != trace_meta["kind"]:
         raise TraceFormatError(
-            f"{estimates_path}:1: estimates and trace kinds differ")
-    if est_meta.get("trace_config_hash") != trace_meta.get("config_hash"):
+            f"{estimates_path}:1: estimates kind {est_meta['kind']!r} "
+            f"differs from the trace's kind {trace_meta['kind']!r}")
+    if est_meta["trace_config_hash"] != trace_meta["config_hash"]:
         raise TraceFormatError(
             f"{estimates_path}:1: not computed from {trace_path}: its "
-            f"trace_config_hash {est_meta.get('trace_config_hash')!r} "
+            f"trace_config_hash {est_meta['trace_config_hash']!r} "
             f"differs from the trace's config_hash "
-            f"{trace_meta.get('config_hash')!r}")
+            f"{trace_meta['config_hash']!r}")
 
     steps = conclusive = contained = truth_steps = 0
     width_sum = 0.0

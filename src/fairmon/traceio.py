@@ -1,13 +1,13 @@
-"""JSON-lines trace and estimates files.
+"""JSON-lines trace, estimates and snapshot files.
 
-Every file starts with one metadata line (format version, kind, config,
-config hash); each following line is one record.  Each file kind has
-one format version, the one it is written at and the only one read:
-traces and snapshots are at 1, estimates at 2.  Files are UTF-8 text,
-whatever the locale.  Floats are written as ``float.__repr__``, as
-``json`` writes them, which round-trips doubles exactly.  Corrupt lines
-abort with their line number: the per-sequence guarantee does not
-survive silent gaps.
+Every file starts with one metadata line, laid out as :data:`HEADERS`
+gives for its file kind: the one format version it is written at and
+read at, then ``file``, ``kind`` and the kind's fields, each of one JSON
+type.  :func:`_write` writes the line and :func:`_read_meta` checks it.
+Each following line is one record.  Files are UTF-8 text, whatever the
+locale.  Floats are written as ``float.__repr__``, as ``json`` writes
+them, which round-trips doubles exactly.  Corrupt lines abort with their
+line number: the per-sequence guarantee does not survive silent gaps.
 """
 
 import json
@@ -27,8 +27,13 @@ except ImportError:  # CPython 3.12+
 from .errors import TraceFormatError
 from .monitors import MONITORS, AttentionMonitor, CoinMonitor, LendingMonitor
 
-# file kind -> its format version, written and read
-FORMATS = {"trace": 1, "estimates": 2, "snapshot": 1}
+# file kind -> (format version, {metadata field after "kind": JSON type})
+HEADERS = {
+    "trace": (1, {"config": dict, "config_hash": str}),
+    "estimates": (2, {"monitor_config": dict, "trace_config_hash": str}),
+    "snapshot": (1, {"monitor_config": dict, "state": dict}),
+}
+_JSON_TYPES = {dict: "object", str: "string"}
 
 
 def config_hash(config):
@@ -116,6 +121,20 @@ _TRACE_LINES = {LendingMonitor.kind: _lending_line,
                 CoinMonitor.kind: _coin_line}
 
 
+def _write(path, file, kind, values, lines=()):
+    """Write a ``file`` of ``kind``: its metadata line, in which the
+    fields of ``HEADERS[file]`` take ``values`` in order, then each of
+    ``lines`` and its newline."""
+    version, fields = HEADERS[file]
+    meta = {"format": version, "file": file, "kind": kind}
+    meta.update(zip(fields, values))
+    header = _dumps(meta) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def write_trace(path, kind, config, payloads):
     """Write a trace file; ``payloads`` yields per-step dicts with "t".
 
@@ -125,13 +144,8 @@ def write_trace(path, kind, config, payloads):
     the JSON encoder."""
     if kind not in MONITORS:
         raise TraceFormatError(f"unknown trace kind {kind!r}")
-    meta = {"format": FORMATS["trace"], "file": "trace", "kind": kind,
-            "config": config, "config_hash": config_hash(config)}
-    line = _TRACE_LINES[kind]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(meta) + "\n")
-        for payload in payloads:
-            fh.write(line(payload) + "\n")
+    _write(path, "trace", kind, (config, config_hash(config)),
+           map(_TRACE_LINES[kind], payloads))
 
 
 def _check_utf8(path, lineno, line):
@@ -166,8 +180,9 @@ def _read_meta(fh, path, expected_file):
         raise TraceFormatError(
             f"{path}:1: expected {a_file}, got {meta.get('file')!r}")
     version = meta.get("format")
+    supported, fields = HEADERS[expected_file]
     # JSON true and 1.0 compare equal to 1.
-    if type(version) is not int or version != FORMATS[expected_file]:
+    if type(version) is not int or version != supported:
         hint = ""
         if expected_file == "estimates":
             hint = ("; re-run `fairmon monitor` on the trace whose "
@@ -179,6 +194,19 @@ def _read_meta(fh, path, expected_file):
     kind = meta.get("kind")
     if not isinstance(kind, str) or kind not in MONITORS:
         raise TraceFormatError(f"{path}:1: unknown or missing kind {kind!r}")
+    for field, json_type in fields.items():
+        if type(meta.get(field)) is not json_type:
+            raise TraceFormatError(f"{path}:1: metadata needs {field!r} as "
+                                   f"a JSON {_JSON_TYPES[json_type]}")
+    if expected_file == "trace":
+        got, want = meta["config_hash"], config_hash(meta["config"])
+        if got != want:
+            raise TraceFormatError(f"{path}:1: config_hash {got!r} is not "
+                                   f"{want!r}, the hash of its config")
+    elif meta["monitor_config"].get("kind") != kind:
+        raise TraceFormatError(
+            f"{path}:1: {expected_file} kind {kind!r} differs from its "
+            f"monitor_config kind {meta['monitor_config'].get('kind')!r}")
     return meta
 
 
@@ -317,21 +345,13 @@ def estimate_record(output):
 def write_estimates(path, kind, monitor_config, trace_meta, lines):
     """Write an estimates file; ``lines`` yields :func:`estimate_record`
     lines."""
-    meta = {"format": FORMATS["estimates"], "file": "estimates",
-            "kind": kind, "monitor_config": monitor_config,
-            "trace_config_hash": trace_meta.get("config_hash")}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(meta) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    _write(path, "estimates", kind,
+           (monitor_config, trace_meta["config_hash"]), lines)
 
 
 def write_snapshot(path, monitor, monitor_config):
-    blob = {"format": FORMATS["snapshot"], "file": "snapshot",
-            "kind": monitor.kind, "monitor_config": monitor_config,
-            "state": monitor.state_dict()}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(blob) + "\n")
+    _write(path, "snapshot", monitor.kind,
+           (monitor_config, monitor.state_dict()))
 
 
 def read_snapshot(path):
@@ -345,17 +365,7 @@ def read_snapshot(path):
             if line.strip():
                 raise TraceFormatError(
                     f"{path}:{lineno}: unexpected line after the snapshot")
-    kind = meta["kind"]
-    config, state = meta.get("monitor_config"), meta.get("state")
-    if not isinstance(config, dict) or not isinstance(state, dict):
-        raise TraceFormatError(
-            f"{path}:1: snapshot needs 'monitor_config' and 'state' "
-            f"objects")
-    if config.get("kind") != kind:
-        raise TraceFormatError(
-            f"{path}:1: snapshot kind {kind!r} differs from its "
-            f"monitor_config kind {config.get('kind')!r}")
-    return kind, config, state
+    return meta["kind"], meta["monitor_config"], meta["state"]
 
 
 def _group(g, pair):

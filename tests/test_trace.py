@@ -33,6 +33,10 @@ ATTENTION_MON = {"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
 COIN_SIM = {"kind": "coin", "p1": 0.5, "epsilon": 0.001, "horizon": 10,
             "seed": 42}
 COIN_MON = {"kind": "coin", "epsilon": 0.001, "delta": 0.05}
+# The metadata of a trace not made by `fairmon simulate`: an empty config
+# under its hash, traceio.config_hash({}).
+COIN_META = {"format": 1, "file": "trace", "kind": "coin", "config": {},
+             "config_hash": "44136fa355b3678a"}
 
 
 def read_all(path, expected_file="trace"):
@@ -246,9 +250,7 @@ class TestTraceFiles:
     def test_format_version_must_be_an_integer(self, tmp_path, version):
         # JSON true and 1.0 compare equal to the version 1.
         bad = tmp_path / "bad.jsonl"
-        write_lines(bad, [json.dumps({"format": version, "file": "trace",
-                                      "kind": "coin", "config": {},
-                                      "config_hash": "x"})])
+        write_lines(bad, [json.dumps(dict(COIN_META, format=version))])
         with pytest.raises(TraceFormatError,
                            match="unsupported format version"):
             traceio.read_records(str(bad), "trace")
@@ -257,8 +259,7 @@ class TestTraceFiles:
     def test_record_t_must_be_an_integer(self, tmp_path, first_t):
         bad = tmp_path / "bad.jsonl"
         write_lines(bad, [
-            json.dumps({"format": 1, "file": "trace", "kind": "coin",
-                        "config": {}, "config_hash": "x"}),
+            json.dumps(COIN_META),
             json.dumps({"t": first_t, "x": 1}),
         ])
         _, records = traceio.read_records(str(bad), "trace")
@@ -293,8 +294,7 @@ class TestTraceFiles:
     def test_corrupt_record_reports_line_number(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         write_lines(bad, [
-            json.dumps({"format": 1, "file": "trace", "kind": "coin",
-                        "config": {}, "config_hash": "x"}),
+            json.dumps(COIN_META),
             json.dumps({"t": 1, "x": 1}),
             "{not json",
         ])
@@ -306,8 +306,7 @@ class TestTraceFiles:
     def test_non_object_record_reports_line_number(self, tmp_path, line):
         bad = tmp_path / "bad.jsonl"
         write_lines(bad, [
-            json.dumps({"format": 1, "file": "trace", "kind": "coin",
-                        "config": {}, "config_hash": "x"}),
+            json.dumps(COIN_META),
             json.dumps({"t": 1, "x": 1}),
             line,
         ])
@@ -319,8 +318,7 @@ class TestTraceFiles:
     def test_non_monotone_t_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         write_lines(bad, [
-            json.dumps({"format": 1, "file": "trace", "kind": "coin",
-                        "config": {}, "config_hash": "x"}),
+            json.dumps(COIN_META),
             json.dumps({"t": 1, "x": 1}),
             json.dumps({"t": 3, "x": 0}),
         ])
@@ -472,8 +470,7 @@ class TestTraceLines:
             for p in generate(cfg)]
 
 
-_META = json.dumps({"format": 1, "file": "trace", "kind": "coin",
-                    "config": {}, "config_hash": "x"}).encode() + b"\n"
+_META = json.dumps(COIN_META).encode() + b"\n"
 _HUGE = "9" * 5000
 
 # Record lines (bytes, newline included where there is one) on which the
@@ -687,8 +684,8 @@ class TestMonitorPipeline:
         trace = tmp_path / "coin.jsonl"
         runner.simulate(COIN_SIM, str(trace))
         with pytest.raises(TraceFormatError,
-                           match=f"{est}:1: estimates and trace kinds "
-                                 f"differ"):
+                           match=f"{est}:1: estimates kind 'lending' "
+                                 f"differs from the trace's kind 'coin'"):
             runner.evaluate(str(est), str(trace))
 
     def test_single_group_stream_stays_inconclusive(self, tmp_path):
@@ -1227,8 +1224,8 @@ class TestSnapshotResume:
         blob["state"] = [blob["state"]]
         snap.write_text(json.dumps(blob) + "\n")
         with pytest.raises(TraceFormatError,
-                           match=f"{snap}:1: snapshot needs 'monitor_config' "
-                                 f"and 'state' objects"):
+                           match=f"{snap}:1: metadata needs 'state' as a "
+                                 f"JSON object"):
             runner.monitor_trace(str(trace), None,
                                  str(tmp_path / "e2.jsonl"),
                                  snapshot_in=str(snap))
@@ -1396,6 +1393,63 @@ class TestCsvExport:
         err = capsys.readouterr().err
         assert err.startswith(f"fairmon: data error: {est}:4: bad record "
                               f"t=3: {problem}"), err
+
+
+_DROP = object()
+_OTHER_TYPE = {"object": [], "string": 1}
+_SIM_HASH = traceio.config_hash(SIM)
+
+
+def _hash_error(config):
+    return (f"config_hash {_SIM_HASH!r} is not "
+            f"{traceio.config_hash(config)!r}, the hash of its config")
+
+
+# Metadata edits and the data error each gives: ({file kind: (field, new
+# value or _DROP)}, the monitor config, the file whose line 1 is named,
+# the message).  The files are SIM's trace and MON's estimates and
+# snapshot; a bad trace is read by monitor, bad estimates by eval and a
+# bad snapshot by monitor --resume.
+_HEADER_ROWS = [
+    pytest.param({file: (field, value)}, MON, file,
+                 f"metadata needs {field!r} as a JSON {json_type}",
+                 id=f"{file}-{field}-{how}")
+    for file, fields in {
+        "trace": {"config": "object", "config_hash": "string"},
+        "estimates": {"monitor_config": "object",
+                      "trace_config_hash": "string"},
+        "snapshot": {"monitor_config": "object", "state": "object"},
+    }.items()
+    for field, json_type in fields.items()
+    for how, value in (("dropped", _DROP), ("null", None),
+                       ("wrong-type", _OTHER_TYPE[json_type]))
+] + [
+    pytest.param({"trace": ("config", dict(SIM, seed=43))}, MON, "trace",
+                 _hash_error(dict(SIM, seed=43)),
+                 id="trace-config-edited-under-its-hash"),
+    pytest.param({"estimates": ("monitor_config", COIN_MON)}, MON,
+                 "estimates", "estimates kind 'lending' differs from its "
+                 "monitor_config kind 'coin'",
+                 id="estimates-monitor-config-of-another-kind"),
+    pytest.param({"snapshot": ("monitor_config", COIN_MON)}, MON,
+                 "snapshot", "snapshot kind 'lending' differs from its "
+                 "monitor_config kind 'coin'",
+                 id="snapshot-monitor-config-of-another-kind"),
+    # A trace simulated with n_a = 5 each ran under a monitor with n_a = 50
+    # (or 5, for the lost hash), exited 0, and eval accepted the result.
+    pytest.param({"trace": ("config", None)}, dict(MON, n_a=50), "trace",
+                 "metadata needs 'config' as a JSON object",
+                 id="null-config-hides-the-population"),
+    pytest.param({"trace": ("config", dict(SIM, n_a=50))},
+                 dict(MON, n_a=50), "trace",
+                 _hash_error(dict(SIM, n_a=50)),
+                 id="config-edited-to-the-monitor-population"),
+    pytest.param({"trace": ("config_hash", _DROP),
+                  "estimates": ("trace_config_hash", None)}, MON,
+                 "estimates",
+                 "metadata needs 'trace_config_hash' as a JSON string",
+                 id="lost-hash-matches-null"),
+]
 
 
 class TestCli:
@@ -1838,6 +1892,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"fairmon: data error: {est}:1: not computed "
                               f"from {trace}: its trace_config_hash "), err
+
+    @pytest.mark.parametrize("edits, mon, bad, message", _HEADER_ROWS)
+    def test_bad_metadata_is_exit_2(self, tmp_path, capsys, edits, mon,
+                                    bad, message):
+        files = {"trace": tmp_path / "trace.jsonl",
+                 "estimates": tmp_path / "est.jsonl",
+                 "snapshot": tmp_path / "snap.json"}
+        runner.simulate(SIM, str(files["trace"]))
+        runner.monitor_trace(str(files["trace"]), MON,
+                             str(files["estimates"]),
+                             snapshot_out=str(files["snapshot"]))
+        # The snapshot holds every record: it resumes onto none.
+        rest = tmp_path / "rest.jsonl"
+        write_lines(rest, files["trace"].read_text().splitlines()[:1])
+        for file, (field, value) in edits.items():
+            lines = files[file].read_text().splitlines()
+            meta = json.loads(lines[0])
+            if value is _DROP:
+                del meta[field]
+            else:
+                meta[field] = value
+            lines[0] = json.dumps(meta)
+            write_lines(files[file], lines)
+        trace, path = str(files["trace"]), str(files[bad])
+        out = tmp_path / "out"
+        argv = {"trace": ["monitor", "--trace", trace, "--config",
+                          str(self.write_config(tmp_path, mon=mon))],
+                "estimates": ["eval", "--estimates", path, "--trace",
+                              trace],
+                "snapshot": ["monitor", "--trace", str(rest), "--resume",
+                             path]}[bad]
+        assert cli.main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"fairmon: data error: {path}:1: {message}\n"
+        assert not out.exists()
 
     def test_truncated_file_never_exits_0(self, tmp_path, capsys,
                                           monkeypatch):
