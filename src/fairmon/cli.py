@@ -1,8 +1,9 @@
 """Command-line pipeline: simulate -> monitor -> eval, plus run (all
 three), bench, and export.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 the run
-aborted because the drift assumptions were violated.
+Exit codes: 0 success, 1 usage/config error, 2 data error or io error
+(a file that cannot be read or written), 3 the run aborted because the
+drift assumptions were violated.
 """
 
 import argparse
@@ -34,6 +35,9 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # bytes not UTF-8 and the digit limit too
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:  # its message differs across Python versions
+        raise ConfigError(f"config {path} is not valid JSON: JSON nested "
+                          f"too deeply") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object, got "
                           f"{_JSON_TYPES[type(config)]}")
@@ -87,6 +91,8 @@ def _parse_override(text):
         return key, value
     except ValueError as exc:  # an integer past the digit limit
         raise ConfigError(f"override {key}: {exc}") from None
+    except RecursionError:  # its message differs across Python versions
+        raise ConfigError(f"override {key}: JSON nested too deeply") from None
 
 
 def build_parser():

@@ -172,6 +172,9 @@ def _read_meta(fh, path, expected_file):
         meta = json.loads(line)
     except ValueError as exc:  # an int past the digit limit included
         raise TraceFormatError(f"{path}:1: corrupt metadata: {exc}") from exc
+    except RecursionError:  # its message differs across Python versions
+        raise TraceFormatError(
+            f"{path}:1: corrupt metadata: JSON nested too deeply") from None
     if not isinstance(meta, dict):
         raise TraceFormatError(f"{path}:1: metadata is not a JSON object")
     a_file = ("an " if expected_file[0] in "aeiou" else "a ") \
@@ -238,7 +241,7 @@ def _records(path, expected_file, start_t):
                 continue
             try:
                 rec, end = _scan_once(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = 0  # the line is not blank, so not "\n" from 0
             if line[end:] != "\n":
                 try:
@@ -247,6 +250,10 @@ def _records(path, expected_file, start_t):
                     raise TraceFormatError(
                         f"{path}:{lineno}: corrupt record: {exc}"
                     ) from exc
+                except RecursionError:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: corrupt record: JSON nested too "
+                        f"deeply") from None
             try:
                 t = rec.get("t")
             except AttributeError:
