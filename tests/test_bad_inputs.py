@@ -10,7 +10,9 @@ command and checks:
 * that every file in the row's directory keeps its bytes, and that no
   file appears outside ``{out}``.
 
-pytest runs each row in process through ``cli.main``.  Run as a script,
+pytest runs each row in process through ``cli.main``: a row named in
+TRACE_TESTS under its old test name in tests/test_trace.py, the others
+here as ``test_bad_input[ROW]``.  Run as a script,
 ``python tests/test_bad_inputs.py`` runs each row through the
 ``fairmon`` console script on PATH, and exits 1 if any row fails.
 
@@ -756,6 +758,235 @@ ROWS = [
 ]
 
 
+def _each(pattern, params):
+    return {param: pattern.format(param) for param in params.split()}
+
+
+# The rows that began as tests of tests/test_trace.py run there under
+# their old names, by :func:`trace_tests`: "Class.test" -> row id, or
+# {parameter id: row id}.
+TRACE_TESTS = {
+    "TestCli.test_assumption_violation_is_exit_3":
+        "simulation-leaves-its-assumptions",
+    "TestCli.test_bad_config_is_exit_1": "config-not-json-simulate",
+    "TestCli.test_bad_initial_values_are_exit_1_without_a_file":
+        _each("initial-values-{}", "a-only above-c-max b-only bool-rate "
+              "number rate-above-max-rate"),
+    "TestCli.test_bad_metadata_is_exit_2":
+        _each("{}", "config-edited-to-the-monitor-population "
+              "estimates-monitor-config-of-another-kind "
+              "estimates-monitor_config-dropped "
+              "estimates-monitor_config-null "
+              "estimates-monitor_config-wrong-type "
+              "estimates-trace_config_hash-dropped "
+              "estimates-trace_config_hash-null "
+              "estimates-trace_config_hash-wrong-type "
+              "lost-hash-matches-null null-config-hides-the-population "
+              "snapshot-monitor-config-of-another-kind "
+              "snapshot-monitor_config-dropped snapshot-monitor_config-null "
+              "snapshot-monitor_config-wrong-type snapshot-state-dropped "
+              "snapshot-state-null snapshot-state-wrong-type "
+              "trace-config-dropped trace-config-edited-under-its-hash "
+              "trace-config-null trace-config-wrong-type "
+              "trace-config_hash-dropped trace-config_hash-null "
+              "trace-config_hash-wrong-type"),
+    "TestCli.test_bad_observation_is_data_error":
+        _each("observation-{}", "bool-attention-units bool-score "
+              "float-coin-toss float-decision huge-count missing-field "
+              "score-out-of-range text-score unknown-group"),
+    "TestCli.test_bench_rejects_non_positive_updates":
+        _each("bench-updates-{}", "-3 0"),
+    "TestCli.test_coin_estimates_with_a_b_interval_is_exit_2":
+        _each("coin-estimates-with-a-B-interval-{}", "eval export"),
+    "TestCli.test_data_error_is_exit_2": "empty-trace",
+    "TestCli.test_eval_of_another_trace_is_exit_2":
+        "estimates-of-another-trace",
+    "TestCli.test_format_1_estimates_is_exit_2":
+        _each("estimates-format-1-{}", "eval export"),
+    "TestCli.test_ill_typed_override_is_exit_1": {
+        "horizon=2.5": "override-horizon-2.5",
+        "horizon=true": "override-horizon-true",
+    },
+    "TestCli.test_missing_monitor_config_is_exit_1": "monitor-without-config",
+    "TestCli.test_non_object_config_is_exit_1": {
+        f"{command}-{value}-{type}": f"config-{type}-{command}"
+        for command in ("simulate", "monitor", "run")
+        for value, type in (('"x"', "string"), ("5", "number"),
+                            ("[1, 2]", "array"), ("null", "null"))},
+    "TestCli.test_non_object_record_is_data_error": "record-number-at-line-6",
+    "TestCli.test_output_naming_an_input_is_exit_1": {
+        "eval --estimates {est} --trace {trace} "
+        "-o {est}-input {est}": "output-eval-o-estimates",
+        "eval --estimates {est} --trace {trace} "
+        "-o {trace}-input {trace}": "output-eval-o-trace",
+        "export --estimates {est} "
+        "-o {est}-input {est}": "output-export-o-estimates",
+        "monitor --trace {trace} --config {cfg} "
+        "-o {cfg}-input {cfg}": "output-monitor-o-config",
+        "monitor --trace {trace} --config {cfg} "
+        "-o {link}-input {trace}": "output-monitor-o-link-to-trace",
+        "monitor --trace {trace} --config {cfg} -o {new} "
+        "--snapshot {cfg}-input {cfg}": "output-monitor-snapshot-config",
+        "monitor --trace {trace} --config {cfg} -o {new} "
+        "--snapshot {new}-output {new}": "output-monitor-snapshot-o",
+        "monitor --trace {trace} --config {cfg} -o {new} "
+        "--snapshot {trace}-input {trace}": "output-monitor-snapshot-trace",
+        "monitor --trace {trace} --config {cfg} "
+        "-o {trace}-input {trace}": "output-monitor-o-trace",
+        "monitor --trace {trace} --resume {snap} -o {new} "
+        "--snapshot {snap}-input {snap}": "output-resume-snapshot-snapshot",
+        "monitor --trace {trace} --resume {snap} "
+        "-o {snap}-input {snap}": "output-resume-o-snapshot",
+        "run --config {run_dir}/estimates.jsonl --seed 1 "
+        "--out-dir {run_dir}-input {run_dir}/estimates.jsonl":
+            "output-run-config-is-its-estimates",
+        "run --config {run_dir}/report.json --seed 1 "
+        "--out-dir {run_dir}-input {run_dir}/report.json":
+            "output-run-config-is-its-report",
+        "run --config {run_dir}/trace.jsonl --seed 1 "
+        "--out-dir {run_dir}-input {run_dir}/trace.jsonl":
+            "output-run-config-is-its-trace",
+        "simulate --config {cfg} --seed 1 "
+        "-o {cfg}-input {cfg}": "output-simulate-o-config",
+    },
+    "TestCli.test_override_past_the_digit_limit_names_its_key":
+        "override-past-the-digit-limit",
+    "TestCli.test_population_out_of_float_range_is_exit_1": {
+        f"monitor-c_max={10 ** 160}": "monitor-c_max-out-of-float-range",
+        f"monitor-n_a={10 ** 400}": "monitor-n_a-out-of-float-range",
+        f"simulate-c_max={10 ** 400}": "simulate-c_max-out-of-float-range",
+    },
+    "TestCli.test_resume_override_needs_config":
+        "resume-override-without-config",
+    "TestCli.test_trace_of_another_model_is_exit_2": {
+        "attention-gamma": "attention-gamma-differs",
+        "coin-epsilon": "coin-epsilon-differs",
+        "lending-n-a": "lending-n_a-differs",
+    },
+    "TestCli.test_undecodable_config_is_exit_1": {
+        f"{command}-{edit}": f"config-{edit}-{command}"
+        for command in ("simulate", "monitor", "run")
+        for edit in ("huge-int", "not-utf8")},
+    "TestCli.test_undecodable_line_is_data_error":
+        _each("{}", "estimates-late-record-huge-int "
+              "estimates-late-record-not-utf8 estimates-metadata-huge-int "
+              "estimates-metadata-not-utf8 estimates-record-huge-int "
+              "estimates-record-not-utf8 eval-trace-late-record-huge-int "
+              "eval-trace-late-record-not-utf8 "
+              "export-estimates-late-record-huge-int "
+              "export-estimates-late-record-not-utf8 snapshot-huge-int "
+              "snapshot-not-utf8 trace-late-record-huge-int "
+              "trace-late-record-not-utf8 trace-metadata-huge-int "
+              "trace-metadata-not-utf8 trace-record-huge-int "
+              "trace-record-not-utf8"),
+    "TestCli.test_usage_error_is_exit_1": "missing-arguments",
+    "TestCsvExport.test_malformed_v2_record_is_data_error": {
+        "int-flag": "estimates-record-int-clamped-export",
+        "interval-int": "estimates-record-number-A-export",
+        "interval-short": "estimates-record-short-B-export",
+        "lo-above-hi": "estimates-record-A-lo-above-hi-export",
+        "missing-A": "estimates-record-no-A-export",
+        "missing-clamped": "estimates-record-no-clamped-export",
+        "missing-floor-violation":
+            "estimates-record-no-floor-violation-export",
+        "phi-overflows": "estimates-record-phi-overflows-export",
+    },
+    "TestMonitorPipeline.test_bad_record_after_blank_lines_names_its_line":
+        _each("bad-record-after-blank-lines-{}", "eval export monitor"),
+    "TestMonitorPipeline.test_evaluate_kind_mismatch_names_the_estimates":
+        "estimates-of-another-kind",
+    "TestMonitorPipeline.test_evaluate_rejects_length_mismatch":
+        "estimates-longer-than-trace",
+    "TestMonitorPipeline.test_evaluate_reports_bad_record": {
+        "int-flag": "estimates-record-int-floor-violation-eval",
+        "number-truth": "truth-number",
+        "t1-null-truth-phi": "truth-t1-null-phi",
+        "t1-number-truth": "truth-t1-number",
+        "t1-text-truth-phi": "truth-t1-text-phi",
+        "text-truth-phi": "truth-text-phi",
+    },
+    "TestMonitorPipeline.test_evaluate_reports_bad_v2_record":
+        _each("estimates-record-{}-eval", "B-lo-above-hi huge-int-A inf-A "
+              "int-A long-A midpoint-overflows no-A no-B no-clamped "
+              "phi-overflows short-A text-A")
+        | {"null-flag": "estimates-record-null-floor-violation-eval"},
+    "TestMonitorPipeline.test_evaluate_reports_corrupt_record_line":
+        "estimates-record-not-json",
+    "TestMonitorPipeline.test_kind_mismatch_rejected":
+        "coin-trace-under-a-lending-monitor",
+    "TestMonitorPipeline.test_v2_record_without_t_names_its_line":
+        _each("estimates-record-without-t-{}", "eval export"),
+    "TestSnapshotResume.test_bad_record_in_resumed_batch_names_its_line":
+        "bad-record-in-resumed-batch",
+    "TestSnapshotResume.test_bad_snapshot_monitor_config_is_data_error":
+        _each("snapshot-monitor-config-{}", "text-delta unknown-field "
+              "zero-group-size"),
+    "TestSnapshotResume.test_bad_snapshot_state_is_data_error":
+        _each("snapshot-state-{}", "attention-floor-unset-below-floor "
+              "attention-group-t-differs attention-int-floor-violation "
+              "bool-estimator-t coin-floor-violation-set "
+              "coin-last-null-after-updates coin-no-estimators "
+              "coin-t-not-estimator-t fractional-t huge-e1-hat "
+              "last-null-after-updates last-set-without-updates "
+              "lending-floor-violation-set lending-t-not-group-sum "
+              "list-estimator no-floor-violation no-last short-interval "
+              "text-t"),
+    "TestSnapshotResume.test_corrupted_snapshot_rejected": "snapshot-not-json",
+    "TestSnapshotResume.test_old_state_layout_is_data_error":
+        _each("snapshot-old-state-layout-{}", "attention coin lending"),
+    "TestSnapshotResume.test_resume_onto_trace_of_another_model_is_exit_2":
+        "resume-onto-trace-of-another-model",
+    "TestSnapshotResume.test_snapshot_config_mismatch_rejected":
+        "resume-under-another-config",
+    "TestSnapshotResume.test_snapshot_kind_must_match_its_config":
+        "snapshot-kind-edited",
+    "TestSnapshotResume.test_snapshot_with_extra_line_is_data_error": {
+        "not-utf8-after-blank-lines": "snapshot-not-utf8-after-blank-lines",
+        "text": "snapshot-with-extra-line",
+    },
+    "TestSnapshotResume.test_snapshot_without_state_object_is_data_error":
+        "snapshot-state-in-a-list",
+    "TestSnapshotResume.test_trace_file_is_not_a_snapshot":
+        "trace-is-not-a-snapshot",
+    "TestTraceFiles.test_corrupt_record_reports_line_number":
+        "record-not-json",
+    "TestTraceFiles.test_file_of_another_type_names_the_metadata_line": {
+        "estimates-a trace": "estimates-file-as-trace",
+        "trace-a snapshot": "trace-file-as-snapshot",
+        "trace-an estimates": "trace-file-as-estimates",
+    },
+    "TestTraceFiles.test_format_version_must_be_an_integer": {
+        "float": "trace-format-1.0",
+        "true": "trace-format-True",
+    },
+    "TestTraceFiles.test_metadata_must_be_an_object":
+        "snapshot-metadata-not-an-object",
+    "TestTraceFiles.test_metadata_needs_a_known_kind":
+        _each("trace-{}", "list-kind no-kind unknown-kind"),
+    "TestTraceFiles.test_missing_file_kind_in_metadata":
+        "estimates-file-without-kind-as-trace",
+    "TestTraceFiles.test_non_monotone_t_rejected": "record-t-skips",
+    "TestTraceFiles.test_non_object_record_reports_line_number": {
+        '"t"': "record-string",
+        "5": "record-number",
+        "[1, 2]": "record-list",
+        "null": "record-null",
+    },
+    "TestTraceFiles.test_record_t_must_be_an_integer": {
+        "float": "record-float-t",
+        "true": "record-json-true-t",
+    },
+    "TestTraceFiles.test_unsupported_format_version": "trace-format-99",
+    "TestTraceFiles.test_unsupported_version_of_a_file_kind": {
+        "estimates-0": "estimates-format-0",
+        "estimates-1": "estimates-format-1",
+        "estimates-3": "estimates-format-3",
+        "snapshot-2": "snapshot-format-2",
+        "trace-2": "trace-format-2",
+    },
+}
+
+
 def build_bases(root):
     """Write each base run's FILES into its own directory under ``root``,
     and return ``root``."""
@@ -859,11 +1090,6 @@ def call_script(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-@pytest.fixture(scope="module")
-def bases(tmp_path_factory):
-    return build_bases(tmp_path_factory.mktemp("bases"))
-
-
 def test_row_ids_are_unique():
     ids = [r.id for r in ROWS]
     assert len(set(ids)) == len(ids)
@@ -875,9 +1101,49 @@ def test_late_lines_start_past_the_first_8_kib(bases):
         assert len(b"".join(data.splitlines(keepends=True)[:300])) > 8192
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[r.id for r in ROWS])
+def _row_ids(rows):
+    return [rows] if isinstance(rows, str) else list(rows.values())
+
+
+_TRACE_ROWS = {id for rows in TRACE_TESTS.values() for id in _row_ids(rows)}
+_OWN_ROWS = [r for r in ROWS if r.id not in _TRACE_ROWS]
+
+
+def test_trace_tests_name_distinct_rows():
+    ids = [_row_ids(rows) for rows in TRACE_TESTS.values()]
+    ids = [id for each in ids for id in each]
+    assert len(set(ids)) == len(ids)
+    assert set(ids) <= {r.id for r in ROWS}
+
+
+@pytest.mark.parametrize("row", _OWN_ROWS, ids=[r.id for r in _OWN_ROWS])
 def test_bad_input(row, bases, tmp_path):
     check(row, bases, tmp_path / "row", call_main)
+
+
+def trace_tests(cls):
+    """Add to the test class ``cls`` its tests in TRACE_TESTS, each
+    running its rows in process; return ``cls``."""
+    by_id = {r.id: r for r in ROWS}
+    for name, rows in TRACE_TESTS.items():
+        owner, test = name.split(".")
+        if owner == cls.__name__:
+            assert not hasattr(cls, test), name
+            setattr(cls, test, _trace_test(by_id, rows))
+    return cls
+
+
+def _trace_test(by_id, rows):
+    if isinstance(rows, str):
+        def test(self, bases, tmp_path):
+            check(by_id[rows], bases, tmp_path / "row", call_main)
+        return test
+
+    @pytest.mark.parametrize("row", [by_id[id] for id in rows.values()],
+                             ids=list(rows))
+    def test(self, row, bases, tmp_path):
+        check(row, bases, tmp_path / "row", call_main)
+    return test
 
 
 def main():

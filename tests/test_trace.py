@@ -22,6 +22,7 @@ from fairmon.errors import TraceFormatError
 from fairmon.intervals import interval_sub
 from fairmon.monitors import MONITORS, CoinObservation, build_monitor
 from oracles import json_loads_records, oracle_record_v2
+from test_bad_inputs import trace_tests
 
 SIM = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "horizon": 10,
        "seed": 42}
@@ -48,6 +49,7 @@ def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines))
 
 
+@trace_tests
 class TestTraceFiles:
 
     def test_round_trip_with_metadata(self, tmp_path):
@@ -525,6 +527,7 @@ class TestEstimateRecord:
                       _two_group_output(4, x, x)])
 
 
+@trace_tests
 class TestMonitorPipeline:
 
     def run_pair(self, tmp_path, sim=SIM, mon=MON):
@@ -742,6 +745,7 @@ class TestLatencySummary:
         assert got == dict(self.exact(kept), updates=horizon)
 
 
+@trace_tests
 class TestSnapshotResume:
 
     def split_trace(self, tmp_path, trace, split):
@@ -797,6 +801,7 @@ class TestSnapshotResume:
         assert summary["median_us"] <= summary["p99_us"]
 
 
+@trace_tests
 class TestCsvExport:
 
     def test_header_and_rows(self, tmp_path):
@@ -864,6 +869,7 @@ class TestCsvExport:
             assert point["width"] == widths[point["t"]]
 
 
+@trace_tests
 class TestCli:
 
     def write_config(self, tmp_path, sim=None, mon=None):
