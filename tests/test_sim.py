@@ -5,11 +5,13 @@ the monitor assumes (via the change functions) must equal the change the
 environment actually applies, step for step.
 """
 
+import hashlib
 import math
 import random
 
 import pytest
 
+from fairmon import runner
 from fairmon.errors import AssumptionViolation, ConfigError
 from fairmon.monitors import attention_change, lending_change, LendingConfig
 from fairmon.sim import attention, coin, lending
@@ -404,3 +406,110 @@ class TestAttentionSim:
     def test_rejects_bad_initial_rates(self, rates):
         with pytest.raises(ConfigError):
             self.make_cfg(l=2, k=2, lambda_init_per_location=rates)
+
+
+# --------------------------------------------------------------------
+# Bytes pinned across builds
+# --------------------------------------------------------------------
+
+_LENDING = {"kind": "lending", "n_a": 30, "n_b": 20, "c_max": 40,
+            "horizon": 400}
+_ATTENTION = {"kind": "attention", "l": 4, "k": 2, "gamma": 0.0025,
+              "horizon": 400, "lambda_init": 8.0}
+
+# (id, simulator config without its seed, {seed: sha256 of the trace
+# runner.simulate writes}).  The determinism tests above compare two runs
+# of one build; these digests pin the Poisson method, every random draw
+# and each step's float operations across builds and CPython versions.
+# A change that alters one of them changes the traces users reproduce.
+TRACE_DIGESTS = [
+    ("lending-max-reward", dict(_LENDING, policy="max_reward"),
+     {1: "1a46103caab7010e7b4f77f11fde3a4b7dc8306185210d569c93f518327641d5",
+      2: "c39ab3f770b3fd5efdbf6d26ed67fb4ecdc8b57b4f72e72add3a651aacf72740"}),
+    ("lending-eq-opp-true", dict(_LENDING, policy="eq_opp"),
+     {1: "02c38956dfe82363f5a327ddb27253e3ffecbbab26cfd01167055b08f287684c",
+      2: "1f181818d04a5dc58d512640cf2e0ef4fa191eb94c7228eb4d00dc993998196e"}),
+    ("lending-eq-opp-seen",
+     dict(_LENDING, policy="eq_opp", use_true_tallies=False),
+     {1: "65099ef974bdc25e8a2635c36eff61f0b0be0d388f826562667eeaf0395ee035",
+      2: "10c096ad5d20a17096c619f8666c72769b167806f352b1a068ff8102085d8582"}),
+    ("attention-uniform", dict(_ATTENTION, policy="uniform"),
+     {1: "132502fee843426fcf59e9300303e41c81e8ee1b117020601a21ceec7ed29dd7",
+      2: "8ce96790f91538b2d521933948a2ec65b2467b83aee79d2b253f50329dc988f4"}),
+    ("attention-greedy",
+     dict(_ATTENTION, l=5, k=6, lambda_init=9.0, policy="greedy"),
+     {1: "24482eb5036493e994eb1bfb877a06174ebfb52cf3956d20cfdf5c5f9f76611e",
+      2: "76d21b67c523e21f0dbec82bcd514d7a3b3f1c3e37574adea43de9c5ed650dcb"}),
+    ("attention-constrained-greedy",
+     dict(_ATTENTION, l=4, k=8, policy="constrained_greedy"),
+     {1: "c9231fe6e694bff13dce976f97885ee53ace3a4b9bda3b56dd7d9d198bbc91a7",
+      2: "45ab610b6c4088fa789cd85d1785d3ee722b1b5a29f4b2bb142db650c81010ea"}),
+    ("attention-omniscient",
+     dict(_ATTENTION, l=3, k=5, policy="greedy", omniscient=True),
+     {1: "b89201084109996f1577e137e697ef7875e23b04bce18544032da447164ddbc3",
+      2: "04c1854487d0a5ee4b1e5985dbf8c7673590a6e83111c05b701a104356385049"}),
+    # Above the inversion cutoff every draw takes the PTRS path.
+    ("attention-lambda-50", dict(_ATTENTION, lambda_init=50),
+     {1: "194e3930a05194e554ee8ae7c693886c2a19751b493741563cd08ee46140bc07",
+      2: "f2467641c11ad4299525685a53efb348954de85fcad9daa7a429f513b1b8e96a"}),
+    # Integer initial rates: the first step's truth holds the ints.
+    ("attention-int-rates",
+     dict(_ATTENTION, policy="greedy",
+          lambda_init_per_location=[8, 9, 3, 12]),
+     {1: "dd2f022e982df574eb975da3cff7d07267483ab19041f01159ef9e1208d6ac25",
+      2: "03f34ab37332e5280c3af2b7463ebcf7457366690a82b8aeb935678979e13752"}),
+    ("coin", {"kind": "coin", "p1": 0.5, "epsilon": 0.001,
+              "horizon": 400},
+     {1: "2cb2c79eabb960fe3b3ab0d35b3bf3db404df09afdcc9e1b29f9e6a727041080",
+      2: "63aca46a1d55cd69e1b0c94ca44c7f277743eea5080381c4cc07219570f0fe05"}),
+]
+
+# The first 50 draws of poisson(random.Random(7), lam), per lam.
+POISSON_DRAWS = {
+    0.3: [
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 2, 0, 1,
+        0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+        0, 1, 0, 0],
+    2.0: [
+        1, 1, 2, 0, 2, 1, 0, 2, 0, 2, 0, 0, 2, 3, 0, 1, 2, 5, 2, 1, 5, 0, 4,
+        1, 1, 0, 1, 3, 1, 2, 2, 1, 2, 0, 0, 1, 3, 2, 1, 2, 2, 1, 3, 3, 1, 2,
+        2, 4, 3, 1],
+    9.9: [
+        8, 7, 11, 6, 10, 9, 5, 10, 5, 9, 5, 6, 9, 13, 6, 7, 11, 15, 10, 9,
+        17, 5, 13, 8, 7, 6, 8, 13, 7, 10, 11, 9, 10, 5, 5, 7, 11, 9, 8, 10,
+        9, 8, 12, 11, 8, 10, 10, 14, 12, 8],
+    10.1: [
+        8, 12, 10, 4, 4, 9, 6, 11, 21, 14, 6, 8, 7, 11, 10, 4, 12, 8, 10,
+        13, 7, 10, 12, 22, 9, 6, 13, 14, 12, 11, 10, 4, 14, 9, 6, 6, 9, 5,
+        8, 9, 18, 7, 7, 11, 9, 17, 10, 12, 9, 5],
+    50.0: [
+        46, 53, 51, 35, 37, 48, 40, 52, 75, 59, 41, 46, 42, 53, 51, 36, 54,
+        46, 49, 57, 44, 50, 55, 48, 42, 56, 59, 54, 52, 49, 36, 57, 48, 42,
+        36, 41, 48, 38, 51, 45, 47, 67, 42, 44, 52, 47, 66, 50, 54, 61],
+}
+
+
+def trace_digest(config, seed, path):
+    """sha256 of the trace ``runner.simulate`` writes to ``path``."""
+    runner.simulate(dict(config, seed=seed), path)
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def poisson_draws(lam, n=50):
+    rng = random.Random(7)
+    return [poisson(rng, lam) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("config, digests",
+                         [row[1:] for row in TRACE_DIGESTS],
+                         ids=[row[0] for row in TRACE_DIGESTS])
+def test_trace_bytes_are_pinned(config, digests, seed, tmp_path):
+    assert trace_digest(config, seed, tmp_path / "trace.jsonl") == \
+        digests[seed]
+
+
+@pytest.mark.parametrize("lam", sorted(POISSON_DRAWS))
+def test_poisson_draws_are_pinned(lam):
+    assert poisson_draws(lam) == POISSON_DRAWS[lam]
