@@ -86,6 +86,23 @@ class FrozenConfig:
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         cls._fields = fields
 
+    @classmethod
+    def from_fields(cls, fields, what):
+        """``cls(**fields)``, where an unknown or missing field is a
+        ConfigError that names it and ``what`` the config is for."""
+        try:
+            return cls(**fields)
+        except TypeError:
+            for name in fields:
+                if name not in cls._fields:
+                    raise ConfigError(
+                        f"unknown field {name!r} for {what}") from None
+            for name in cls._fields:
+                if name not in fields and name not in cls.__dict__:
+                    raise ConfigError(
+                        f"missing field {name!r} for {what}") from None
+            raise
+
     def _values(self):
         return tuple([getattr(self, f) for f in self._fields])
 

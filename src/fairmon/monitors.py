@@ -11,9 +11,9 @@ from collections import namedtuple
 
 from .discovery import MAX_RATE, eta_interval, poisson_subexp_params
 from .errors import ConfigError
-from .estimator import (FrozenConfig, ShiftedMeanEstimator, SubExpParams,
-                        _check_delta, _check_population, state_count,
-                        state_real)
+from .estimator import (_FLOAT_MAX, FrozenConfig, ShiftedMeanEstimator,
+                        SubExpParams, _check_delta, _check_population,
+                        is_real, state_count)
 from .intervals import ConfidenceInterval, interval_sub, trusted_interval
 
 GROUPS = ("A", "B")
@@ -25,6 +25,10 @@ _new = tuple.__new__
 # A rate interval is clamped into [RATE_FLOOR, MAX_RATE] before the
 # discovery-probability mapping, which requires 0 < rate <= MAX_RATE.
 RATE_FLOOR = 1e-9
+
+# The largest float as an int: a count above it does not convert to a
+# float.  An int compares with it faster than with the float.
+_FLOAT_MAX_INT = int(_FLOAT_MAX)
 
 
 class MonitorOutput(namedtuple(
@@ -97,15 +101,23 @@ class Monitor:
 
     def load_state_dict(self, state):
         self.t = state_count(state["t"])
+        estimators = _state_object(state["estimators"], "state.estimators")
+        last = _state_object(state["last"], "state.last")
         for g in self.groups:
-            self._estimators[g].load_state_dict(state["estimators"][g])
-            raw = state["last"][g]
+            self._estimators[g].load_state_dict(_state_object(
+                estimators[g], f"state.estimators.{g}"))
+            raw = last[g]
+            if raw is not None and not (type(raw) is list and len(raw) == 2
+                                        and is_real(raw[0])
+                                        and is_real(raw[1])):
+                raise TypeError(f"state.last.{g} must be null or two finite "
+                                f"numbers, got {raw!r}")
             if (raw is None) != (self._estimators[g].t == 0):
                 raise ValueError(
                     f"last {g} must be null exactly when estimator {g} "
                     f"has no updates")
             self._last[g] = None if raw is None else ConfidenceInterval(
-                *map(state_real, raw), self._confidence)
+                float(raw[0]), float(raw[1]), self._confidence)
         flag = state["floor_violation"]
         if type(flag) is not bool:
             raise TypeError(f"floor_violation must be a bool, got {flag!r}")
@@ -124,6 +136,13 @@ class Monitor:
         if self.floor_violation:
             raise ValueError(f"floor_violation is never set by a "
                              f"{self.kind} monitor")
+
+
+def _state_object(value, name):
+    """A JSON object read back from a snapshot's state at ``name``."""
+    if type(value) is not dict:
+        raise TypeError(f"{name} must be an object, got {value!r}")
+    return value
 
 
 # --------------------------------------------------------------------
@@ -258,6 +277,14 @@ class AttentionMonitor(Monitor):
         if y_a + y_b > k:
             raise ValueError(
                 f"allocation {y_a}+{y_b} exceeds capacity {k}")
+        # The estimators take the counts and the units as floats; the
+        # units are at most k.
+        if not x_a <= _FLOAT_MAX_INT >= x_b or k > _FLOAT_MAX_INT:
+            for name, value in zip(("x_a", "x_b", "y_a", "y_b"),
+                                   (x_a, x_b, y_a, y_b)):
+                if value > _FLOAT_MAX_INT:
+                    raise ValueError(
+                        f"{name}={value} is too large for a float")
         self.t += 1
         clamped_a = self._group("A", x_a, y_a)
         clamped_b = self._group("B", x_b, y_b)
@@ -369,7 +396,7 @@ def build_monitor(config):
     if cls is None:
         raise ConfigError(f"unknown monitor kind {kind!r}")
     try:
-        return cls(cls.config_type(**cfg))
+        return cls(cls.config_type.from_fields(cfg, f"a {kind} monitor"))
     except TypeError as exc:
         raise ConfigError(
             f"bad monitor config for kind {kind!r}: {exc}") from exc

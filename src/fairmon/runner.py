@@ -42,7 +42,8 @@ def build_sim(config):
     if not isinstance(kind, str) or kind not in simulators:
         raise ConfigError(f"unknown simulator kind {kind!r}")
     try:
-        return kind, simulators[kind][0](**cfg)
+        return kind, simulators[kind][0].from_fields(
+            cfg, f"a {kind} simulator")
     except TypeError as exc:
         raise ConfigError(f"bad simulator config for {kind!r}: {exc}") from exc
 

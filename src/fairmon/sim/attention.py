@@ -10,7 +10,8 @@ fairness floor per location, remainder greedy).
 
 import random
 
-from ..discovery import MAX_RATE, eta
+from .. import kernels
+from ..discovery import MAX_RATE
 from ..errors import AssumptionViolation, ConfigError
 from ..estimator import FrozenConfig, is_real
 from ..monitors import AttentionObservation, attention_change
@@ -86,10 +87,14 @@ def _largest_remainder(weights, k, rng):
 
 class AllocationPolicy:
     """Deterministic given (seed, history); greedy variants track the
-    empirical mean of raw observed counts per location."""
+    empirical mean of raw observed counts per location.  ``learns`` is
+    false for the policies that never read those counts (uniform, and
+    omniscient greedy), so the environment does not feed them."""
 
     def __init__(self, cfg):
         self.cfg = cfg
+        self._l, self._k, self._policy = cfg.l, cfg.k, cfg.policy
+        self.learns = cfg.policy != "uniform" and not cfg.omniscient
         self._count_sums = [0.0] * cfg.l
         self._n = 0
 
@@ -97,19 +102,19 @@ class AllocationPolicy:
         if self.cfg.omniscient:
             return list(env.rates)
         if self._n == 0:
-            return [1.0] * self.cfg.l
+            return [1.0] * self._l
         return [s / self._n for s in self._count_sums]
 
     def allocate(self, env, rng):
-        l, k = self.cfg.l, self.cfg.k
-        if self.cfg.policy == "uniform":
+        l, k = self._l, self._k
+        if self._policy == "uniform":
             alloc = [k // l] * l
             offset = rng.randrange(l)
-            for i in range(k % l):
-                alloc[(offset + i) % l] += 1
+            for i in range(offset, offset + k % l):
+                alloc[i % l] += 1
             return alloc
         beliefs = self._beliefs(env)
-        if self.cfg.policy == "greedy":
+        if self._policy == "greedy":
             return _largest_remainder(beliefs, k, rng)
         base = int(self.cfg.alpha * k / l)
         alloc = [base] * l
@@ -125,38 +130,44 @@ class AllocationPolicy:
 class AttentionEnv:
     def __init__(self, cfg):
         self.cfg = cfg
+        self._k, self._gamma = cfg.k, cfg.gamma
         self.rates = cfg.initial_rates()
         self.t = 0
 
     def _omega(self, i, y):
-        """Discovery probability of location i given y units."""
-        if y == 0:
-            return 0.0
-        if self.rates[i] > MAX_RATE:
+        """Discovery probability of location i given y > 0 units.  A rate
+        is positive (a step that drives one to 0 raises), so the kernel
+        needs only the upper bound checked."""
+        rate = self.rates[i]
+        if rate > MAX_RATE:
             raise AssumptionViolation(
-                f"incident rate of location {i} reached {self.rates[i]}, "
+                f"incident rate of location {i} reached {rate}, "
                 f"above the discovery range (0, {MAX_RATE}]", step=self.t)
-        return eta(y, self.rates[i])
+        return kernels.eta(y, float(rate))
 
     def step(self, policy, rng):
         """One allocation round; returns (observation over the monitored
         pair, ground-truth dict).  Truth uses the rates the counts were
         drawn from, i.e. before this round's rate shift."""
         self.t += 1
+        rates = self.rates
         alloc = policy.allocate(self, rng)
-        counts = [poisson(rng, lam) for lam in self.rates]
-        policy.observe(counts)
-        lam_a, lam_b = self.rates[0], self.rates[1]
+        counts = [poisson(rng, lam) for lam in rates]
+        if policy.learns:
+            policy.observe(counts)
+        lam_a, lam_b = rates[0], rates[1]
         y_a, y_b = alloc[0], alloc[1]
-        omega_a, omega_b = self._omega(0, y_a), self._omega(1, y_b)
-        for i in range(self.cfg.l):
-            self.rates[i] += attention_change(alloc[i], self.cfg.gamma)
-            if self.rates[i] <= 0.0:
+        omega_a = self._omega(0, y_a) if y_a else 0.0
+        omega_b = self._omega(1, y_b) if y_b else 0.0
+        gamma = self._gamma
+        for i, y in enumerate(alloc):
+            rates[i] = rate = rates[i] + attention_change(y, gamma)
+            if rate <= 0.0:
                 raise AssumptionViolation(
-                    f"incident rate of location {i} reached "
-                    f"{self.rates[i]}", step=self.t)
+                    f"incident rate of location {i} reached {rate}",
+                    step=self.t)
         obs = _new(AttentionObservation,
-                   (counts[0], counts[1], y_a, y_b, self.cfg.k))
+                   (counts[0], counts[1], y_a, y_b, self._k))
         truth = {"omega_a": omega_a, "omega_b": omega_b,
                  "phi": omega_a - omega_b, "lam_a": lam_a, "lam_b": lam_b}
         return obs, truth
@@ -167,7 +178,8 @@ def generate(cfg):
     rng = random.Random(cfg.seed)
     env = AttentionEnv(cfg)
     policy = AllocationPolicy(cfg)
+    step = env.step
     for t in range(1, cfg.horizon + 1):
-        obs, truth = env.step(policy, rng)
-        yield {"t": t, "x_a": obs.x_a, "x_b": obs.x_b,
-               "y_a": obs.y_a, "y_b": obs.y_b, "k": obs.k, "truth": truth}
+        (x_a, x_b, y_a, y_b, k), truth = step(policy, rng)
+        yield {"t": t, "x_a": x_a, "x_b": x_b, "y_a": y_a, "y_b": y_b,
+               "k": k, "truth": truth}

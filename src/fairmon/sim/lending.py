@@ -89,13 +89,15 @@ class LendingEnv:
 
     def __init__(self, cfg):
         self.cfg = cfg
+        self._n_a, self._n_b = cfg.n_a, cfg.n_b
+        self._rho_min, self._c_max = cfg.rho_min, cfg.c_max
+        self._rho_span = cfg.rho_max - cfg.rho_min
         scores_a, scores_b = initial_scores(cfg)
         self.scores = {"A": scores_a, "B": scores_b}
         self.sums = {g: sum(s) for g, s in self.scores.items()}
 
     def rho(self, x):
-        return self.cfg.rho_min + (self.cfg.rho_max - self.cfg.rho_min) \
-            * x / self.cfg.c_max
+        return self._rho_min + self._rho_span * x / self._c_max
 
     def group_mean(self, g):
         return self.sums[g] / len(self.scores[g])
@@ -107,14 +109,18 @@ class LendingEnv:
         round's score change, which is what the monitor's step-t output
         estimates.
         """
-        psi_a, psi_b = self.group_mean("A"), self.group_mean("B")
+        n_a, sums = self._n_a, self.sums
+        # The group means, as group_mean has them: each group holds its
+        # configured number of scores.
+        psi_a, psi_b = sums["A"] / n_a, sums["B"] / self._n_b
         # Uniform over the combined population.
-        pick = rng.randrange(self.cfg.n_a + self.cfg.n_b)
-        if pick < self.cfg.n_a:
+        pick = rng.randrange(n_a + self._n_b)
+        if pick < n_a:
             g, idx = "A", pick
         else:
-            g, idx = "B", pick - self.cfg.n_a
-        x = self.scores[g][idx]
+            g, idx = "B", pick - n_a
+        scores = self.scores[g]
+        x = scores[idx]
         y = policy.decide(x, g, self, rng)
         z = 0
         if y == 1:
@@ -124,8 +130,8 @@ class LendingEnv:
         shift = lending_change(obs, self.cfg)
         if shift:
             step = 1 if shift > 0.0 else -1
-            self.scores[g][idx] = x + step
-            self.sums[g] += step
+            scores[idx] = x + step
+            sums[g] += step
         truth = {"psi_a": psi_a, "psi_b": psi_b, "phi": psi_a - psi_b}
         return obs, truth
 
@@ -216,7 +222,7 @@ def generate(cfg):
     rng = random.Random(cfg.seed)
     env = LendingEnv(cfg)
     policy = make_policy(cfg)
+    step = env.step
     for t in range(1, cfg.horizon + 1):
-        obs, truth = env.step(policy, rng)
-        yield {"t": t, "x": obs.x, "g": obs.g, "y": obs.y, "z": obs.z,
-               "truth": truth}
+        (x, g, y, z), truth = step(policy, rng)
+        yield {"t": t, "x": x, "g": g, "y": y, "z": z, "truth": truth}

@@ -8,28 +8,29 @@ import math
 
 _INVERSION_CUTOFF = 10.0
 _MAX_INVERSION_STEPS = 10_000
+# The inversion's term indices; past the last, k guards against a cdf
+# rounding stall.
+_TERMS = range(1, _MAX_INVERSION_STEPS + 1)
+_exp = math.exp
 
 
 def poisson(rng, lam):
     if lam <= 0:
         raise ValueError(f"rate must be positive, got {lam}")
     if lam <= _INVERSION_CUTOFF:
-        return _poisson_inversion(rng, lam)
+        # Inversion: the smallest k whose cdf, summed term by term from
+        # exp(-lam), reaches u.
+        u = rng.random()
+        p = f = _exp(-lam)
+        if u <= f:
+            return 0
+        for k in _TERMS:
+            p *= lam / k
+            f += p
+            if u <= f:
+                return k
+        return _MAX_INVERSION_STEPS + 1
     return _poisson_ptrs(rng, lam)
-
-
-def _poisson_inversion(rng, lam):
-    u = rng.random()
-    p = math.exp(-lam)
-    f = p
-    k = 0
-    while u > f:
-        k += 1
-        p *= lam / k
-        f += p
-        if k > _MAX_INVERSION_STEPS:  # guards against cdf rounding stall
-            break
-    return k
 
 
 def _poisson_ptrs(rng, lam):

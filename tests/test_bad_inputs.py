@@ -142,8 +142,7 @@ _FLAGS = "clamped and floor_violation must be true or false; got {}, {}"
 _STATE = "{snapshot}:1: invalid monitor state: "
 _NULL_LAST = ("ValueError('last {0} must be null exactly when estimator {0} "
               "has no updates')")
-_LAST_OF_THREE = ("TypeError('ConfidenceInterval.__new__() takes 4 "
-                  "positional arguments but 5 were given')")
+_LAST = "TypeError('state.last.{} must be null or two finite numbers, got {}')"
 _TOGETHER = "init_scores_a and init_scores_b must be given together"
 _SMALL_LENDING = {"kind": "lending", "n_a": 3, "n_b": 3, "c_max": 10,
                   "horizon": 5}
@@ -416,9 +415,13 @@ ROWS = [
            "x_a=10, x_b=12, y_a=True, y_b=3, k=6)"),
           ("float-coin-toss", "coin", _field("x", 1.0),
            "coin outcome must be an integer: CoinObservation(x=1.0)"),
-          # A count too large for a float.
+          # A count, or units, too large for a float: named before t
+          # advances.
           ("huge-count", "attention", _field("x_a", 10 ** 400),
-           "int too large to convert to float"),
+           f"x_a={10 ** 400} is too large for a float"),
+          ("huge-units", "attention",
+           lambda rec: rec.update(y_a=10 ** 400, k=2 * 10 ** 400),
+           f"y_a={10 ** 400} is too large for a float"),
       ]],
     # Blank lines before a bad record count in its line number.
     *[data_error(f"bad-record-after-blank-lines-{command}", argv,
@@ -554,8 +557,9 @@ ROWS = [
           ("zero-group-size", "n_a", 0,
            "group sizes must be in [1, 1.79769e+308]: n_a=0, n_b=5"),
           ("unknown-field", "foo", 1,
-           "bad monitor config for kind 'lending': LendingConfig.__init__() "
-           "got an unexpected keyword argument 'foo'"),
+           "unknown field 'foo' for a lending monitor"),
+          ("missing-field", "n_a", _DROP,
+           "missing field 'n_a' for a lending monitor"),
           ("text-delta", "delta", "x", "delta must be float, got 'x'")]],
     *[data_error(f"snapshot-state-{id}", RESUME, _STATE + message,
                  ("snapshot", 1, edit), base=base)
@@ -570,10 +574,13 @@ ROWS = [
           ("text-t", "lending", _field("state.t", "seven"),
            """TypeError("expected a nonnegative integer, got 'seven'")"""),
           ("list-estimator", "lending", _field("state.estimators.A", [1, 2]),
-           "TypeError('list indices must be integers or slices, not str')"),
+           "TypeError('state.estimators.A must be an object, got [1, 2]')"),
+          ("list-estimators", "lending", _field("state.estimators", [1, 2]),
+           "TypeError('state.estimators must be an object, got [1, 2]')"),
           ("short-interval", "lending", _field("state.last.A", [0.0]),
-           """TypeError("ConfidenceInterval.__new__() missing 1 required """
-           """positional argument: 'confidence'")"""),
+           _LAST.format("A", [0.0])),
+          ("bool-interval", "lending", _field("state.last.B", [True, 1.0]),
+           _LAST.format("B", [True, 1.0])),
           ("attention-int-floor-violation", "attention-l5",
            _field("state.floor_violation", 1),
            "TypeError('floor_violation must be a bool, got 1')"),
@@ -613,8 +620,10 @@ ROWS = [
     *[data_error(f"snapshot-old-state-layout-{base}", RESUME,
                  _STATE + message, ("snapshot", 1, older), base=base)
       for base, older, message in [
-          ("lending", _state_before_floor_bit, _LAST_OF_THREE),
-          ("attention", _state_before_floor_bit, _LAST_OF_THREE),
+          ("lending", _state_before_floor_bit, _LAST.format(
+              "A", [-6.852071873007981, 22.752071873007985, 0.975])),
+          ("attention", _state_before_floor_bit, _LAST.format(
+              "A", [0.2280763591458386, 0.6651289410317035, 0.975])),
           ("coin", _coin_state_before_shared_state,
            "KeyError('estimators')")]],
 
@@ -688,6 +697,19 @@ ROWS = [
           ("rate-above-max-rate", _SMALL_ATTENTION, "lambda_init=800",
            "initial rates must be at most 700.0, the largest rate the "
            "discovery probability is computed at, got (800, 800)")]],
+    # A field the config class does not have, or one it needs, is named.
+    *[config_error(f"{command}-{id}", argv, message, *edits)
+      for command, argv, id, message, *edits in [
+          ("simulate", SIMULATE + " --set foo=1", "unknown-field",
+           "unknown field 'foo' for a lending simulator"),
+          ("simulate", SIMULATE, "missing-field",
+           "missing field 'horizon' for a lending simulator",
+           ("config", 1, _field("simulator.horizon"))),
+          ("monitor", MONITOR + " --set foo=1", "unknown-field",
+           "unknown field 'foo' for a lending monitor"),
+          ("monitor", MONITOR, "missing-field",
+           "missing field 'delta' for a lending monitor",
+           ("config", 1, _field("monitor.delta")))]],
     *[config_error(f"bench-updates-{updates}",
                    f"bench --kind lending --updates {updates}",
                    f"updates must be a positive integer, got {updates}")

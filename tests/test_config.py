@@ -1,8 +1,8 @@
 """The seven config classes behave as frozen value objects: keyword and
 positional construction, the simulator configs' defaults, ``repr``,
 equality and hash, immutability, and a ``TypeError`` (a ``ConfigError``
-through ``build_monitor`` and ``build_sim``) on an unknown or missing
-field."""
+naming the field through ``build_monitor`` and ``build_sim``) on an
+unknown or missing field."""
 
 import pytest
 
@@ -123,8 +123,13 @@ class TestConfigClass:
             cls(*fields.values(), 1)
         if kind is None:
             return
-        with pytest.raises(ConfigError, match="unexpected keyword "
-                                              "argument 'bogus'"):
+        # Through build_monitor and build_sim the error names the field,
+        # not the generated __init__'s signature.
+        stage, name = kind
+        what = f"a {name} {'monitor' if stage == 'monitor' else 'simulator'}"
+        with pytest.raises(ConfigError) as exc:
             _build(kind, {**fields, "bogus": 1})
-        with pytest.raises(ConfigError, match=f"'{first}'"):
+        assert str(exc.value) == f"unknown field 'bogus' for {what}"
+        with pytest.raises(ConfigError) as exc:
             _build(kind, missing)
+        assert str(exc.value) == f"missing field '{first}' for {what}"

@@ -355,6 +355,13 @@ class TestObservationChecks:
             CoinMonitorConfig(epsilon=0.1, delta=0.05)),
     }
 
+    def test_capacity_past_float_range_with_small_units(self):
+        # Only the units reach the estimators, not the capacity.
+        mon = self.MONITORS["attention"]()
+        out = mon.update(attn(1, 2, 1, 1, k=10 ** 400))
+        assert mon.t == 1
+        assert out == self.MONITORS["attention"]().update(attn(1, 2, 1, 1))
+
     @pytest.mark.parametrize("kind, obs, exc_type, text", [
         ("lending", lend(5, None, 1, 1), ValueError, "unknown group None"),
         ("lending", lend(5.0, "A", 1, 1), TypeError,
@@ -400,6 +407,15 @@ class TestObservationChecks:
          "AttentionObservation(x_a=1, x_b=2, y_a=0, y_b=0, k=-1)"),
         ("attention", attn(1, 2, 0, 2, k=1), ValueError,
          "allocation 0+2 exceeds capacity 1"),
+        # Counts and units the estimators would fail to convert.
+        ("attention", attn(10 ** 400, 2, 1, 1), ValueError,
+         f"x_a={10 ** 400} is too large for a float"),
+        ("attention", attn(1, 2 ** 1024, 1, 1), ValueError,
+         f"x_b={2 ** 1024} is too large for a float"),
+        ("attention", attn(1, 2, 10 ** 400, 1, k=10 ** 401), ValueError,
+         f"y_a={10 ** 400} is too large for a float"),
+        ("attention", attn(1, 2, 0, 2 ** 1024, k=2 ** 1025), ValueError,
+         f"y_b={2 ** 1024} is too large for a float"),
         ("coin", CoinObservation(1.0), TypeError,
          "coin outcome must be an integer: CoinObservation(x=1.0)"),
         ("coin", CoinObservation(True), TypeError,

@@ -513,3 +513,14 @@ def test_trace_bytes_are_pinned(config, digests, seed, tmp_path):
 @pytest.mark.parametrize("lam", sorted(POISSON_DRAWS))
 def test_poisson_draws_are_pinned(lam):
     assert poisson_draws(lam) == POISSON_DRAWS[lam]
+
+
+def test_inversion_stall_guard_is_pinned():
+    # At rate 0.1 the summed cdf stops short of the largest float below
+    # 1, so that u takes the guard: 10_000 terms, then k = 10_001.
+    class LargestU:
+        def random(self):
+            return 1.0 - 2.0 ** -53
+
+    assert poisson(LargestU(), 0.1) == 10_001
+    assert poisson(LargestU(), 2.0) == 22
