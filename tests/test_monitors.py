@@ -407,15 +407,6 @@ class TestObservationChecks:
          "AttentionObservation(x_a=1, x_b=2, y_a=0, y_b=0, k=-1)"),
         ("attention", attn(1, 2, 0, 2, k=1), ValueError,
          "allocation 0+2 exceeds capacity 1"),
-        # Counts and units the estimators would fail to convert.
-        ("attention", attn(10 ** 400, 2, 1, 1), ValueError,
-         f"x_a={10 ** 400} is too large for a float"),
-        ("attention", attn(1, 2 ** 1024, 1, 1), ValueError,
-         f"x_b={2 ** 1024} is too large for a float"),
-        ("attention", attn(1, 2, 10 ** 400, 1, k=10 ** 401), ValueError,
-         f"y_a={10 ** 400} is too large for a float"),
-        ("attention", attn(1, 2, 0, 2 ** 1024, k=2 ** 1025), ValueError,
-         f"y_b={2 ** 1024} is too large for a float"),
         ("coin", CoinObservation(1.0), TypeError,
          "coin outcome must be an integer: CoinObservation(x=1.0)"),
         ("coin", CoinObservation(True), TypeError,
@@ -424,6 +415,16 @@ class TestObservationChecks:
          "coin outcome must be 0 or 1, got 2"),
         ("coin", CoinObservation(-1), ValueError,
          "coin outcome must be 0 or 1, got -1"),
+        # Counts and units the estimators would fail to convert (last,
+        # so the earlier cases keep their ids).
+        ("attention", attn(10 ** 400, 2, 1, 1), ValueError,
+         f"x_a={10 ** 400} is too large for a float"),
+        ("attention", attn(1, 2 ** 1024, 1, 1), ValueError,
+         f"x_b={2 ** 1024} is too large for a float"),
+        ("attention", attn(1, 2, 10 ** 400, 1, k=10 ** 401), ValueError,
+         f"y_a={10 ** 400} is too large for a float"),
+        ("attention", attn(1, 2, 0, 2 ** 1024, k=2 ** 1025), ValueError,
+         f"y_b={2 ** 1024} is too large for a float"),
     ])
     def test_exact_error(self, kind, obs, exc_type, text):
         mon = self.MONITORS[kind]()
