@@ -30,14 +30,11 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = traceio.parse_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # bytes not UTF-8 and the digit limit too
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    except RecursionError:  # its message differs across Python versions
-        raise ConfigError(f"config {path} is not valid JSON: JSON nested "
-                          f"too deeply") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object, got "
                           f"{_JSON_TYPES[type(config)]}")
@@ -86,13 +83,11 @@ def _parse_override(text):
     if not sep:
         raise ConfigError(f"override {text!r} must look like key=value")
     try:
-        return key, json.loads(value)
+        return key, traceio.parse_json(value)
     except json.JSONDecodeError:
         return key, value
-    except ValueError as exc:  # an integer past the digit limit
+    except ValueError as exc:  # past the digit limit, or nested too deeply
         raise ConfigError(f"override {key}: {exc}") from None
-    except RecursionError:  # its message differs across Python versions
-        raise ConfigError(f"override {key}: JSON nested too deeply") from None
 
 
 def build_parser():

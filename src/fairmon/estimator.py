@@ -28,19 +28,18 @@ def is_real(value):
 
 
 def check_field_types(obj):
-    """Raise ConfigError unless every ``int``, ``float`` or ``bool``
-    field of the :class:`FrozenConfig` ``obj`` holds that type: an
-    ``int`` field an int, a ``float`` field a real as :func:`is_real`
-    has it, a ``bool`` field a bool.  Fields of other types are left to
-    the caller.  The fields are read from the class annotations."""
+    """Raise ConfigError unless every ``int``, ``float``, ``bool`` or
+    ``str`` field of the :class:`FrozenConfig` ``obj`` holds that type:
+    a ``float`` field a real as :func:`is_real` has it, any other of
+    these fields a value of exactly its type (so not a bool for an
+    int).  Fields of other types are left to the caller.  The fields
+    are read from the class annotations."""
     for name, ftype in type(obj).__annotations__.items():
         value = getattr(obj, name)
-        if ftype is int:
-            ok = type(value) is int
-        elif ftype is float:
+        if ftype is float:
             ok = is_real(value)
-        elif ftype is bool:
-            ok = type(value) is bool
+        elif ftype in (int, bool, str):
+            ok = type(value) is ftype
         else:
             continue
         if not ok:
@@ -168,18 +167,31 @@ def _check_population(n_a, n_b, c_max):
             f"c_max must be in [1, {_C_MAX_LIMIT:.6g}], got {c_max}")
 
 
-def state_count(value):
-    """A step count read back from a snapshot: a nonnegative int (not a
-    bool, which JSON ``true`` would become)."""
+def state_value(state, key, name):
+    """``state[key]``, where ``state`` is the object at path ``name`` of
+    a state read back from a snapshot; a missing key is a ValueError
+    that names its path."""
+    if key not in state:
+        raise ValueError(f"{name}.{key} is missing")
+    return state[key]
+
+
+def state_count(state, key, name):
+    """The step count :func:`state_value` reads: a nonnegative int (not
+    a bool, which JSON ``true`` would become)."""
+    value = state_value(state, key, name)
     if type(value) is not int or value < 0:
-        raise TypeError(f"expected a nonnegative integer, got {value!r}")
+        raise TypeError(f"{name}.{key} must be a nonnegative integer, got "
+                        f"{value!r}")
     return value
 
 
-def state_real(value):
-    """A real read back from a snapshot: see :func:`is_real`."""
+def state_real(state, key, name):
+    """The real :func:`state_value` reads: see :func:`is_real`."""
+    value = state_value(state, key, name)
     if not is_real(value):
-        raise TypeError(f"expected a finite number, got {value!r}")
+        raise TypeError(f"{name}.{key} must be a finite number, got "
+                        f"{value!r}")
     return float(value)
 
 
@@ -263,8 +275,11 @@ class ShiftedMeanEstimator:
         return {"t": self.t, "e1_hat": self._e1_hat,
                 "d": self._d, "d_comp": self._d_comp}
 
-    def load_state_dict(self, state):
-        self.t = state_count(state["t"])
-        self._e1_hat = state_real(state["e1_hat"])
-        self._d = state_real(state["d"])
-        self._d_comp = state_real(state["d_comp"])
+    def load_state_dict(self, state, name="state"):
+        """Restore what :meth:`state_dict` returned, read back from a
+        snapshot at path ``name``; a missing or ill-typed field raises
+        ValueError or TypeError naming its path."""
+        self.t = state_count(state, "t", name)
+        self._e1_hat = state_real(state, "e1_hat", name)
+        self._d = state_real(state, "d", name)
+        self._d_comp = state_real(state, "d_comp", name)

@@ -13,7 +13,7 @@ from .discovery import MAX_RATE, eta_interval, poisson_subexp_params
 from .errors import ConfigError
 from .estimator import (_FLOAT_MAX, FrozenConfig, ShiftedMeanEstimator,
                         SubExpParams, _check_delta, _check_population,
-                        is_real, state_count)
+                        is_real, state_count, state_value)
 from .intervals import ConfidenceInterval, interval_sub, trusted_interval
 
 GROUPS = ("A", "B")
@@ -100,27 +100,34 @@ class Monitor:
         }
 
     def load_state_dict(self, state):
-        self.t = state_count(state["t"])
-        estimators = _state_object(state["estimators"], "state.estimators")
-        last = _state_object(state["last"], "state.last")
+        """Restore what :meth:`state_dict` returned, read back from a
+        snapshot; a missing or ill-typed field raises ValueError or
+        TypeError naming its path from ``state``, and facts that
+        disagree raise ValueError (:meth:`_check_state`)."""
+        self.t = state_count(state, "t", "state")
+        estimators = _state_object(state, "estimators", "state")
+        last = _state_object(state, "last", "state")
         for g in self.groups:
-            self._estimators[g].load_state_dict(_state_object(
-                estimators[g], f"state.estimators.{g}"))
-            raw = last[g]
+            self._estimators[g].load_state_dict(
+                _state_object(estimators, g, "state.estimators"),
+                f"state.estimators.{g}")
+            raw = state_value(last, g, "state.last")
             if raw is not None and not (type(raw) is list and len(raw) == 2
                                         and is_real(raw[0])
-                                        and is_real(raw[1])):
+                                        and is_real(raw[1])
+                                        and raw[0] <= raw[1]):
                 raise TypeError(f"state.last.{g} must be null or two finite "
-                                f"numbers, got {raw!r}")
+                                f"numbers lo <= hi, got {raw!r}")
             if (raw is None) != (self._estimators[g].t == 0):
                 raise ValueError(
-                    f"last {g} must be null exactly when estimator {g} "
-                    f"has no updates")
+                    f"state.last.{g} must be null exactly when estimator "
+                    f"{g} has no updates")
             self._last[g] = None if raw is None else ConfidenceInterval(
                 float(raw[0]), float(raw[1]), self._confidence)
-        flag = state["floor_violation"]
+        flag = state_value(state, "floor_violation", "state")
         if type(flag) is not bool:
-            raise TypeError(f"floor_violation must be a bool, got {flag!r}")
+            raise TypeError(
+                f"state.floor_violation must be a bool, got {flag!r}")
         self.floor_violation = flag
         self._check_state()
 
@@ -138,10 +145,11 @@ class Monitor:
                              f"{self.kind} monitor")
 
 
-def _state_object(value, name):
-    """A JSON object read back from a snapshot's state at ``name``."""
+def _state_object(state, key, name):
+    """The JSON object :func:`state_value` reads."""
+    value = state_value(state, key, name)
     if type(value) is not dict:
-        raise TypeError(f"{name} must be an object, got {value!r}")
+        raise TypeError(f"{name}.{key} must be an object, got {value!r}")
     return value
 
 
@@ -395,8 +403,4 @@ def build_monitor(config):
     cls = MONITORS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown monitor kind {kind!r}")
-    try:
-        return cls(cls.config_type.from_fields(cfg, f"a {kind} monitor"))
-    except TypeError as exc:
-        raise ConfigError(
-            f"bad monitor config for kind {kind!r}: {exc}") from exc
+    return cls(cls.config_type.from_fields(cfg, f"a {kind} monitor"))

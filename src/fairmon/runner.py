@@ -41,11 +41,7 @@ def build_sim(config):
     simulators = _simulators()
     if not isinstance(kind, str) or kind not in simulators:
         raise ConfigError(f"unknown simulator kind {kind!r}")
-    try:
-        return kind, simulators[kind][0].from_fields(
-            cfg, f"a {kind} simulator")
-    except TypeError as exc:
-        raise ConfigError(f"bad simulator config for {kind!r}: {exc}") from exc
+    return kind, simulators[kind][0].from_fields(cfg, f"a {kind} simulator")
 
 
 def simulate(config, out_path, include_truth=True):
@@ -83,9 +79,9 @@ def monitor_trace(trace_path, monitor_config, out_path,
                 f"{snapshot_in}:1: bad monitor_config: {exc}") from exc
         try:
             mon.load_state_dict(state)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise TraceFormatError(
-                f"{snapshot_in}:1: invalid monitor state: {exc!r}") from exc
+                f"{snapshot_in}:1: invalid monitor state: {exc}") from exc
     else:
         mon = build_monitor(monitor_config)
     first_t = mon.t

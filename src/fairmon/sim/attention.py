@@ -13,7 +13,7 @@ import random
 from .. import kernels
 from ..discovery import MAX_RATE
 from ..errors import AssumptionViolation, ConfigError
-from ..estimator import FrozenConfig, is_real
+from ..estimator import _FLOAT_MAX, FrozenConfig, is_real
 from ..monitors import AttentionObservation, attention_change
 from .sampling import poisson
 
@@ -38,8 +38,10 @@ class AttentionSimConfig(FrozenConfig):
     def __post_init__(self):
         if self.l < 2:
             raise ConfigError(f"need at least 2 locations, got {self.l}")
-        if self.k < 1:
-            raise ConfigError(f"capacity must be positive, got {self.k}")
+        # The units a location gets, at most k, are multiplied as floats.
+        if not 1 <= self.k <= _FLOAT_MAX:
+            raise ConfigError(
+                f"k must be in [1, {_FLOAT_MAX:.6g}], got {self.k}")
         if self.gamma < 0:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
         if self.horizon < 0:

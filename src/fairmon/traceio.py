@@ -41,6 +41,15 @@ def config_hash(config):
     return sha256(blob.encode()).hexdigest()[:16]
 
 
+def parse_json(text):
+    """``json.loads(text)``, where JSON nested too deeply for the parser
+    is a ValueError too, with one message on every Python version."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 # One compact encoder for every metadata, trace and snapshot line;
 # json.dumps with non-default arguments would build a new one per call.
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
@@ -169,12 +178,9 @@ def _read_meta(fh, path, expected_file):
     if not line:
         raise TraceFormatError(f"{path}: empty file, missing metadata line")
     try:
-        meta = json.loads(line)
+        meta = parse_json(line)
     except ValueError as exc:  # an int past the digit limit included
         raise TraceFormatError(f"{path}:1: corrupt metadata: {exc}") from exc
-    except RecursionError:  # its message differs across Python versions
-        raise TraceFormatError(
-            f"{path}:1: corrupt metadata: JSON nested too deeply") from None
     if not isinstance(meta, dict):
         raise TraceFormatError(f"{path}:1: metadata is not a JSON object")
     a_file = ("an " if expected_file[0] in "aeiou" else "a ") \
@@ -245,15 +251,11 @@ def _records(path, expected_file, start_t):
                 end = 0  # the line is not blank, so not "\n" from 0
             if line[end:] != "\n":
                 try:
-                    rec = json.loads(line)
+                    rec = parse_json(line)
                 except ValueError as exc:  # the digit limit included
                     raise TraceFormatError(
                         f"{path}:{lineno}: corrupt record: {exc}"
                     ) from exc
-                except RecursionError:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: corrupt record: JSON nested too "
-                        f"deeply") from None
             try:
                 t = rec.get("t")
             except AttributeError:

@@ -140,9 +140,9 @@ _INTERVAL = ("group {} interval must be [lo, hi] or null, with finite "
              "floats lo <= hi; got {!r}")
 _FLAGS = "clamped and floor_violation must be true or false; got {}, {}"
 _STATE = "{snapshot}:1: invalid monitor state: "
-_NULL_LAST = ("ValueError('last {0} must be null exactly when estimator {0} "
-              "has no updates')")
-_LAST = "TypeError('state.last.{} must be null or two finite numbers, got {}')"
+_NULL_LAST = ("state.last.{0} must be null exactly when estimator {0} has no "
+              "updates")
+_LAST = "state.last.{} must be null or two finite numbers lo <= hi, got {}"
 _TOGETHER = "init_scores_a and init_scores_b must be given together"
 _SMALL_LENDING = {"kind": "lending", "n_a": 3, "n_b": 3, "c_max": 10,
                   "horizon": 5}
@@ -565,36 +565,38 @@ ROWS = [
                  ("snapshot", 1, edit), base=base)
       for id, base, edit, message in [
           ("fractional-t", "lending", _field("state.t", 4.9),
-           "TypeError('expected a nonnegative integer, got 4.9')"),
+           "state.t must be a nonnegative integer, got 4.9"),
           ("bool-estimator-t", "lending", _field("state.estimators.A.t", True),
-           "TypeError('expected a nonnegative integer, got True')"),
-          ("no-last", "lending", _field("state.last"), "KeyError('last')"),
+           "state.estimators.A.t must be a nonnegative integer, got True"),
+          ("no-last", "lending", _field("state.last"),
+           "state.last is missing"),
           ("no-floor-violation", "lending", _field("state.floor_violation"),
-           "KeyError('floor_violation')"),
+           "state.floor_violation is missing"),
           ("text-t", "lending", _field("state.t", "seven"),
-           """TypeError("expected a nonnegative integer, got 'seven'")"""),
+           "state.t must be a nonnegative integer, got 'seven'"),
           ("list-estimator", "lending", _field("state.estimators.A", [1, 2]),
-           "TypeError('state.estimators.A must be an object, got [1, 2]')"),
+           "state.estimators.A must be an object, got [1, 2]"),
           ("list-estimators", "lending", _field("state.estimators", [1, 2]),
-           "TypeError('state.estimators must be an object, got [1, 2]')"),
+           "state.estimators must be an object, got [1, 2]"),
           ("short-interval", "lending", _field("state.last.A", [0.0]),
            _LAST.format("A", [0.0])),
           ("bool-interval", "lending", _field("state.last.B", [True, 1.0]),
            _LAST.format("B", [True, 1.0])),
           ("attention-int-floor-violation", "attention-l5",
            _field("state.floor_violation", 1),
-           "TypeError('floor_violation must be a bool, got 1')"),
+           "state.floor_violation must be a bool, got 1"),
           ("huge-e1-hat", "lending",
            _field("state.estimators.B.e1_hat", 10 ** 400),
-           f"TypeError('expected a finite number, got {10 ** 400}')"),
+           f"state.estimators.B.e1_hat must be a finite number, got "
+           f"{10 ** 400}"),
           # Step counts that disagree with one another.
           ("coin-t-not-estimator-t", "coin", _field("state.t", 3),
-           "ValueError('t=3 differs from the group step counts 10')"),
+           "t=3 differs from the group step counts 10"),
           ("lending-t-not-group-sum", "lending", _field("state.t", 5),
-           "ValueError('t=5 differs from the group step counts 4 + 6')"),
+           "t=5 differs from the group step counts 4 + 6"),
           ("attention-group-t-differs", "attention-l5",
            _field("state.estimators.B.t", 9),
-           "ValueError('t=10 differs from the group step counts 10, 9')"),
+           "t=10 differs from the group step counts 10, 9"),
           ("last-null-after-updates", "lending",
            _field("state.last.A", None), _NULL_LAST.format("A")),
           ("last-set-without-updates", "lending",
@@ -603,19 +605,18 @@ ROWS = [
            _NULL_LAST.format("B")),
           ("lending-floor-violation-set", "lending",
            _field("state.floor_violation", True),
-           "ValueError('floor_violation is never set by a lending "
-           "monitor')"),
+           "floor_violation is never set by a lending monitor"),
           ("attention-floor-unset-below-floor", "attention-l5",
            _field("state.estimators.A.d", -4.5),
-           "ValueError('floor_violation is false, but lambda_min plus the "
-           "net shift of A is at or below 0')"),
+           "floor_violation is false, but lambda_min plus the net shift of "
+           "A is at or below 0"),
           ("coin-floor-violation-set", "coin",
            _field("state.floor_violation", True),
-           "ValueError('floor_violation is never set by a coin monitor')"),
+           "floor_violation is never set by a coin monitor"),
           ("coin-last-null-after-updates", "coin",
            _field("state.last.A", None), _NULL_LAST.format("A")),
           ("coin-no-estimators", "coin", _field("state.estimators"),
-           "KeyError('estimators')")]],
+           "state.estimators is missing")]],
     # Snapshots written before the state layout every kind shares.
     *[data_error(f"snapshot-old-state-layout-{base}", RESUME,
                  _STATE + message, ("snapshot", 1, older), base=base)
@@ -625,7 +626,7 @@ ROWS = [
           ("attention", _state_before_floor_bit, _LAST.format(
               "A", [0.2280763591458386, 0.6651289410317035, 0.975])),
           ("coin", _coin_state_before_shared_state,
-           "KeyError('estimators')")]],
+           "state.estimators is missing")]],
 
     # Config files and overrides: usage errors, exit 1.
     row("missing-arguments", "simulate --config {config}", 1, Pattern(
@@ -671,15 +672,30 @@ ROWS = [
                  SIMULATE + " --set n_a=" + _NESTED.decode(),
                  "override n_a: JSON nested too deeply"),
     *[config_error(f"{command}-{field}-out-of-float-range", argv
-                   + f" --set {field}={value}", message)
-      for command, argv, field, value, message in [
+                   + f" --set {field}={value}", message, base=base)
+      for command, argv, field, value, message, base in [
           ("simulate", SIMULATE, "c_max", 10 ** 400,
-           f"c_max must be in [1, 1.34078e+154], got {10 ** 400}"),
+           f"c_max must be in [1, 1.34078e+154], got {10 ** 400}", "lending"),
           ("monitor", MONITOR, "c_max", 10 ** 160,
-           f"c_max must be in [1, 1.34078e+154], got {10 ** 160}"),
+           f"c_max must be in [1, 1.34078e+154], got {10 ** 160}", "lending"),
           ("monitor", MONITOR, "n_a", 10 ** 400,
            f"group sizes must be in [1, 1.79769e+308]: n_a={10 ** 400}, "
-           "n_b=5")]],
+           "n_b=5", "lending"),
+          # The simulator multiplies a location's units, at most k, as a
+          # float: this k ended in an OverflowError traceback.
+          ("simulate", SIMULATE, "k", 10 ** 400,
+           f"k must be in [1, 1.79769e+308], got {10 ** 400}",
+           "attention")]],
+    # A str field of another JSON type is named with its type.  An object
+    # or array as lending's init read "unhashable type".
+    *[config_error(f"simulate-{base}-{field}-{how}", SIMULATE + f" --set "
+                   f"{field}={text}", f"{field} must be str, got {shown}",
+                   base=base)
+      for base, field, how, text, shown in [
+          ("lending", "init", "object", '{"a":1}', "{'a': 1}"),
+          ("lending", "init", "array", "[1]", "[1]"),
+          ("lending", "policy", "object", '{"a":1}', "{'a': 1}"),
+          ("attention", "policy", "array", '["x"]', "['x']")]],
     # Initial values the simulator cannot start from leave no trace.
     *[config_error(f"initial-values-{id}", SIMULATE + " --set " + override,
                    message, ("config", 1, _field("simulator", sim)))
@@ -1115,6 +1131,16 @@ def call_script(argv):
 def test_row_ids_are_unique():
     ids = [r.id for r in ROWS]
     assert len(set(ids)) == len(ids)
+
+
+# Interpreter text: an exception repr, a call signature, or the message
+# of a TypeError the interpreter raised.  A Pattern escapes parentheses.
+_INTERPRETER_TEXT = re.compile(
+    r"\w+Error\\?\(|__init__\\?\(\\?\)|unhashable type|positional argument")
+
+
+def test_no_row_expects_interpreter_text():
+    assert [r.id for r in ROWS if _INTERPRETER_TEXT.search(r.stderr)] == []
 
 
 def test_late_lines_start_past_the_first_8_kib(bases):

@@ -203,6 +203,19 @@ class TestShiftedMeanEstimator:
         for got, want in zip(outs_b, outs_a[10:]):
             assert got == want
 
+    @pytest.mark.parametrize("state, exc_type, message", [
+        ({"e1_hat": 0.0, "d": 0.0, "d_comp": 0.0}, ValueError,
+         "state.t is missing"),
+        ({"t": -1, "e1_hat": 0.0, "d": 0.0, "d_comp": 0.0}, TypeError,
+         "state.t must be a nonnegative integer, got -1"),
+        ({"t": 1, "e1_hat": 0.0, "d": "0", "d_comp": 0.0}, TypeError,
+         "state.d must be a finite number, got '0'"),
+    ])
+    def test_bad_state_names_its_field(self, state, exc_type, message):
+        with pytest.raises(exc_type) as info:
+            self.make().load_state_dict(state)
+        assert str(info.value) == message
+
     def test_mean_of_estimates_is_unbiased(self):
         # small-scale version of the acceptance check: average the
         # interval midpoints over many runs and compare with the truth
