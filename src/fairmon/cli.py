@@ -23,10 +23,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
-               float: "number", bool: "boolean", type(None): "null"}
-
-
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -37,7 +33,7 @@ def _load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object, got "
-                          f"{_JSON_TYPES[type(config)]}")
+                          f"{traceio.JSON_TYPES[type(config)]}")
     return config
 
 

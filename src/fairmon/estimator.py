@@ -167,6 +167,19 @@ def _check_population(n_a, n_b, c_max):
             f"c_max must be in [1, {_C_MAX_LIMIT:.6g}], got {c_max}")
 
 
+# The most members of a lending group, or locations, a simulator takes:
+# it keeps one list entry for each.
+MAX_SIM_SIZE = 2 ** 20
+
+
+def check_sim_size(name, value):
+    """Raise ConfigError if a simulator's count ``name`` is past
+    :data:`MAX_SIM_SIZE`, before any list of that length is built."""
+    if value > MAX_SIM_SIZE:
+        raise ConfigError(
+            f"{name} must be at most {MAX_SIM_SIZE}, got {value}")
+
+
 def state_value(state, key, name):
     """``state[key]``, where ``state`` is the object at path ``name`` of
     a state read back from a snapshot; a missing key is a ValueError

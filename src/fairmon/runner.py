@@ -159,9 +159,11 @@ def evaluate(estimates_path, trace_path):
     """Per-step containment of the true property in the emitted interval,
     plus interval-width statistics.  Streams both files: memory does not
     grow with their length, apart from ``width_decay``, which has one
-    entry per doubling of t."""
+    entry per doubling of t.  Each file is read from its first record's
+    step, so a resumed run's estimates are evaluated against the rest of
+    the trace it read; both must start at the same step."""
     est_meta, est_steps = traceio.read_estimates(estimates_path)
-    trace_meta, trace_records = traceio.read_records(trace_path)
+    trace_meta, trace_records = traceio.read_records(trace_path, "trace", None)
     if est_meta["kind"] != trace_meta["kind"]:
         raise TraceFormatError(
             f"{estimates_path}:1: estimates kind {est_meta['kind']!r} "
@@ -185,8 +187,13 @@ def evaluate(estimates_path, trace_path):
                            else (trace_path, estimates_path))
             raise TraceFormatError(
                 f"{short}: ends after {steps} records; {long} has more")
-        # read_records numbers both files from 1, so the steps align.
+        # Both files run on by 1 from their first step, so the steps
+        # align if the first steps do.
         t, phi, _, _, _, _ = step
+        if not steps and t != rec["t"]:
+            raise TraceFormatError(
+                f"{estimates_path}: starts at t={t}, {trace_path} at "
+                f"t={rec['t']}; both must start at the same step")
         steps += 1
         # Every record's truth is checked, conclusive or not.
         truth = rec.get("truth")

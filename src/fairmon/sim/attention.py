@@ -13,7 +13,7 @@ import random
 from .. import kernels
 from ..discovery import MAX_RATE
 from ..errors import AssumptionViolation, ConfigError
-from ..estimator import _FLOAT_MAX, FrozenConfig, is_real
+from ..estimator import _FLOAT_MAX, FrozenConfig, check_sim_size, is_real
 from ..monitors import AttentionObservation, attention_change
 from .sampling import poisson
 
@@ -38,6 +38,7 @@ class AttentionSimConfig(FrozenConfig):
     def __post_init__(self):
         if self.l < 2:
             raise ConfigError(f"need at least 2 locations, got {self.l}")
+        check_sim_size("l", self.l)
         # The units a location gets, at most k, are multiplied as floats.
         if not 1 <= self.k <= _FLOAT_MAX:
             raise ConfigError(

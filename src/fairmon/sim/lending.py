@@ -12,7 +12,7 @@ that would-repay applicants of both groups are granted at the same rate.
 import random
 
 from ..errors import ConfigError
-from ..estimator import FrozenConfig, _check_population
+from ..estimator import FrozenConfig, _check_population, check_sim_size
 from ..monitors import LendingObservation, lending_change
 
 _new = tuple.__new__
@@ -44,6 +44,8 @@ class LendingSimConfig(FrozenConfig):
 
     def __post_init__(self):
         _check_population(self.n_a, self.n_b, self.c_max)
+        check_sim_size("n_a", self.n_a)
+        check_sim_size("n_b", self.n_b)
         if self.horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
         if self.policy not in ("max_reward", "eq_opp"):

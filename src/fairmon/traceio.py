@@ -33,7 +33,9 @@ HEADERS = {
     "estimates": (2, {"monitor_config": dict, "trace_config_hash": str}),
     "snapshot": (1, {"monitor_config": dict, "state": dict}),
 }
-_JSON_TYPES = {dict: "object", str: "string"}
+# Python type of a parsed JSON value -> its JSON type name, for messages.
+JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
+              float: "number", bool: "boolean", type(None): "null"}
 
 
 def config_hash(config):
@@ -206,7 +208,7 @@ def _read_meta(fh, path, expected_file):
     for field, json_type in fields.items():
         if type(meta.get(field)) is not json_type:
             raise TraceFormatError(f"{path}:1: metadata needs {field!r} as "
-                                   f"a JSON {_JSON_TYPES[json_type]}")
+                                   f"a JSON {JSON_TYPES[json_type]}")
     if expected_file == "trace":
         got, want = meta["config_hash"], config_hash(meta["config"])
         if got != want:
@@ -222,7 +224,8 @@ def _read_meta(fh, path, expected_file):
 def read_records(path, expected_file="trace", start_t=1):
     """Return (metadata, record iterator).  The iterator validates line
     syntax and that t starts at ``start_t`` (1 for whole files; a resumed
-    run continues from its snapshot's step count) and increases by 1.
+    run continues from its snapshot's step count; None for the first
+    record's t, an int >= 1) and increases by 1.
 
     A consumer that rejects the record just yielded calls
     ``records.throw(exc)``: the iterator, still at that record's line,
@@ -263,9 +266,13 @@ def _records(path, expected_file, start_t):
                     f"{path}:{lineno}: record is not a JSON object"
                 ) from None
             if t != expected_t or type(t) is not int:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected t={expected_t}, "
-                    f"got {t!r}")
+                if expected_t is None and type(t) is int and t >= 1:
+                    expected_t = t  # the first record sets the start
+                else:
+                    want = "t >= 1" if expected_t is None \
+                        else f"t={expected_t}"
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: expected {want}, got {t!r}")
             expected_t += 1
             try:
                 yield rec
@@ -398,8 +405,9 @@ def read_estimates(path):
     """Return (metadata, step iterator) of an estimates file.  Each step
     is ``(t, phi, clamped, floor_violation, A, B)``, checked and derived
     by :func:`_step`; a record that fails a check is a data error
-    ``PATH:LINE: bad record t=T: …``."""
-    meta, records = read_records(path, "estimates")
+    ``PATH:LINE: bad record t=T: …``.  The steps start at the first
+    record's t, so the estimates of a resumed run are read too."""
+    meta, records = read_records(path, "estimates", None)
     return meta, _steps(records, len(MONITORS[meta["kind"]].groups) == 1)
 
 

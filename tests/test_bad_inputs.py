@@ -502,6 +502,18 @@ ROWS = [
                  "{estimates}:10: expected t=9, got None",
                  ("estimates", 10, _field("t")), left=command == "export")
       for command, argv in [("eval", EVAL), ("export", EXPORT)]],
+    # An estimates file starts at its first record's t, which a resumed
+    # run makes past 1, but never below 1.
+    *[data_error(f"estimates-first-t-0-{command}", argv,
+                 "{estimates}:2: expected t >= 1, got 0",
+                 ("estimates", 2, _field("t", 0)), left=command == "export")
+      for command, argv in [("eval", EVAL), ("export", EXPORT)]],
+    # eval pairs the two files step by step from their first records.
+    data_error("eval-files-start-at-different-steps", EVAL,
+               "{estimates}: starts at t=11, {trace} at t=1; both must "
+               "start at the same step",
+               *[("estimates", line, b"") for line in range(2, 12)],
+               base="lending-20"),
     # The coin monitor reports its one stream as A; B is always null.
     *[data_error(f"coin-estimates-with-a-B-interval-{command}", argv,
                  "{estimates}:4: bad record t=3: group B interval must be "
@@ -686,6 +698,17 @@ ROWS = [
           ("simulate", SIMULATE, "k", 10 ** 400,
            f"k must be in [1, 1.79769e+308], got {10 ** 400}",
            "attention")]],
+    # A simulator keeps a list entry for each member or location, so
+    # those counts stop at 2 ** 20: this l ended in an OverflowError
+    # traceback.
+    *[config_error(f"simulate-{field}-{id}", SIMULATE
+                   + f" --set {field}={value}",
+                   f"{field} must be at most {2 ** 20}, got {value}",
+                   base=base)
+      for field, id, value, base in [
+          ("l", "out-of-index-range", 10 ** 400, "attention"),
+          ("l", "past-the-ceiling", 2 ** 20 + 1, "attention"),
+          ("n_a", "past-the-ceiling", 2 ** 20 + 1, "lending")]],
     # A str field of another JSON type is named with its type.  An object
     # or array as lending's init read "unhashable type".
     *[config_error(f"simulate-{base}-{field}-{how}", SIMULATE + f" --set "

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -22,22 +23,8 @@ from fairmon.errors import TraceFormatError
 from fairmon.intervals import interval_sub
 from fairmon.monitors import MONITORS, CoinObservation, build_monitor
 from oracles import json_loads_records, oracle_record_v2
-from test_bad_inputs import trace_tests
-
-SIM = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "horizon": 10,
-       "seed": 42}
-MON = {"kind": "lending", "n_a": 5, "n_b": 5, "c_max": 10, "delta": 0.05}
-ATTENTION_SIM = {"kind": "attention", "l": 2, "k": 6, "gamma": 0.0025,
-                 "horizon": 10, "seed": 42}
-ATTENTION_MON = {"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
-                 "lambda_max": 12.0, "delta": 0.05}
-COIN_SIM = {"kind": "coin", "p1": 0.5, "epsilon": 0.001, "horizon": 10,
-            "seed": 42}
-COIN_MON = {"kind": "coin", "epsilon": 0.001, "delta": 0.05}
-# The metadata of a trace not made by `fairmon simulate`: an empty config
-# under its hash, traceio.config_hash({}).
-COIN_META = {"format": 1, "file": "trace", "kind": "coin", "config": {},
-             "config_hash": "44136fa355b3678a"}
+from test_bad_inputs import (ATTENTION_MON, ATTENTION_SIM, COIN_META,
+                             COIN_MON, COIN_SIM, MON, SIM, trace_tests)
 
 
 def read_all(path, expected_file="trace"):
@@ -137,9 +124,11 @@ class TestTraceFiles:
         runner.simulate(SIM, str(trace))
         runner.monitor_trace(str(trace), MON, str(est),
                              snapshot_out=str(snap))
-        formats = [json.loads(path.read_text().split("\n")[0])["format"]
-                   for path in (trace, est, snap)]
-        assert formats == [1, 2, 1]
+        metas = [path.read_text().split("\n")[0]
+                 for path in (trace, est, snap)]
+        assert [json.loads(meta)["format"] for meta in metas] == [1, 2, 1]
+        # Each metadata line is what json writes for its value.
+        assert metas == [_json_line(json.loads(meta)) for meta in metas]
 
     def test_zero_horizon_trace_is_metadata_only(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -786,6 +775,45 @@ class TestSnapshotResume:
             part2 = list(tail_records)
             assert part1 + part2 == want, f"split at {split}"
 
+    # A resumed run's estimates start past t=1; export reads them, and
+    # eval reads them against the rest of the trace.
+    @pytest.mark.parametrize("sim, mon", [
+        (dict(SIM, horizon=40), MON),
+        (dict(ATTENTION_SIM, horizon=40), ATTENTION_MON),
+        (dict(COIN_SIM, horizon=40), COIN_MON)],
+        ids=["lending", "attention", "coin"])
+    def test_resumed_estimates_are_exported_and_evaluated(
+            self, tmp_path, sim, mon):
+        trace = tmp_path / "trace.jsonl"
+        runner.simulate(sim, str(trace))
+        whole, csv_path = tmp_path / "whole.jsonl", tmp_path / "whole.csv"
+        runner.monitor_trace(str(trace), mon, str(whole))
+        traceio.export_csv(str(whole), str(csv_path))
+        want_rows = csv_path.read_text().splitlines()
+        counts = ("steps", "truth_steps", "contained")
+        report = runner.evaluate(str(whole), str(trace))
+        want_counts = [report[key] for key in counts]
+        assert report["steps"] == 40 and report["truth_steps"] > 0
+
+        for split in (1, 7, 20, 39):
+            head, tail = self.split_trace(tmp_path, trace, split)
+            snap = str(tmp_path / "snap.json")
+            rows, got_counts = [], [0] * len(counts)
+            for part, config, snap_in, snap_out in (
+                    (head, mon, None, snap), (tail, None, snap, None)):
+                est = tmp_path / f"{part.stem}-est.jsonl"
+                runner.monitor_trace(str(part), config, str(est),
+                                     snapshot_in=snap_in,
+                                     snapshot_out=snap_out)
+                traceio.export_csv(str(est), str(csv_path))
+                # One header row, the head's.
+                rows += csv_path.read_text().splitlines()[bool(rows):]
+                report = runner.evaluate(str(est), str(part))
+                got_counts = [n + report[key]
+                              for n, key in zip(got_counts, counts)]
+            assert rows == want_rows, f"split at {split}"
+            assert got_counts == want_counts, f"split at {split}"
+
     def test_one_record_resumed_batch_is_timed(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         runner.simulate(dict(SIM, horizon=18), str(trace))
@@ -811,6 +839,10 @@ class TestCsvExport:
         runner.simulate(SIM, str(trace))
         runner.monitor_trace(str(trace), MON, str(est))
         traceio.export_csv(str(est), str(out))
+        # csv's own line end, "\r\n", which splitlines would not tell.
+        assert out.read_bytes().startswith(
+            b"t,conclusive,phi_lo,phi_hi,point,clamped,floor_violation,"
+            b"a_lo,a_hi,b_lo,b_hi\r\n")
         lines = out.read_text().splitlines()
         assert lines[0].split(",") == traceio.CSV_FIELDS
         assert len(lines) == 11
@@ -851,6 +883,7 @@ class TestCsvExport:
                 + (text(None, None) if b is None else text(b.lo, b.hi)))
         with open(out, newline="", encoding="utf-8") as fh:
             assert list(csv.reader(fh)) == want
+        assert out.read_bytes().count(b"\r\n") == len(want)
 
         report = runner.evaluate(str(est), str(trace))
         steps = [(o.t, o.phi, rec["truth"]["phi"])
@@ -1011,3 +1044,23 @@ class TestCli:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "usage: fairmon" in proc.stdout
+
+
+class TestCiWorkflow:
+    """Every pipeline check lives in the tests, which gate each change;
+    CI's installed-script step runs the bad-input table and one
+    ``fairmon run``, and keeps no second copy of a check."""
+
+    def test_installed_script_step_runs_one_pipeline(self):
+        ci = Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
+        step = ci.read_text().split(
+            "- name: Installed console script runs the pipeline\n")[1]
+        step = step.split("- name:")[0]
+        # Drop the bodies of here-documents and the comments.
+        step = re.sub(r"<<'(\w+)'\n.*?\n\s*\1\n", "\n", step, flags=re.S)
+        commands = [line.strip() for line in step.splitlines()
+                    if line.strip() and not line.strip().startswith("#")]
+        assert re.findall(r"\bfairmon (\w+)", step) == ["run"], commands
+        python_c = [c for c in commands if re.search(r"python3? -c", c)]
+        assert len(python_c) == 1, python_c
+        assert python_c[0].endswith('/run/report.json"'), python_c
