@@ -180,34 +180,6 @@ def check_sim_size(name, value):
             f"{name} must be at most {MAX_SIM_SIZE}, got {value}")
 
 
-def state_value(state, key, name):
-    """``state[key]``, where ``state`` is the object at path ``name`` of
-    a state read back from a snapshot; a missing key is a ValueError
-    that names its path."""
-    if key not in state:
-        raise ValueError(f"{name}.{key} is missing")
-    return state[key]
-
-
-def state_count(state, key, name):
-    """The step count :func:`state_value` reads: a nonnegative int (not
-    a bool, which JSON ``true`` would become)."""
-    value = state_value(state, key, name)
-    if type(value) is not int or value < 0:
-        raise TypeError(f"{name}.{key} must be a nonnegative integer, got "
-                        f"{value!r}")
-    return value
-
-
-def state_real(state, key, name):
-    """The real :func:`state_value` reads: see :func:`is_real`."""
-    value = state_value(state, key, name)
-    if not is_real(value):
-        raise TypeError(f"{name}.{key} must be a finite number, got "
-                        f"{value!r}")
-    return float(value)
-
-
 def azuma_epsilon(t, delta, params):
     """Interval half-width after t updates at confidence budget delta.
 
@@ -292,7 +264,34 @@ class ShiftedMeanEstimator:
         """Restore what :meth:`state_dict` returned, read back from a
         snapshot at path ``name``; a missing or ill-typed field raises
         ValueError or TypeError naming its path."""
-        self.t = state_count(state, "t", name)
-        self._e1_hat = state_real(state, "e1_hat", name)
-        self._d = state_real(state, "d", name)
-        self._d_comp = state_real(state, "d_comp", name)
+        self.t = state_field(state, name, "t", "a nonnegative integer")
+        self._e1_hat, self._d, self._d_comp = [
+            float(state_field(state, name, key, "a finite number"))
+            for key in ("e1_hat", "d", "d_comp")]
+
+
+# What a field of a state read back from a snapshot may be, as its error
+# says, and the test of a value that is.  A bool is no integer or number
+# here: JSON ``true`` would become one.
+STATE_FIELDS = {
+    "a nonnegative integer": lambda v: type(v) is int and v >= 0,
+    "a finite number": is_real,
+    "a bool": lambda v: type(v) is bool,
+    "an object": lambda v: type(v) is dict,
+    "null or two finite numbers lo <= hi": lambda v: v is None or (
+        type(v) is list and len(v) == 2 and is_real(v[0])
+        and is_real(v[1]) and v[0] <= v[1]),
+}
+
+
+def state_field(state, path, key, want):
+    """``state[key]``, where ``state`` is the object at ``path`` of a
+    state read back from a snapshot and the value must be ``want``, a
+    key of :data:`STATE_FIELDS`.  A missing key is a ValueError and any
+    other value a TypeError, each naming the field by its path."""
+    if key not in state:
+        raise ValueError(f"{path}.{key} is missing")
+    value = state[key]
+    if not STATE_FIELDS[want](value):
+        raise TypeError(f"{path}.{key} must be {want}, got {value!r}")
+    return value

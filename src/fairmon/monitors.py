@@ -13,7 +13,7 @@ from .discovery import MAX_RATE, eta_interval, poisson_subexp_params
 from .errors import ConfigError
 from .estimator import (_FLOAT_MAX, FrozenConfig, ShiftedMeanEstimator,
                         SubExpParams, _check_delta, _check_population,
-                        is_real, state_count, state_value)
+                        azuma_epsilon, state_field)
 from .intervals import ConfidenceInterval, interval_sub, trusted_interval
 
 GROUPS = ("A", "B")
@@ -104,31 +104,23 @@ class Monitor:
         snapshot; a missing or ill-typed field raises ValueError or
         TypeError naming its path from ``state``, and facts that
         disagree raise ValueError (:meth:`_check_state`)."""
-        self.t = state_count(state, "t", "state")
-        estimators = _state_object(state, "estimators", "state")
-        last = _state_object(state, "last", "state")
+        self.t = state_field(state, "state", "t", "a nonnegative integer")
+        estimators = state_field(state, "state", "estimators", "an object")
+        last = state_field(state, "state", "last", "an object")
         for g in self.groups:
             self._estimators[g].load_state_dict(
-                _state_object(estimators, g, "state.estimators"),
+                state_field(estimators, "state.estimators", g, "an object"),
                 f"state.estimators.{g}")
-            raw = state_value(last, g, "state.last")
-            if raw is not None and not (type(raw) is list and len(raw) == 2
-                                        and is_real(raw[0])
-                                        and is_real(raw[1])
-                                        and raw[0] <= raw[1]):
-                raise TypeError(f"state.last.{g} must be null or two finite "
-                                f"numbers lo <= hi, got {raw!r}")
+            raw = state_field(last, "state.last", g,
+                              "null or two finite numbers lo <= hi")
             if (raw is None) != (self._estimators[g].t == 0):
                 raise ValueError(
                     f"state.last.{g} must be null exactly when estimator "
                     f"{g} has no updates")
             self._last[g] = None if raw is None else ConfidenceInterval(
                 float(raw[0]), float(raw[1]), self._confidence)
-        flag = state_value(state, "floor_violation", "state")
-        if type(flag) is not bool:
-            raise TypeError(
-                f"state.floor_violation must be a bool, got {flag!r}")
-        self.floor_violation = flag
+        self.floor_violation = state_field(state, "state", "floor_violation",
+                                           "a bool")
         self._check_state()
 
     def _check_state(self):
@@ -143,14 +135,6 @@ class Monitor:
         if self.floor_violation:
             raise ValueError(f"floor_violation is never set by a "
                              f"{self.kind} monitor")
-
-
-def _state_object(state, key, name):
-    """The JSON object :func:`state_value` reads."""
-    value = state_value(state, key, name)
-    if type(value) is not dict:
-        raise TypeError(f"{name}.{key} must be an object, got {value!r}")
-    return value
 
 
 # --------------------------------------------------------------------
@@ -172,6 +156,17 @@ class LendingConfig(FrozenConfig):
     def __post_init__(self):
         _check_population(self.n_a, self.n_b, self.c_max)
         _check_delta(self.delta)
+        # A group's first interval, at budget delta/2, is its widest.
+        eps = azuma_epsilon(1, self.delta / 2, _lending_params(self))
+        if eps > _FLOAT_MAX:
+            raise ConfigError(
+                f"c_max={self.c_max} is too large for delta={self.delta}: "
+                f"the half-width of the first interval overflows")
+
+
+def _lending_params(cfg):
+    """A score in [0, c_max] is sub-gaussian with variance proxy c_max**2."""
+    return SubExpParams(float(cfg.c_max) ** 2, 0.0)
 
 
 def lending_change(obs, cfg):
@@ -196,7 +191,7 @@ class LendingMonitor(Monitor):
     observation_type = LendingObservation
 
     def __init__(self, cfg):
-        super().__init__(cfg, SubExpParams(float(cfg.c_max) ** 2, 0.0))
+        super().__init__(cfg, _lending_params(cfg))
 
     def update(self, obs):
         x, g, y, z = obs

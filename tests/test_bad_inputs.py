@@ -667,6 +667,15 @@ ROWS = [
           ("simulate", "simulate --seed 1 -o {out} --config {config}"),
           ("monitor", "monitor --trace {trace} -o {out} --config {config}"),
           ("run", "run --seed 1 --out-dir {out} --config {config}")]],
+    config_error("config-unreadable",
+                 "simulate --config {dir}/missing.json --seed 1 -o {out}",
+                 "cannot read config {dir}/missing.json: [Errno 2] No such "
+                 "file or directory: '{dir}/missing.json'"),
+    config_error("config-without-its-section", MONITOR,
+                 "config is missing the 'monitor' section (an object)",
+                 ("config", 1, _field("monitor"))),
+    config_error("override-without-equals", SIMULATE + " --set horizon",
+                 "override 'horizon' must look like key=value"),
     config_error("monitor-without-config",
                  "monitor --trace {trace} -o {out}",
                  "monitor needs --config or --resume"),
@@ -698,6 +707,14 @@ ROWS = [
           ("simulate", SIMULATE, "k", 10 ** 400,
            f"k must be in [1, 1.79769e+308], got {10 ** 400}",
            "attention")]],
+    # A c_max inside that bound whose first interval's half-width
+    # overflows at this delta was a bad record t=1 of a trace that shares
+    # no field with the monitor.
+    config_error("monitor-c_max-overflows-the-first-interval",
+                 MONITOR + f" --set c_max={10 ** 154}",
+                 f"c_max={10 ** 154} is too large for delta=0.05: the "
+                 "half-width of the first interval overflows",
+                 ("trace", 1, dict(COIN_META, kind="lending"))),
     # A simulator keeps a list entry for each member or location, so
     # those counts stop at 2 ** 20: this l ended in an OverflowError
     # traceback.
@@ -753,6 +770,30 @@ ROWS = [
                    f"bench --kind lending --updates {updates}",
                    f"updates must be a positive integer, got {updates}")
       for updates in ["0", "-3"]],
+    # A value of its field's type that the config's own checks refuse.
+    # A --set value that is not JSON is a string.
+    *[config_error(f"{command}-{base}-{field}-{how}", argv
+                   + f" --set {field}={value}", message, base=base)
+      for command, argv, base, field, how, value, message in [
+          ("monitor", MONITOR, "attention", "gamma", "negative", "-0.5",
+           "gamma must be nonnegative, got -0.5"),
+          ("monitor", MONITOR, "coin", "epsilon", "one", "1",
+           "epsilon must be in [0, 1), got 1"),
+          ("simulate", SIMULATE, "attention", "gamma", "negative", "-0.5",
+           "gamma must be nonnegative, got -0.5"),
+          *[("simulate", SIMULATE, base, "horizon", "negative", "-1",
+             "horizon must be nonnegative, got -1")
+            for base in ("attention", "coin", "lending")],
+          ("simulate", SIMULATE, "attention", "alpha", "above-one", "1.5",
+           "alpha must be in [0, 1], got 1.5"),
+          ("simulate", SIMULATE, "lending", "policy", "unknown", "greedy",
+           "unknown lending policy 'greedy'"),
+          ("simulate", SIMULATE, "lending", "rho_min", "above-rho_max",
+           "0.99", "need 0 <= rho_min <= rho_max <= 1, got [0.99, 0.95]"),
+          ("simulate", SIMULATE, "lending", "init", "unknown", "no-bias",
+           "unknown initial-score preset 'no-bias'"),
+          ("simulate", SIMULATE, "lending", "kind", "unknown", "housing",
+           "unknown simulator kind 'housing'")]],
     row("simulation-leaves-its-assumptions",
         "simulate --config {config} --seed 0 -o {out}", 3,
         "fairmon: assumption violated: coin bias left (0, 1): "

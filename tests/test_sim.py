@@ -433,6 +433,10 @@ TRACE_DIGESTS = [
      dict(_LENDING, policy="eq_opp", use_true_tallies=False),
      {1: "65099ef974bdc25e8a2635c36eff61f0b0be0d388f826562667eeaf0395ee035",
       2: "10c096ad5d20a17096c619f8666c72769b167806f352b1a068ff8102085d8582"}),
+    # A one-member group starts at the middle of its preset's range.
+    ("lending-one-member", dict(_LENDING, n_a=1),
+     {1: "37c9c256700f91c503e15942f785c50ede16a078d8d7a95b3dc0f3b0ae98faf0",
+      2: "5b507bf7c182af7aaf5b4cde5c7418f665dd2b7bb5f9846a31da9e56c252ae48"}),
     ("attention-uniform", dict(_ATTENTION, policy="uniform"),
      {1: "132502fee843426fcf59e9300303e41c81e8ee1b117020601a21ceec7ed29dd7",
       2: "8ce96790f91538b2d521933948a2ec65b2467b83aee79d2b253f50329dc988f4"}),
@@ -448,6 +452,12 @@ TRACE_DIGESTS = [
      dict(_ATTENTION, l=3, k=5, policy="greedy", omniscient=True),
      {1: "b89201084109996f1577e137e697ef7875e23b04bce18544032da447164ddbc3",
       2: "04c1854487d0a5ee4b1e5985dbf8c7673590a6e83111c05b701a104356385049"}),
+    # While every count seen is 0, greedy's weights are all 0 and it
+    # allocates as if they were all equal.
+    ("attention-greedy-all-counts-zero",
+     dict(_ATTENTION, policy="greedy", gamma=0.0, lambda_init=0.001),
+     {1: "683fb3d1358a91b262d42098920e54d43479575b224e2ccb9527307bfe91a81a",
+      2: "60cba5dae3180a22d6685663f426444951450d538aea895e8cccb8ae21fe89a0"}),
     # Above the inversion cutoff every draw takes the PTRS path.
     ("attention-lambda-50", dict(_ATTENTION, lambda_init=50),
      {1: "194e3930a05194e554ee8ae7c693886c2a19751b493741563cd08ee46140bc07",

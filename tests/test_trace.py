@@ -576,6 +576,20 @@ class TestMonitorPipeline:
             statistics.fmean(widths), rel=1e-12)
         assert "median_width" not in report
 
+    def test_containment_is_closed(self, tmp_path):
+        # An unattended pair discovers nothing: phi is [0.0, 0.0], and so
+        # is its truth, which an endpoint contains.
+        trace = tmp_path / "trace.jsonl"
+        est = tmp_path / "est.jsonl"
+        payloads = [{"t": t, "x_a": 3, "x_b": 4, "y_a": 0, "y_b": 0, "k": 2,
+                     "truth": {"phi": 0.0}} for t in range(1, 4)]
+        traceio.write_trace(str(trace), "attention", {}, payloads)
+        runner.monitor_trace(str(trace), ATTENTION_MON, str(est))
+        _, steps = traceio.read_estimates(str(est))
+        assert [phi for _, phi, *_ in steps] == [(0.0, 0.0)] * 3
+        report = runner.evaluate(str(est), str(trace))
+        assert report["truth_steps"] == report["contained"] == 3
+
     def test_evaluate_without_truth_has_no_containment(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         est = tmp_path / "est.jsonl"
@@ -949,6 +963,28 @@ class TestCli:
         assert len(records) == 3
         assert not filecmp.cmp(str(a), str(b), shallow=False)
         capsys.readouterr()
+
+    def test_override_that_is_not_json_is_a_string(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, SIM, MON)
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main(["simulate", "--config", str(cfg), "--seed", "42",
+                         "-o", str(trace), "--set", "policy=eq_opp"]) == 0
+        meta, _ = read_all(str(trace))
+        assert meta["config"]["policy"] == "eq_opp"
+        capsys.readouterr()
+
+    def test_eval_without_output_prints_the_report(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        est = tmp_path / "est.jsonl"
+        runner.simulate(SIM, str(trace))
+        runner.monitor_trace(str(trace), MON, str(est))
+        capsys.readouterr()
+        assert cli.main(["eval", "--estimates", str(est), "--trace",
+                         str(trace)]) == 0
+        out = capsys.readouterr().out
+        report = runner.evaluate(str(est), str(trace))
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert sorted(os.listdir(tmp_path)) == ["est.jsonl", "trace.jsonl"]
 
     def test_truncated_file_never_exits_0(self, tmp_path, capsys,
                                           monkeypatch):
