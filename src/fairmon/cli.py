@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import runner, traceio
 from .errors import AssumptionViolation, ConfigError, TraceFormatError
+from .monitors import build_monitor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,12 +67,6 @@ def _section(config, name):
         raise ConfigError(
             f"config is missing the {name!r} section (an object)")
     return dict(section)
-
-
-def _apply_overrides(section, overrides):
-    for key, value in overrides:
-        section[key] = value
-    return section
 
 
 def _parse_override(text):
@@ -138,11 +133,22 @@ def build_parser():
     return parser
 
 
+def _sim_section(config, overrides, seed):
+    """The simulator section of ``config``, with the ``--set``
+    ``overrides`` applied, then ``seed``, which only ``--seed`` gives."""
+    section = _section(config, "simulator")
+    section.update(map(_parse_override, overrides))
+    if "seed" in section:
+        raise ConfigError("the simulator seed comes from --seed, not from "
+                          "the config or --set")
+    section["seed"] = seed
+    return section
+
+
 def _cmd_simulate(args):
     _check_outputs([args.out], [args.config])
-    section = _section(_load_config(args.config), "simulator")
-    section["seed"] = args.seed
-    _apply_overrides(section, [_parse_override(o) for o in args.overrides])
+    section = _sim_section(_load_config(args.config), args.overrides,
+                           args.seed)
     kind = runner.simulate(section, args.out,
                            include_truth=not args.no_truth)
     print(f"wrote {kind} trace to {args.out}")
@@ -154,8 +160,7 @@ def _cmd_monitor(args):
     section = None
     if args.config is not None:
         section = _section(_load_config(args.config), "monitor")
-        _apply_overrides(section,
-                         [_parse_override(o) for o in args.overrides])
+        section.update(map(_parse_override, args.overrides))
     elif args.resume is None:
         raise ConfigError("monitor needs --config or --resume")
     elif args.overrides:
@@ -185,14 +190,17 @@ def _cmd_eval(args):
 
 def _cmd_run(args):
     config = _load_config(args.config)
-    sim_section = _section(config, "simulator")
+    sim_section = _sim_section(config, [], args.seed)
     mon_section = _section(config, "monitor")
-    sim_section["seed"] = args.seed
     out_dir = Path(args.out_dir)
     trace = out_dir / "trace.jsonl"
     estimates = out_dir / "estimates.jsonl"
     report_path = out_dir / "report.json"
     _check_outputs([trace, estimates, report_path], [args.config])
+    # Build and check every config before anything is written.
+    kind, _ = runner.build_sim(sim_section)
+    build_monitor(mon_section)
+    runner.check_model(trace, kind, sim_section, mon_section)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner.simulate(sim_section, trace)
     runner.monitor_trace(str(trace), mon_section, str(estimates))

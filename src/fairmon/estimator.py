@@ -88,19 +88,15 @@ class FrozenConfig:
     @classmethod
     def from_fields(cls, fields, what):
         """``cls(**fields)``, where an unknown or missing field is a
-        ConfigError that names it and ``what`` the config is for."""
-        try:
-            return cls(**fields)
-        except TypeError:
-            for name in fields:
-                if name not in cls._fields:
-                    raise ConfigError(
-                        f"unknown field {name!r} for {what}") from None
-            for name in cls._fields:
-                if name not in fields and name not in cls.__dict__:
-                    raise ConfigError(
-                        f"missing field {name!r} for {what}") from None
-            raise
+        ConfigError, raised before the call, that names it and ``what``
+        the config is for."""
+        for name in fields:
+            if name not in cls._fields:
+                raise ConfigError(f"unknown field {name!r} for {what}")
+        for name in cls._fields:
+            if name not in fields and name not in cls.__dict__:
+                raise ConfigError(f"missing field {name!r} for {what}")
+        return cls(**fields)
 
     def _values(self):
         return tuple([getattr(self, f) for f in self._fields])

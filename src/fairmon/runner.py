@@ -86,11 +86,7 @@ def monitor_trace(trace_path, monitor_config, out_path,
         mon = build_monitor(monitor_config)
     first_t = mon.t
     meta, records = traceio.read_records(trace_path, start_t=first_t + 1)
-    if meta["kind"] != mon.kind:
-        raise TraceFormatError(
-            f"{trace_path}:1: trace kind {meta['kind']!r} does not match "
-            f"monitor kind {mon.kind!r}")
-    _check_shared_fields(trace_path, meta["config"], monitor_config)
+    check_model(trace_path, meta["kind"], meta["config"], monitor_config)
 
     samples, stride = [], TIMED_EVERY
     kind, update, clock = mon.kind, mon.update, time.perf_counter_ns
@@ -125,10 +121,15 @@ def monitor_trace(trace_path, monitor_config, out_path,
     return summary
 
 
-def _check_shared_fields(trace_path, trace_config, monitor_config):
+def check_model(trace_path, trace_kind, trace_config, monitor_config):
     """The interval holds only under the change function that moved the
-    data, so each monitor-config field the trace's simulator config also
-    has (population, ``gamma``, ``epsilon``) must agree with it."""
+    data, so a trace's kind must be the monitor's, and each monitor-config
+    field its simulator config also has (population, ``gamma``,
+    ``epsilon``) must agree with it; else a TraceFormatError at line 1."""
+    if trace_kind != monitor_config["kind"]:
+        raise TraceFormatError(
+            f"{trace_path}:1: trace kind {trace_kind!r} does not match "
+            f"monitor kind {monitor_config['kind']!r}")
     for key, value in monitor_config.items():
         if key != "kind" and key in trace_config \
                 and trace_config[key] != value:

@@ -122,6 +122,7 @@ RESUME = "monitor --trace {rest} --resume {snapshot} -o {out}"
 EVAL = "eval --estimates {estimates} --trace {trace} -o {out}"
 EXPORT = "export --estimates {estimates} -o {out}"
 SIMULATE = "simulate --config {config} --seed 1 -o {out}"
+RUN = "run --config {config} --seed 1 --out-dir {out}"
 # The command that reads each file kind first.
 READ = {"trace": MONITOR, "estimates": EVAL, "snapshot": RESUME}
 
@@ -363,8 +364,20 @@ ROWS = [
                    "horizon": 4000, "policy": "greedy",
                    "lambda_init_per_location": [6.0, 3.0]},
                    "monitor": dict(ATTENTION_MON, gamma=0.0,
-                                   lambda_min=0.5, lambda_max=14.0)}),
-               left=True),
+                                   lambda_min=0.5, lambda_max=14.0)})),
+    # run builds both configs and checks the model before it makes
+    # --out-dir: these left a whole trace behind.
+    data_error("run-coin-monitor-on-a-lending-simulator", RUN,
+               "{out}/trace.jsonl:1: trace kind 'lending' does not match "
+               "monitor kind 'coin'", ("config", 1, _field("monitor",
+                                                           COIN_MON))),
+    config_error("run-c_max-overflows-the-first-interval", RUN,
+                 f"c_max={10 ** 154} is too large for delta=0.05: the "
+                 "half-width of the first interval overflows",
+                 *[("config", 1, _field(path, value)) for path, value in [
+                     ("simulator.c_max", 10 ** 154),
+                     ("simulator.horizon", 2000),
+                     ("monitor.c_max", 10 ** 154)]]),
     *[data_error(f"{base}-{field}-differs", MONITOR,
                  f"{{trace}}:1: trace was simulated with {field}={was!r}, "
                  f"the monitor config has {field}={value!r}",
@@ -676,6 +689,16 @@ ROWS = [
                  ("config", 1, _field("monitor"))),
     config_error("override-without-equals", SIMULATE + " --set horizon",
                  "override 'horizon' must look like key=value"),
+    # The seed comes from --seed alone: a config's seed was replaced by
+    # it, and a --set seed replaced both.
+    *[config_error(id, argv, "the simulator seed comes from --seed, not "
+                   "from the config or --set", *edits)
+      for id, argv, *edits in [
+          ("simulate-seed-in-config", SIMULATE,
+           ("config", 1, _field("simulator.seed", 5))),
+          ("simulate-seed-by-set", SIMULATE + " --set seed=5"),
+          ("run-seed-in-config", RUN,
+           ("config", 1, _field("simulator.seed", 5)))]],
     config_error("monitor-without-config",
                  "monitor --trace {trace} -o {out}",
                  "monitor needs --config or --resume"),

@@ -944,12 +944,28 @@ class TestCli:
         capsys.readouterr()
 
     def test_run_command_writes_all_outputs(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path, SIM, MON)
-        out_dir = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--seed", "42",
-                         "--out-dir", str(out_dir)]) == 0
-        for name in ("trace.jsonl", "estimates.jsonl", "report.json"):
-            assert (out_dir / name).exists()
+        # run writes the bytes that simulate, monitor and eval -o write
+        # with the same config and seed.
+        for sim, mon in [(SIM, MON), (ATTENTION_SIM, ATTENTION_MON),
+                         (COIN_SIM, COIN_MON)]:
+            work = tmp_path / sim["kind"]
+            work.mkdir()
+            cfg = str(self.write_config(work, sim, mon))
+            out_dir = work / "out"
+            assert cli.main(["run", "--config", cfg, "--seed", "42",
+                             "--out-dir", str(out_dir)]) == 0
+            trace, est, report = (str(work / name) for name in
+                                  ("trace.jsonl", "estimates.jsonl",
+                                   "report.json"))
+            assert cli.main(["simulate", "--config", cfg, "--seed", "42",
+                             "-o", trace]) == 0
+            assert cli.main(["monitor", "--trace", trace, "--config", cfg,
+                             "-o", est]) == 0
+            assert cli.main(["eval", "--estimates", est, "--trace", trace,
+                             "-o", report]) == 0
+            for name in ("trace.jsonl", "estimates.jsonl", "report.json"):
+                assert (out_dir / name).read_bytes() == \
+                    (work / name).read_bytes(), (sim["kind"], name)
         capsys.readouterr()
 
     def test_override_flag_changes_simulation(self, tmp_path, capsys):
