@@ -48,21 +48,26 @@ def eta(y, lam):
 
     For lam > y evaluates exp(-lam) * sum_{k<y} lam^k/k! * (1 - y/(k+1))
     + (y/lam) * (1 - exp(-lam)) with a per-term recurrence so that
-    lam^k and k! never appear separately.  For lam <= y that form loses
-    up to all of its precision to cancellation (the two parts grow like
-    y/lam while their sum stays in (0, 1]), so the complement
-    1 - sum_{k>=y} pmf(k; lam) * (1 - y/(k+1)) is used instead; every
-    summand is nonnegative and the terms decay geometrically because
-    k >= y >= lam.  Once the pmf term underflows to 0.0 every later term
-    is 0.0 and the result is exactly 1.0, so the prefix loop stops there,
-    whatever y is.
+    lam^k and k! never appear separately.  The loop runs j = k + 1 from
+    1 to y - 1 and leaves out the last summand, whose factor 1 - y/y is
+    0.0: its pmf term is finite and nonnegative, so it would add +0.0,
+    and a sum that starts at +0.0 is never -0.0, so adding +0.0 changes
+    no bit of it.  One unit thus sums nothing and needs no exp(-lam).
+    For lam <= y that form loses up to all of its precision to
+    cancellation (the two parts grow like y/lam while their sum stays in
+    (0, 1]), so the complement 1 - sum_{k>=y} pmf(k; lam) * (1 - y/(k+1))
+    is used instead; every summand is nonnegative and the terms decay
+    geometrically because k >= y >= lam.  Once the pmf term underflows
+    to 0.0 every later term is 0.0 and the result is exactly 1.0, so the
+    prefix loop stops there, whatever y is.
     """
     if lam > y:
-        term = math.exp(-lam)
         acc = 0.0
-        for k in range(y):
-            acc += term * (1.0 - y / (k + 1))
-            term *= lam / (k + 1)
+        if y > 1:
+            term = math.exp(-lam)
+            for j in range(1, y):
+                acc += term * (1.0 - y / j)
+                term *= lam / j
         return acc + (y / lam) * -math.expm1(-lam)
     term = math.exp(-lam)
     for k in range(1, y + 1):

@@ -64,7 +64,7 @@ def monitor_trace(trace_path, monitor_config, out_path,
     the updates timed as the comment on ``TIMED_EVERY`` says.
     """
     if snapshot_in is not None:
-        _, cfg, state = traceio.read_snapshot(snapshot_in)
+        _, cfg, state, snapshot_hash = traceio.read_snapshot(snapshot_in)
         if monitor_config is not None and cfg != dict(monitor_config):
             raise TraceFormatError(
                 f"{snapshot_in}:1: snapshot monitor config differs from "
@@ -87,6 +87,13 @@ def monitor_trace(trace_path, monitor_config, out_path,
     first_t = mon.t
     meta, records = traceio.read_records(trace_path, start_t=first_t + 1)
     check_model(trace_path, meta["kind"], meta["config"], monitor_config)
+    # A snapshot resumes only the stream it was taken on; a rest of
+    # another seed would pass every other check.
+    if snapshot_in is not None and meta["config_hash"] != snapshot_hash:
+        raise TraceFormatError(
+            f"{snapshot_in}:1: snapshot was taken on the trace whose "
+            f"config_hash is {snapshot_hash!r}, not on {trace_path}, whose "
+            f"config_hash is {meta['config_hash']!r}")
 
     samples, stride = [], TIMED_EVERY
     kind, update, clock = mon.kind, mon.update, time.perf_counter_ns
@@ -115,7 +122,8 @@ def monitor_trace(trace_path, monitor_config, out_path,
     traceio.write_estimates(out_path, mon.kind, dict(monitor_config),
                             meta, estimates())
     if snapshot_out is not None:
-        traceio.write_snapshot(snapshot_out, mon, dict(monitor_config))
+        traceio.write_snapshot(snapshot_out, mon, dict(monitor_config),
+                               meta)
     summary = latency_summary(samples)
     summary["updates"] = mon.t - first_t
     return summary

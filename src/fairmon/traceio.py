@@ -31,7 +31,8 @@ from .monitors import MONITORS, AttentionMonitor, CoinMonitor, LendingMonitor
 HEADERS = {
     "trace": (1, {"config": dict, "config_hash": str}),
     "estimates": (2, {"monitor_config": dict, "trace_config_hash": str}),
-    "snapshot": (1, {"monitor_config": dict, "state": dict}),
+    "snapshot": (2, {"monitor_config": dict, "trace_config_hash": str,
+                     "state": dict}),
 }
 # Python type of a parsed JSON value -> its JSON type name, for messages.
 JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
@@ -365,14 +366,18 @@ def write_estimates(path, kind, monitor_config, trace_meta, lines):
            (monitor_config, trace_meta["config_hash"]), lines)
 
 
-def write_snapshot(path, monitor, monitor_config):
+def write_snapshot(path, monitor, monitor_config, trace_meta):
+    """Write a snapshot of ``monitor`` after the trace whose metadata is
+    ``trace_meta``; only a trace of the same ``config_hash`` resumes
+    it."""
     _write(path, "snapshot", monitor.kind,
-           (monitor_config, monitor.state_dict()))
+           (monitor_config, trace_meta["config_hash"], monitor.state_dict()))
 
 
 def read_snapshot(path):
-    """Return (kind, monitor_config, state).  A snapshot is its one
-    metadata line: any later line that is not blank is a data error."""
+    """Return (kind, monitor_config, state, trace_config_hash).  A
+    snapshot is its one metadata line: any later line that is not blank
+    is a data error."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         meta = _read_meta(fh, path, "snapshot")
         for lineno, line in enumerate(fh, start=2):
@@ -381,7 +386,8 @@ def read_snapshot(path):
             if line.strip():
                 raise TraceFormatError(
                     f"{path}:{lineno}: unexpected line after the snapshot")
-    return meta["kind"], meta["monitor_config"], meta["state"]
+    return (meta["kind"], meta["monitor_config"], meta["state"],
+            meta["trace_config_hash"])
 
 
 def _group(g, pair):

@@ -116,6 +116,20 @@ MUTANTS = [
            [_BAD + "[simulate-seed-in-config]",
             _BAD + "[simulate-seed-by-set]",
             _BAD + "[run-seed-in-config]"]),
+    # The lam > y sum of the discovery kernel leaves out only its +0.0
+    # summand.
+    Mutant("eta-sum-stops-one-summand-early", "kernels.py",
+           "for j in range(1, y):", "for j in range(1, y - 1):",
+           ["tests/test_discovery.py::TestEta::"
+            "test_kernel_matches_full_prefix_loop_bit_for_bit"]),
+    Mutant("eta-one-unit-shortcut-at-two-units", "kernels.py",
+           "if y > 1:", "if y > 2:",
+           ["tests/test_discovery.py::TestEta::"
+            "test_kernel_matches_full_prefix_loop_bit_for_bit"]),
+    # A snapshot resumes only the stream it was taken on.
+    Mutant("resume-on-any-stream", "runner.py",
+           'meta["config_hash"] != snapshot_hash', "False",
+           [_BAD + "[resume-on-another-streams-rest]"]),
 ]
 
 # Runs pytest, then reports where the package it tested came from.

@@ -64,8 +64,10 @@ def oracle_score_step(x, y, z, c_max):
 
 
 def eta_full_prefix(y, lam):
-    """``kernels.eta`` with the prefix loop of the lam <= y branch run
-    all the way to y, past the point where its term underflows."""
+    """``kernels.eta`` as a literal loop over every summand: the lam > y
+    sum includes its last summand, which is +0.0, and the prefix loop of
+    the lam <= y branch runs all the way to y, past the point where its
+    term underflows."""
     if lam > y:
         term = math.exp(-lam)
         acc = 0.0

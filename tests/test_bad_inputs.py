@@ -229,7 +229,8 @@ ROWS = [
           ("estimates", {"format": 1, "file": "estimates", "kind": "coin"}),
           ("estimates", {"format": 3, "file": "estimates", "kind": "coin"}),
           ("trace", {"format": 2, "file": "trace", "kind": "coin"}),
-          ("snapshot", {"format": 2, "file": "snapshot", "kind": "coin"}),
+          ("snapshot", {"format": 1, "file": "snapshot", "kind": "coin"}),
+          ("snapshot", {"format": 3, "file": "snapshot", "kind": "coin"}),
           ("trace", dict(COIN_META, format=True)),
           ("trace", dict(COIN_META, format=1.0)),
           ("trace", {"format": 99, "file": "trace"})]],
@@ -270,7 +271,8 @@ ROWS = [
           "trace": {"config": "object", "config_hash": "string"},
           "estimates": {"monitor_config": "object",
                         "trace_config_hash": "string"},
-          "snapshot": {"monitor_config": "object", "state": "object"},
+          "snapshot": {"monitor_config": "object",
+                       "trace_config_hash": "string", "state": "object"},
       }.items()
       for field, json_type in fields.items()
       for how, value in (("dropped", _DROP), ("null", None),
@@ -353,6 +355,14 @@ ROWS = [
                "{snapshot}:1: snapshot monitor config differs from the "
                "requested one",
                ("config", 1, _field("monitor.delta", 0.01))),
+    # The snapshot was taken on seed 42's stream, the rest is seed 43's:
+    # every record and shared field fits, and the estimates would chain.
+    data_error("resume-on-another-streams-rest", RESUME,
+               "{snapshot}:1: snapshot was taken on the trace whose "
+               f"config_hash is {traceio.config_hash(SIM)!r}, not on "
+               "{rest}, whose config_hash is "
+               f"{traceio.config_hash(dict(SIM, seed=43))!r}",
+               ("rest", 1, _resealed(seed=43))),
     # A monitor told gamma = 0 on a trace simulated with gamma = 0.002
     # contained the truth on 30 % of the steps and exited 0.
     data_error("attention-gamma-differs",
@@ -1106,7 +1116,8 @@ TRACE_TESTS = {
         "estimates-0": "estimates-format-0",
         "estimates-1": "estimates-format-1",
         "estimates-3": "estimates-format-3",
-        "snapshot-2": "snapshot-format-2",
+        "snapshot-1": "snapshot-format-1",
+        "snapshot-3": "snapshot-format-3",
         "trace-2": "trace-format-2",
     },
 }

@@ -64,10 +64,16 @@ class TestEta:
               10 ** 4]
         lams = [1e-300, 1e-9, 0.5, 1.0, 8.0, 37.5, 100.0, 250.0, 699.0,
                 MAX_RATE]
-        for y in ys:
-            for lam in lams:
-                got, want = kernels.eta(y, lam), eta_full_prefix(y, lam)
-                assert got.hex() == want.hex(), (y, lam)
+        # Every small y just above, near and far above its switch to the
+        # lam > y sum, whose last summand (+0.0) the kernel leaves out.
+        cases = [(y, lam) for y in ys for lam in lams]
+        cases += [(y, lam) for y in range(1, 65)
+                  for lam in (math.nextafter(y, math.inf), y * (1 + 1e-9),
+                              y + 0.5, 2 * y, 8.0, 12.0, 699.0, MAX_RATE)
+                  if lam > y]
+        for y, lam in cases:
+            got, want = kernels.eta(y, lam), eta_full_prefix(y, lam)
+            assert got.hex() == want.hex(), (y, lam)
 
     def test_kernel_work_is_bounded_whatever_the_units(self):
         # The full prefix loop would run 10**12 times; stop it after 5 s.

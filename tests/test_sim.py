@@ -474,6 +474,41 @@ TRACE_DIGESTS = [
       2: "63aca46a1d55cd69e1b0c94ca44c7f277743eea5080381c4cc07219570f0fe05"}),
 ]
 
+_ATTENTION_MONITOR = {"kind": "attention", "gamma": 0.0025,
+                      "lambda_min": 4.0, "lambda_max": 12.0, "delta": 0.05}
+
+# (id, row of TRACE_DIGESTS, monitor config, {seed: sha256 of the
+# estimates runner.monitor_trace writes on that row's trace}).  These pin
+# the monitor's float operations across builds: each estimator step, the
+# rate clamp, both branches of kernels.eta (the lam <= y one on the
+# clamped early intervals) and every flag written.
+ESTIMATE_DIGESTS = [
+    # Every attended step gives the monitored location one unit.
+    ("attention-uniform", "attention-uniform", _ATTENTION_MONITOR,
+     {1: "a99cbcdecb980ce3fa689416f4f447ad7935702e3c5ad6b85285e4d2e6c7b518",
+      2: "8d4fcff3c47a28c7418c60d8b3c156157c12cf8a12f9c416df21e5be60f37b11"}),
+    ("attention-greedy", "attention-greedy", _ATTENTION_MONITOR,
+     {1: "163a5a3618390cd4084178bda92678b5061a631f1200ad4697c1ef2f4d34be3a",
+      2: "afc5f81283bc5f18b63ad5bb1c3d964d4188ff1b9ae7a9af9b895085f5e0f116"}),
+    ("attention-constrained-greedy", "attention-constrained-greedy",
+     _ATTENTION_MONITOR,
+     {1: "fa623b390cb78c1c805b17893acba0e7e3889ac0314a6df88630b7cbef4569bf",
+      2: "2bc73874a5a87fe879c88c004ecd8f0b7c9b19512d36e9af7edc4597c9c7992d"}),
+    # A floor this low is crossed early on both seeds: floor_violation
+    # is true on most lines.
+    ("attention-omniscient-floor-violation", "attention-omniscient",
+     dict(_ATTENTION_MONITOR, lambda_min=0.05),
+     {1: "15cbdf0e962af53b29c26463633203dc8b3908223352b7a09fd3fbeb82600ad1",
+      2: "fb7e8830fac40e21224b2aae5be45389d0e03a4f57e3d0f80d7a4848077d401a"}),
+    ("lending-max-reward", "lending-max-reward",
+     {"kind": "lending", "n_a": 30, "n_b": 20, "c_max": 40, "delta": 0.05},
+     {1: "1d3e40aab6a6f02310211926981961807ad7ce2a848117cf7bde198366dde47f",
+      2: "f4513d2cecc0fc7b64b56c23ded0dd296e52ea7913c140bfeeed63fa61c2039e"}),
+    ("coin", "coin", {"kind": "coin", "epsilon": 0.001, "delta": 0.05},
+     {1: "548b39e9eaeb7b44249f93d2d30e2bfd042ac4194712751c1beeb34e913485e9",
+      2: "ee33be918782b9b22c6c66727489ccef67be8b7cc12b63ac8c71037b61017f39"}),
+]
+
 # The first 50 draws of poisson(random.Random(7), lam), per lam.
 POISSON_DRAWS = {
     0.3: [
@@ -518,6 +553,19 @@ def poisson_draws(lam, n=50):
 def test_trace_bytes_are_pinned(config, digests, seed, tmp_path):
     assert trace_digest(config, seed, tmp_path / "trace.jsonl") == \
         digests[seed]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("trace_row, monitor_config, digests",
+                         [row[1:] for row in ESTIMATE_DIGESTS],
+                         ids=[row[0] for row in ESTIMATE_DIGESTS])
+def test_estimate_bytes_are_pinned(trace_row, monitor_config, digests, seed,
+                                   tmp_path):
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "estimates.jsonl"
+    config = {row[0]: row[1] for row in TRACE_DIGESTS}[trace_row]
+    runner.simulate(dict(config, seed=seed), trace)
+    runner.monitor_trace(trace, monitor_config, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[seed]
 
 
 @pytest.mark.parametrize("lam", sorted(POISSON_DRAWS))

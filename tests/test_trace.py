@@ -126,7 +126,7 @@ class TestTraceFiles:
                              snapshot_out=str(snap))
         metas = [path.read_text().split("\n")[0]
                  for path in (trace, est, snap)]
-        assert [json.loads(meta)["format"] for meta in metas] == [1, 2, 1]
+        assert [json.loads(meta)["format"] for meta in metas] == [1, 2, 2]
         # Each metadata line is what json writes for its value.
         assert metas == [_json_line(json.loads(meta)) for meta in metas]
 
