@@ -16,3 +16,9 @@ class AssumptionViolation(RuntimeError):
         super().__init__(message if step is None
                          else f"{message} (at step {step})")
         self.step = step
+
+
+def a_or_an(noun):
+    """``noun`` after its indefinite article, as error messages write
+    it: "an" before a vowel letter, else "a"."""
+    return ("an " if noun[0] in "aeiou" else "a ") + noun

@@ -164,7 +164,8 @@ def _check_population(n_a, n_b, c_max):
 
 
 # The most members of a lending group, or locations, a simulator takes:
-# it keeps one list entry for each.
+# it keeps one list entry for each.  It also caps ``fairmon bench``'s
+# updates, as the bench keeps one latency sample for each.
 MAX_SIM_SIZE = 2 ** 20
 
 

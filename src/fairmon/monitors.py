@@ -10,7 +10,7 @@ estimate; the coin monitor reports the interval of its one group, A.
 from collections import namedtuple
 
 from .discovery import MAX_RATE, eta_interval, poisson_subexp_params
-from .errors import ConfigError
+from .errors import ConfigError, a_or_an
 from .estimator import (_FLOAT_MAX, FrozenConfig, ShiftedMeanEstimator,
                         SubExpParams, _check_delta, _check_population,
                         azuma_epsilon, state_field)
@@ -398,4 +398,4 @@ def build_monitor(config):
     cls = MONITORS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown monitor kind {kind!r}")
-    return cls(cls.config_type.from_fields(cfg, f"a {kind} monitor"))
+    return cls(cls.config_type.from_fields(cfg, a_or_an(f"{kind} monitor")))

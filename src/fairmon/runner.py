@@ -2,13 +2,12 @@
 and snapshot/resume."""
 
 import math
-import random
 import time
 from itertools import zip_longest
 
-from .errors import ConfigError, TraceFormatError
-from .estimator import is_real
-from .monitors import AttentionObservation, LendingObservation, build_monitor
+from .errors import ConfigError, TraceFormatError, a_or_an
+from .estimator import check_sim_size, is_real
+from .monitors import build_monitor
 from . import traceio
 
 _INF = math.inf
@@ -41,7 +40,8 @@ def build_sim(config):
     simulators = _simulators()
     if not isinstance(kind, str) or kind not in simulators:
         raise ConfigError(f"unknown simulator kind {kind!r}")
-    return kind, simulators[kind][0].from_fields(cfg, f"a {kind} simulator")
+    return kind, simulators[kind][0].from_fields(
+        cfg, a_or_an(f"{kind} simulator"))
 
 
 def simulate(config, out_path, include_truth=True):
@@ -246,49 +246,44 @@ def evaluate(estimates_path, trace_path):
 
 
 # --------------------------------------------------------------------
-# Synthetic-update benchmark
+# Update benchmark
 # --------------------------------------------------------------------
 
-def _lending_observation(rng):
-    return LendingObservation(rng.randrange(101),
-                              "A" if rng.random() < 0.5 else "B",
-                              rng.randrange(2), rng.randrange(2))
-
-
-def _attention_observation(rng):
-    y_a = rng.randrange(4)
-    y_b = rng.randrange(7 - y_a)
-    return AttentionObservation(rng.randrange(20), rng.randrange(20),
-                                y_a, y_b, 6)
-
-
-# kind -> (default monitor config, one random observation from an rng)
+# kind -> (simulator config less horizon and seed, monitor config): the
+# lending-stream and attention-stream workloads of perfbench.
 BENCHES = {
     "lending": ({"kind": "lending", "n_a": 100, "n_b": 100, "c_max": 100,
-                 "delta": 0.05}, _lending_observation),
-    "attention": ({"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
-                   "lambda_max": 12.0, "delta": 0.05},
-                  _attention_observation),
+                 "policy": "max_reward", "init": "mid-bias"},
+                {"kind": "lending", "n_a": 100, "n_b": 100, "c_max": 100,
+                 "delta": 0.05}),
+    "attention": ({"kind": "attention", "l": 4, "k": 2, "gamma": 0.0025,
+                   "policy": "uniform", "lambda_init": 8.0},
+                  {"kind": "attention", "gamma": 0.0025, "lambda_min": 4.0,
+                   "lambda_max": 12.0, "delta": 0.05}),
 }
 
 
 def bench(kind, updates, seed=0):
-    """Exact median, p99 and mean latency of every update over an
-    in-memory trace."""
+    """Exact median, p99 and mean latency of every update, over the
+    observations of ``kind``'s workload simulator, drawn one at a time
+    and built as ``monitor_trace`` builds them from a trace."""
     if kind not in BENCHES:
         raise ConfigError(f"no benchmark for kind {kind!r}")
     if updates < 1:
         raise ConfigError(f"updates must be a positive integer, got "
                           f"{updates}")
-    config, observation = BENCHES[kind]
-    rng = random.Random(seed)
-    observations = [observation(rng) for _ in range(updates)]
-    mon = build_monitor(config)
+    check_sim_size("updates", updates)
+    sim_config, mon_config = BENCHES[kind]
+    _, cfg = build_sim(dict(sim_config, horizon=updates, seed=seed))
+    payloads = _simulators()[kind][1](cfg)
+    mon = build_monitor(mon_config)
     latencies = []
     record = latencies.append
     clock = time.perf_counter_ns
     update = mon.update
-    for obs in observations:
+    observation = traceio.observation_from_record
+    for payload in payloads:
+        obs = observation(kind, payload)
         start = clock()
         update(obs)
         record(clock() - start)

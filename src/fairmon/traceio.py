@@ -24,7 +24,7 @@ except ImportError:  # CPython 3.12+
     except ImportError:
         from hashlib import sha256
 
-from .errors import TraceFormatError
+from .errors import TraceFormatError, a_or_an
 from .monitors import MONITORS, AttentionMonitor, CoinMonitor, LendingMonitor
 
 # file kind -> (format version, {metadata field after "kind": JSON type})
@@ -186,8 +186,7 @@ def _read_meta(fh, path, expected_file):
         raise TraceFormatError(f"{path}:1: corrupt metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise TraceFormatError(f"{path}:1: metadata is not a JSON object")
-    a_file = ("an " if expected_file[0] in "aeiou" else "a ") \
-        + expected_file + " file"
+    a_file = a_or_an(expected_file + " file")
     if meta.get("file") != expected_file:
         raise TraceFormatError(
             f"{path}:1: expected {a_file}, got {meta.get('file')!r}")

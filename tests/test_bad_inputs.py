@@ -799,10 +799,20 @@ ROWS = [
           ("monitor", MONITOR, "missing-field",
            "missing field 'delta' for a lending monitor",
            ("config", 1, _field("monitor.delta")))]],
+    # "an" before a vowel.
+    *[config_error(f"{command}-attention-unknown-field", argv + " --set foo=1",
+                   f"unknown field 'foo' for an attention {what}",
+                   base="attention")
+      for command, argv, what in [("simulate", SIMULATE, "simulator"),
+                                  ("monitor", MONITOR, "monitor")]],
     *[config_error(f"bench-updates-{updates}",
                    f"bench --kind lending --updates {updates}",
                    f"updates must be a positive integer, got {updates}")
       for updates in ["0", "-3"]],
+    # The bench keeps one latency sample per update.
+    config_error("bench-updates-past-the-ceiling",
+                 "bench --kind lending --updates 1048577",
+                 "updates must be at most 1048576, got 1048577"),
     # A value of its field's type that the config's own checks refuse.
     # A --set value that is not JSON is a string.
     *[config_error(f"{command}-{base}-{field}-{how}", argv

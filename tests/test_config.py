@@ -126,7 +126,8 @@ class TestConfigClass:
         # Through build_monitor and build_sim the error names the field,
         # not the generated __init__'s signature.
         stage, name = kind
-        what = f"a {name} {'monitor' if stage == 'monitor' else 'simulator'}"
+        what = (f"{'an' if name == 'attention' else 'a'} {name} "
+                f"{'monitor' if stage == 'monitor' else 'simulator'}")
         with pytest.raises(ConfigError) as exc:
             _build(kind, {**fields, "bogus": 1})
         assert str(exc.value) == f"unknown field 'bogus' for {what}"

@@ -21,7 +21,7 @@ import pytest
 from fairmon import ConfidenceInterval, MonitorOutput, cli, runner, traceio
 from fairmon.errors import TraceFormatError
 from fairmon.intervals import interval_sub
-from fairmon.monitors import MONITORS, CoinObservation, build_monitor
+from fairmon.monitors import MONITORS, build_monitor
 from oracles import json_loads_records, oracle_record_v2
 from test_bad_inputs import (ATTENTION_MON, ATTENTION_SIM, COIN_META,
                              COIN_MON, COIN_SIM, MON, SIM, trace_tests)
@@ -202,6 +202,12 @@ class TestTraceFiles:
         del records
         assert len(opened) == 3
         assert all(fh.closed for fh in opened)
+
+
+def _payloads(config):
+    """The payloads of a simulator config dict, as a generator."""
+    kind, cfg = runner.build_sim(config)
+    return runner._simulators()[kind][1](cfg)
 
 
 def _json_line(payload):
@@ -496,14 +502,16 @@ class TestEstimateRecord:
                      for t, (a, b) in enumerate(groups, start=1))
 
     def test_interleaved_monitors(self):
-        rng = random.Random(11)
-        streams = [(build_monitor(config), observation)
-                   for config, observation in runner.BENCHES.values()]
-        streams.append((build_monitor(COIN_MON),
-                        lambda rng: CoinObservation(rng.randrange(2))))
-        for _ in range(900):
-            mon, observation = rng.choice(streams)
-            _check_lines([mon.update(observation(rng))])
+        # Three simulators' payloads, shuffled, through their monitors.
+        streams = [(build_monitor(mon), _payloads(dict(sim, horizon=300)))
+                   for sim, mon in [(SIM, MON),
+                                    (ATTENTION_SIM, ATTENTION_MON),
+                                    (COIN_SIM, COIN_MON)]]
+        order = [stream for stream in streams for _ in range(300)]
+        random.Random(11).shuffle(order)
+        for mon, payloads in order:
+            obs = traceio.observation_from_record(mon.kind, next(payloads))
+            _check_lines([mon.update(obs)])
 
     def test_overflowing_midpoint_then_a_valid_line(self):
         x = ConfidenceInterval(0.1, 0.7, 0.975)
@@ -746,6 +754,33 @@ class TestLatencySummary:
         # Record i (from 0) is t = i + 1.
         assert kept == list(range(1, horizon + 1, stride))
         assert got == dict(self.exact(kept), updates=horizon)
+
+
+@pytest.mark.parametrize("kind", ["lending", "attention"])
+class TestBench:
+
+    def test_updates_on_its_simulators_observations(self, monkeypatch, kind):
+        seen = []
+
+        def recording_monitor(config):
+            mon = build_monitor(config)
+
+            def update(obs):
+                seen.append(obs)
+                return mon.update(obs)
+            return SimpleNamespace(update=update)
+
+        monkeypatch.setattr(runner, "build_monitor", recording_monitor)
+        sim, _ = runner.BENCHES[kind]
+        assert runner.bench(kind, 50, seed=3)["samples"] == 50
+        assert seen == [traceio.observation_from_record(kind, payload)
+                        for payload in _payloads(dict(sim, horizon=50,
+                                                      seed=3))]
+
+    def test_configs_describe_one_model(self, kind):
+        sim, mon = runner.BENCHES[kind]
+        assert sim["kind"] == mon["kind"] == kind
+        runner.check_model("bench", sim["kind"], sim, mon)
 
 
 @trace_tests
