@@ -15,7 +15,7 @@ from ..discovery import MAX_RATE
 from ..errors import AssumptionViolation, ConfigError
 from ..estimator import _FLOAT_MAX, FrozenConfig, check_sim_size, is_real
 from ..monitors import AttentionObservation, attention_change
-from .sampling import poisson
+from .sampling import poisson, skip_poisson
 
 _new = tuple.__new__
 
@@ -92,7 +92,11 @@ class AllocationPolicy:
     """Deterministic given (seed, history); greedy variants track the
     empirical mean of raw observed counts per location.  ``learns`` is
     false for the policies that never read those counts (uniform, and
-    omniscient greedy), so the environment does not feed them."""
+    omniscient greedy), so the environment does not feed them.  For
+    those policies it draws only the monitored pair's counts and skips
+    the other locations' draws with ``skip_poisson``, which advances the
+    generator by exactly the uniforms ``poisson`` would read: every later
+    draw, and so the trace, is unchanged."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -155,9 +159,17 @@ class AttentionEnv:
         self.t += 1
         rates = self.rates
         alloc = policy.allocate(self, rng)
-        counts = [poisson(rng, lam) for lam in rates]
         if policy.learns:
+            counts = [poisson(rng, lam) for lam in rates]
             policy.observe(counts)
+            x_a, x_b = counts[0], counts[1]
+        else:
+            # Only the monitored pair's counts are read; the skips keep
+            # rng, and so the trace, where the full draw would leave it.
+            x_a = poisson(rng, rates[0])
+            x_b = poisson(rng, rates[1])
+            for lam in rates[2:]:
+                skip_poisson(rng, lam)
         lam_a, lam_b = rates[0], rates[1]
         y_a, y_b = alloc[0], alloc[1]
         omega_a = self._omega(0, y_a) if y_a else 0.0
@@ -170,7 +182,7 @@ class AttentionEnv:
                     f"incident rate of location {i} reached {rate}",
                     step=self.t)
         obs = _new(AttentionObservation,
-                   (counts[0], counts[1], y_a, y_b, self._k))
+                   (x_a, x_b, y_a, y_b, self._k))
         truth = {"omega_a": omega_a, "omega_b": omega_b,
                  "phi": omega_a - omega_b, "lam_a": lam_a, "lam_b": lam_b}
         return obs, truth

@@ -1,7 +1,9 @@
 """Poisson sampling on top of ``random.Random``.
 
-The method is pinned (inversion below rate 10, transformed rejection
-above) so that a given seed reproduces the same trace across builds.
+The method is pinned (inversion at rates up to 10, transformed
+rejection above) so that a given seed reproduces the same trace across
+builds.  ``skip_poisson`` advances a generator exactly as ``poisson``
+would, for a draw whose count nothing reads.
 """
 
 import math
@@ -31,6 +33,19 @@ def poisson(rng, lam):
                 return k
         return _MAX_INVERSION_STEPS + 1
     return _poisson_ptrs(rng, lam)
+
+
+def skip_poisson(rng, lam):
+    """Advance ``rng`` exactly as ``poisson(rng, lam)`` would, without
+    computing the count.  Inversion reads one uniform whatever count it
+    returns, its stall guard included; the rejection loop reads a
+    data-dependent number, so it runs in full."""
+    if lam <= 0:
+        raise ValueError(f"rate must be positive, got {lam}")
+    if lam <= _INVERSION_CUTOFF:
+        rng.random()
+    else:
+        _poisson_ptrs(rng, lam)
 
 
 def _poisson_ptrs(rng, lam):

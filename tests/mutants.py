@@ -7,8 +7,8 @@ node ids that must fail once the fault is in.  :func:`problems` plants
 one mutant in a copy of ``src/`` and runs only its node ids, in a
 subprocess whose ``PYTHONPATH`` is the copy.  ``tests/test_mutants.py``
 checks each row under pytest; run as a script,
-``python tests/mutants.py`` checks every row and exits 1 if one
-survives.
+``python tests/mutants.py`` checks every row, prints each row's wall
+time and the table's total, and exits 1 if one survives.
 
 A refactor that removes a mutant's old text fails its row: update the
 row to the new code rather than drop it.  Standard library only.
@@ -20,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from collections import namedtuple
 from pathlib import Path
 
@@ -130,6 +131,17 @@ MUTANTS = [
     Mutant("resume-on-any-stream", "runner.py",
            'meta["config_hash"] != snapshot_hash', "False",
            [_BAD + "[resume-on-another-streams-rest]"]),
+    # A skipped draw at exactly the inversion cutoff reads one uniform,
+    # as poisson does, not the rejection loop's.
+    Mutant("skip-cutoff-strict", "sim/sampling.py",
+           "    if lam <= _INVERSION_CUTOFF:\n        rng.random()",
+           "    if lam < _INVERSION_CUTOFF:\n        rng.random()",
+           ["tests/test_sim.py::TestPoissonSampler::"
+            "test_skip_advances_rng_like_poisson[10.0]",
+            "tests/test_sim.py::test_trace_bytes_are_pinned"
+            "[attention-uniform-skips-across-the-cutoff-1]",
+            "tests/test_sim.py::test_trace_bytes_are_pinned"
+            "[attention-uniform-skips-across-the-cutoff-2]"]),
 ]
 
 # Runs pytest, then reports where the package it tested came from.
@@ -188,17 +200,21 @@ def problems(mutant, work):
 
 def main():
     alive = 0
+    started = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         for mutant in MUTANTS:
+            row_started = time.perf_counter()
             try:
                 found = problems(mutant, Path(tmp) / mutant.id)
             except ValueError as exc:
                 found = [str(exc)]
             alive += bool(found)
-            print(f"{'SURVIVED' if found else 'killed'} {mutant.id}")
+            print(f"{'SURVIVED' if found else 'killed'} {mutant.id} "
+                  f"({time.perf_counter() - row_started:.1f} s)")
             for problem in found:
                 print(f"  {problem}")
-    print(f"{len(MUTANTS) - alive} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - alive} of {len(MUTANTS)} mutants killed in "
+          f"{time.perf_counter() - started:.1f} s")
     return 1 if alive else 0
 
 

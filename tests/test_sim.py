@@ -15,7 +15,7 @@ from fairmon import runner
 from fairmon.errors import AssumptionViolation, ConfigError
 from fairmon.monitors import attention_change, lending_change, LendingConfig
 from fairmon.sim import attention, coin, lending
-from fairmon.sim.sampling import poisson
+from fairmon.sim.sampling import poisson, skip_poisson
 from oracles import oracle_repay_mass, oracle_score_step
 
 
@@ -43,6 +43,40 @@ class TestPoissonSampler:
         a = [poisson(random.Random(7), lam) for lam in (0.5, 3.0, 40.0)]
         b = [poisson(random.Random(7), lam) for lam in (0.5, 3.0, 40.0)]
         assert a == b
+
+    # Both sides of the inversion cutoff, the cutoff itself, an int rate
+    # and the largest rate the simulators allow.
+    @pytest.mark.parametrize("lam", [
+        1e-3, 0.3, 8, 8.0, 9.999, 10.0, math.nextafter(10.0, math.inf),
+        10.5, 40.0, 700.0])
+    def test_skip_advances_rng_like_poisson(self, lam):
+        drawn, skipped = random.Random(11), random.Random(11)
+        for _ in range(200):
+            poisson(drawn, lam)
+            assert skip_poisson(skipped, lam) is None
+            assert skipped.getstate() == drawn.getstate()
+
+    def test_skip_reads_one_uniform_on_the_stall_guard_path(self):
+        # The uniform that sends poisson at rate 0.1 through all 10_000
+        # inversion terms (see test_inversion_stall_guard_is_pinned).
+        class LargestU:
+            calls = 0
+
+            def random(self):
+                self.calls += 1
+                return 1.0 - 2.0 ** -53
+
+        rng = LargestU()
+        skip_poisson(rng, 0.1)
+        assert rng.calls == 1
+
+    @pytest.mark.parametrize("lam", [0, -1])
+    def test_skip_rejects_what_poisson_rejects(self, lam):
+        with pytest.raises(ValueError) as drawn:
+            poisson(random.Random(0), lam)
+        with pytest.raises(ValueError) as skipped:
+            skip_poisson(random.Random(0), lam)
+        assert str(skipped.value) == str(drawn.value)
 
 
 class TestCoinSim:
@@ -468,6 +502,14 @@ TRACE_DIGESTS = [
           lambda_init_per_location=[8, 9, 3, 12]),
      {1: "dd2f022e982df574eb975da3cff7d07267483ab19041f01159ef9e1208d6ac25",
       2: "03f34ab37332e5280c3af2b7463ebcf7457366690a82b8aeb935678979e13752"}),
+    # Uniform draws the monitored pair and skips the rest.  Locations 2
+    # and 3 start at or below the inversion cutoff (3 to 29 of the 400
+    # steps) and drift above it; location 4 stays above.
+    ("attention-uniform-skips-across-the-cutoff",
+     dict(_ATTENTION, l=5, policy="uniform",
+          lambda_init_per_location=[8.0, 8.0, 9.999, 10.0, 40.0]),
+     {1: "266502619918c5c235cfa28d53a2be36ba0665187644190a2522ca374e609e76",
+      2: "5b216755a2b149543b213b18fc5e96030350c2c290b06b6524972184fb816ee5"}),
     ("coin", {"kind": "coin", "p1": 0.5, "epsilon": 0.001,
               "horizon": 400},
      {1: "2cb2c79eabb960fe3b3ab0d35b3bf3db404df09afdcc9e1b29f9e6a727041080",
