@@ -30,9 +30,8 @@ class AttentionSimConfig(FrozenConfig):
     seed: int
     policy: str = "uniform"
     alpha: float = 0.75
-    lambda_init: float = 10.0
-    # None, or one positive rate per location (a list or tuple).
-    lambda_init_per_location: tuple = None
+    # One positive rate for every location, or a list of l of them.
+    lambda_init: float | tuple = 10.0
     omniscient: bool = False
 
     def __post_init__(self):
@@ -51,22 +50,25 @@ class AttentionSimConfig(FrozenConfig):
             raise ConfigError(f"unknown allocation policy {self.policy!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        rates = self.lambda_init_per_location
-        if rates is None:
-            rates = (self.lambda_init,) * self.l
-        if not (isinstance(rates, (list, tuple)) and len(rates) == self.l
-                and all(is_real(v) and v > 0 for v in rates)):
-            raise ConfigError(f"initial rates must be {self.l} positive "
-                              f"reals, got {rates!r}")
-        if max(rates) > MAX_RATE:
+        rates = self.lambda_init
+        many = isinstance(rates, (list, tuple))
+        values = rates if many else [rates]
+        if (many and len(rates) != self.l
+                or not all(is_real(v) and v > 0 for v in values)):
+            raise ConfigError(f"lambda_init must be a positive real or a "
+                              f"list of {self.l} of them, got {rates!r}")
+        if max(values) > MAX_RATE:
             raise ConfigError(
-                f"initial rates must be at most {MAX_RATE}, the largest "
+                f"lambda_init must be at most {MAX_RATE}, the largest "
                 f"rate the discovery probability is computed at, got "
                 f"{rates!r}")
+        if many:
+            object.__setattr__(self, "lambda_init", tuple(rates))
 
     def initial_rates(self):
-        if self.lambda_init_per_location is not None:
-            return list(self.lambda_init_per_location)
+        """The listed rates as given, ints included, or l float copies."""
+        if type(self.lambda_init) is tuple:
+            return list(self.lambda_init)
         return [float(self.lambda_init)] * self.l
 
 

@@ -35,11 +35,9 @@ class LendingSimConfig(FrozenConfig):
     theta_bank: float = 0.5
     rho_min: float = 0.1
     rho_max: float = 0.95
-    init: str = "mid-bias"
-    # None, or one integer score per member (a list or tuple); the two
-    # are given together.
-    init_scores_a: tuple = None
-    init_scores_b: tuple = None
+    # A preset name, or two lists of integer scores in [0, c_max]: group
+    # A's n_a, then group B's n_b.
+    init: str | tuple = "mid-bias"
     use_true_tallies: bool = True
 
     def __post_init__(self):
@@ -54,20 +52,20 @@ class LendingSimConfig(FrozenConfig):
             raise ConfigError(
                 f"need 0 <= rho_min <= rho_max <= 1, got "
                 f"[{self.rho_min}, {self.rho_max}]")
-        if (self.init_scores_a is None) != (self.init_scores_b is None):
+        init = self.init
+        if type(init) is str:
+            if init not in PRESETS:
+                raise ConfigError(f"unknown initial-score preset {init!r}")
+        elif not (isinstance(init, (list, tuple)) and len(init) == 2 and all(
+                isinstance(scores, (list, tuple)) and len(scores) == n
+                and all(type(x) is int and 0 <= x <= self.c_max
+                        for x in scores)
+                for scores, n in zip(init, (self.n_a, self.n_b)))):
             raise ConfigError(
-                "init_scores_a and init_scores_b must be given together")
-        if self.init_scores_a is None and self.init not in PRESETS:
-            raise ConfigError(f"unknown initial-score preset {self.init!r}")
-        for g, scores, n in (("a", self.init_scores_a, self.n_a),
-                             ("b", self.init_scores_b, self.n_b)):
-            if scores is not None and not (
-                    isinstance(scores, (list, tuple)) and len(scores) == n
-                    and all(type(x) is int and 0 <= x <= self.c_max
-                            for x in scores)):
-                raise ConfigError(
-                    f"init_scores_{g} must be {n} integers in "
-                    f"[0, {self.c_max}], got {scores!r}")
+                f"init must be a preset or lists of {self.n_a} and "
+                f"{self.n_b} scores in [0, {self.c_max}], got {init!r}")
+        else:
+            object.__setattr__(self, "init", tuple(map(tuple, init)))
 
 
 def _spread_scores(n, lo_frac, hi_frac, c_max):
@@ -78,8 +76,8 @@ def _spread_scores(n, lo_frac, hi_frac, c_max):
 
 
 def initial_scores(cfg):
-    if cfg.init_scores_a is not None:
-        return list(cfg.init_scores_a), list(cfg.init_scores_b)
+    if type(cfg.init) is tuple:
+        return list(cfg.init[0]), list(cfg.init[1])
     (a_lo, a_hi), (b_lo, b_hi) = PRESETS[cfg.init]
     return (_spread_scores(cfg.n_a, a_lo, a_hi, cfg.c_max),
             _spread_scores(cfg.n_b, b_lo, b_hi, cfg.c_max))

@@ -144,7 +144,8 @@ _STATE = "{snapshot}:1: invalid monitor state: "
 _NULL_LAST = ("state.last.{0} must be null exactly when estimator {0} has no "
               "updates")
 _LAST = "state.last.{} must be null or two finite numbers lo <= hi, got {}"
-_TOGETHER = "init_scores_a and init_scores_b must be given together"
+_SCORES = ("init must be a preset or lists of {} and {} scores in [0, 10], "
+           "got {}")
 _SMALL_LENDING = {"kind": "lending", "n_a": 3, "n_b": 3, "c_max": 10,
                   "horizon": 5}
 _SMALL_ATTENTION = {"kind": "attention", "l": 2, "k": 2, "gamma": 0.0,
@@ -372,7 +373,7 @@ ROWS = [
                ("config", 1, {"simulator": {
                    "kind": "attention", "l": 2, "k": 1, "gamma": 0.002,
                    "horizon": 4000, "policy": "greedy",
-                   "lambda_init_per_location": [6.0, 3.0]},
+                   "lambda_init": [6.0, 3.0]},
                    "monitor": dict(ATTENTION_MON, gamma=0.0,
                                    lambda_min=0.5, lambda_max=14.0)})),
     # run builds both configs and checks the model before it makes
@@ -759,33 +760,54 @@ ROWS = [
           ("l", "out-of-index-range", 10 ** 400, "attention"),
           ("l", "past-the-ceiling", 2 ** 20 + 1, "attention"),
           ("n_a", "past-the-ceiling", 2 ** 20 + 1, "lending")]],
-    # A str field of another JSON type is named with its type.  An object
-    # or array as lending's init read "unhashable type".
+    # A str field of another JSON type is named with its type.
     *[config_error(f"simulate-{base}-{field}-{how}", SIMULATE + f" --set "
                    f"{field}={text}", f"{field} must be str, got {shown}",
                    base=base)
       for base, field, how, text, shown in [
-          ("lending", "init", "object", '{"a":1}', "{'a': 1}"),
-          ("lending", "init", "array", "[1]", "[1]"),
           ("lending", "policy", "object", '{"a":1}', "{'a': 1}"),
           ("attention", "policy", "array", '["x"]', "['x']")]],
+    # Lending's init is a preset name or two lists of scores.  An object
+    # or array as init read "unhashable type", then "init must be str".
+    *[config_error(f"simulate-lending-init-{how}", SIMULATE + f" --set "
+                   f"init={text}", _SCORES.format(5, 5, shown))
+      for how, text, shown in [("object", '{"a":1}', "{'a': 1}"),
+                               ("array", "[1]", "[1]")]],
     # Initial values the simulator cannot start from leave no trace.
     *[config_error(f"initial-values-{id}", SIMULATE + " --set " + override,
                    message, ("config", 1, _field("simulator", sim)))
       for id, sim, override, message in [
-          ("a-only", _SMALL_LENDING, "init_scores_a=[1,2,3]", _TOGETHER),
-          ("b-only", _SMALL_LENDING, "init_scores_b=[9,9,9]", _TOGETHER),
-          ("number", dict(_SMALL_LENDING, init_scores_b=[1, 1, 1]),
-           "init_scores_a=5",
-           "init_scores_a must be 3 integers in [0, 10], got 5"),
-          ("above-c-max", dict(_SMALL_LENDING, init_scores_b=[1, 1, 1]),
-           "init_scores_a=[1,2,30]",
-           "init_scores_a must be 3 integers in [0, 10], got [1, 2, 30]"),
-          ("bool-rate", _SMALL_ATTENTION, "lambda_init_per_location=[true,5]",
-           "initial rates must be 2 positive reals, got [True, 5]"),
+          ("a-only", _SMALL_LENDING, "init=[[1,2,3]]",
+           _SCORES.format(3, 3, "[[1, 2, 3]]")),
+          ("b-only", _SMALL_LENDING, "init=[null,[9,9,9]]",
+           _SCORES.format(3, 3, "[None, [9, 9, 9]]")),
+          ("number", _SMALL_LENDING, "init=[5,[1,1,1]]",
+           _SCORES.format(3, 3, "[5, [1, 1, 1]]")),
+          ("above-c-max", _SMALL_LENDING, "init=[[1,2,30],[1,1,1]]",
+           _SCORES.format(3, 3, "[[1, 2, 30], [1, 1, 1]]")),
+          ("bool-rate", _SMALL_ATTENTION, "lambda_init=[true,5]",
+           "lambda_init must be a positive real or a list of 2 of them, "
+           "got [True, 5]"),
+          # One rate is named as given, not as the list it stands for.
           ("rate-above-max-rate", _SMALL_ATTENTION, "lambda_init=800",
-           "initial rates must be at most 700.0, the largest rate the "
-           "discovery probability is computed at, got (800, 800)")]],
+           "lambda_init must be at most 700.0, the largest rate the "
+           "discovery probability is computed at, got 800")]],
+    # The fields that once spelled an initial state a second way are
+    # unknown, so a config written for them fails rather than simulate
+    # from one spelling and record the other: a preset that does not
+    # exist beside scores, a negative rate beside a list of rates.
+    *[config_error(f"simulate-{name}-removed", SIMULATE,
+                   f"unknown field {name!r} for {what} simulator",
+                   ("config", 1, _field("simulator", sim)))
+      for name, what, sim in [
+          ("init_scores_a", "a lending",
+           dict(_SMALL_LENDING, init="no-such-preset",
+                init_scores_a=[1, 2, 3], init_scores_b=[4, 5, 6])),
+          ("init_scores_b", "a lending",
+           dict(_SMALL_LENDING, init_scores_b=[4, 5, 6])),
+          ("lambda_init_per_location", "an attention",
+           dict(_SMALL_ATTENTION, lambda_init=-5.0,
+                lambda_init_per_location=[6.0, 3.0]))]],
     # A field the config class does not have, or one it needs, is named.
     *[config_error(f"{command}-{id}", argv, message, *edits)
       for command, argv, id, message, *edits in [

@@ -2,13 +2,18 @@
 positional construction, the simulator configs' defaults, ``repr``,
 equality and hash, immutability, and a ``TypeError`` (a ``ConfigError``
 naming the field through ``build_monitor`` and ``build_sim``) on an
-unknown or missing field."""
+unknown or missing field.  README's table of config fields lists the
+fields of every monitor and simulator config."""
+
+import re
+from pathlib import Path
 
 import pytest
 
+from fairmon import runner
 from fairmon.errors import ConfigError
 from fairmon.estimator import SubExpParams
-from fairmon.monitors import (AttentionConfig, CoinMonitorConfig,
+from fairmon.monitors import (MONITORS, AttentionConfig, CoinMonitorConfig,
                               LendingConfig, build_monitor)
 from fairmon.runner import build_sim
 from fairmon.sim.attention import AttentionSimConfig
@@ -35,29 +40,34 @@ CASES = [
     (LendingSimConfig, ("sim", "lending"),
      {"n_a": 3, "n_b": 2, "c_max": 10, "horizon": 7, "seed": 42,
       "policy": "eq_opp", "theta_bank": 0.6, "rho_min": 0.2,
-      "rho_max": 0.9, "init": "high-bias", "init_scores_a": [1, 2, 3],
-      "init_scores_b": [4, 5], "use_true_tallies": False},
+      "rho_max": 0.9, "init": ((1, 2, 3), (4, 5)),
+      "use_true_tallies": False},
      "LendingSimConfig(n_a=3, n_b=2, c_max=10, horizon=7, seed=42, "
      "policy='eq_opp', theta_bank=0.6, rho_min=0.2, rho_max=0.9, "
-     "init='high-bias', init_scores_a=[1, 2, 3], init_scores_b=[4, 5], "
-     "use_true_tallies=False)",
+     "init=((1, 2, 3), (4, 5)), use_true_tallies=False)",
      {"policy": "max_reward", "theta_bank": 0.5, "rho_min": 0.1,
-      "rho_max": 0.95, "init": "mid-bias", "init_scores_a": None,
-      "init_scores_b": None, "use_true_tallies": True}),
+      "rho_max": 0.95, "init": "mid-bias", "use_true_tallies": True}),
     (AttentionSimConfig, ("sim", "attention"),
      {"l": 3, "k": 6, "gamma": 0.0025, "horizon": 7, "seed": 42,
-      "policy": "greedy", "alpha": 0.5, "lambda_init": 8.0,
-      "lambda_init_per_location": [4.0, 5.0, 6.0], "omniscient": True},
+      "policy": "greedy", "alpha": 0.5, "lambda_init": (4.0, 5.0, 6.0),
+      "omniscient": True},
      "AttentionSimConfig(l=3, k=6, gamma=0.0025, horizon=7, seed=42, "
-     "policy='greedy', alpha=0.5, lambda_init=8.0, "
-     "lambda_init_per_location=[4.0, 5.0, 6.0], omniscient=True)",
+     "policy='greedy', alpha=0.5, lambda_init=(4.0, 5.0, 6.0), "
+     "omniscient=True)",
      {"policy": "uniform", "alpha": 0.75, "lambda_init": 10.0,
-      "lambda_init_per_location": None, "omniscient": False}),
+      "omniscient": False}),
     (CoinConfig, ("sim", "coin"),
      {"p1": 0.5, "epsilon": 0.001, "horizon": 7, "seed": 42},
      "CoinConfig(p1=0.5, epsilon=0.001, horizon=7, seed=42)", {}),
 ]
 IDS = [case[0].__name__ for case in CASES]
+
+
+def _as_lists(value):
+    """``value`` with each tuple in it a list, as JSON spells it."""
+    if isinstance(value, tuple):
+        return [_as_lists(v) for v in value]
+    return value
 
 
 def _build(kind, fields):
@@ -97,6 +107,10 @@ class TestConfigClass:
         assert cfg != cls(**{**fields, vary: fields[vary] * 2})
         required = {f: v for f, v in fields.items() if f not in defaults}
         assert hash(cls(**required)) == hash(cls(**required))
+        assert hash(cfg) == hash(cls(**fields))
+        # A list, as a config file spells it, is stored as a tuple.
+        listed = cls(**{f: _as_lists(v) for f, v in fields.items()})
+        assert listed == cfg and hash(listed) == hash(cfg)
 
     def test_fields_cannot_be_set(self, cls, kind, fields, text, defaults):
         cfg = cls(**fields)
@@ -134,3 +148,26 @@ class TestConfigClass:
         with pytest.raises(ConfigError) as exc:
             _build(kind, missing)
         assert str(exc.value) == f"missing field '{first}' for {what}"
+
+
+def _readme_fields():
+    """README's table of config fields: {(stage, kind): [field, ...]},
+    in the table's order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n### Config fields\n", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| ") and re.fullmatch(r"`\w+`", cells[1]):
+            kind, stage = cells[0].split()
+            table.setdefault((stage, kind), []).append(cells[1].strip("`"))
+    return table
+
+
+def test_readme_lists_every_config_field():
+    want = {("monitor", kind): list(cls.config_type._fields)
+            for kind, cls in MONITORS.items()}
+    want.update({("simulator", kind): list(cls._fields)
+                 for kind, (cls, _) in runner._simulators().items()})
+    assert _readme_fields() == want

@@ -142,10 +142,9 @@ class TestLendingSim:
         ({"init": "mid-bias"}, {(1, 1, 1), (1, 0, -1)}),
         ({"init": "high-bias"}, {(1, 1, 1), (1, 0, -1)}),
         # Pinned at 0 (granted from theta_bank 0.05) and at c_max.
-        ({"init_scores_a": (0,) * 10, "init_scores_b": (0,) * 10,
-          "theta_bank": 0.05}, {(1, 0, 0)}),
-        ({"init_scores_a": (20,) * 10, "init_scores_b": (20,) * 10},
-         {(1, 1, 0)}),
+        ({"init": ((0,) * 10, (0,) * 10), "theta_bank": 0.05},
+         {(1, 0, 0)}),
+        ({"init": ((20,) * 10, (20,) * 10)}, {(1, 1, 0)}),
     ], ids=["low-bias", "mid-bias", "high-bias", "all-zero", "all-c-max"])
     def test_score_step_matches_oracle_rule(self, init, seen, policy):
         cfg = self.make_cfg(policy=policy, horizon=400, **init)
@@ -181,8 +180,7 @@ class TestLendingSim:
             assert env.sums[g] == sum(env.scores[g])
 
     def test_repaid_grant_at_cap_changes_nothing(self):
-        cfg = self.make_cfg(init_scores_a=(20,) * 10, init_scores_b=(0,) * 10,
-                            init="mid-bias")
+        cfg = self.make_cfg(init=((20,) * 10, (0,) * 10))
         env = lending.LendingEnv(cfg)
         policy = lending.MaxRewardPolicy(theta_bank=0.0)  # grant everyone
         rng = random.Random(0)
@@ -204,8 +202,7 @@ class TestLendingSim:
         # single known score per group: A above threshold, B below; the
         # below-threshold grant probability must equalize the repay-mass
         # grant rates, here to exactly 1 (A's rate is 1)
-        cfg = self.make_cfg(n_a=1, n_b=1, init_scores_a=(15,),
-                            init_scores_b=(5,))
+        cfg = self.make_cfg(n_a=1, n_b=1, init=((15,), (5,)))
         env = lending.LendingEnv(cfg)
         pol = lending.EqOppPolicy(theta_bank=0.5)
         q = pol.grant_probability_below(env, "B")
@@ -217,8 +214,7 @@ class TestLendingSim:
         # rho(10); target = rho(10)/(rho(10)+rho(6)).  B: all above
         # threshold, target 1.  q for A solves (above + q*slack)/total = 1
         # capped, and for B there is no slack
-        cfg = self.make_cfg(n_a=2, n_b=2, init_scores_a=(10, 6),
-                            init_scores_b=(12, 14))
+        cfg = self.make_cfg(n_a=2, n_b=2, init=((10, 6), (12, 14)))
         env = lending.LendingEnv(cfg)
         pol = lending.EqOppPolicy(theta_bank=0.5)
         assert pol.grant_probability_below(env, "A") == pytest.approx(1.0)
@@ -226,7 +222,7 @@ class TestLendingSim:
 
     def test_eq_opp_fallback_without_repay_mass(self):
         cfg = self.make_cfg(n_a=1, n_b=1, rho_min=0.0, rho_max=0.4,
-                            init_scores_a=(0,), init_scores_b=(5,))
+                            init=((0,), (5,)))
         env = lending.LendingEnv(cfg)
         pol = lending.EqOppPolicy(theta_bank=0.5)
         assert pol.grant_probability_below(env, "B") == 0.0
@@ -306,18 +302,23 @@ class TestLendingSim:
         with pytest.raises(ConfigError):
             self.make_cfg(**fields)
 
-    @pytest.mark.parametrize("a, b", [
-        ([1, 2, 3], None), (None, [9, 9, 9]), (5, [1, 1, 1]),
-        ([1, 2, 30], [1, 1, 1]), ([1, 2, -1], [1, 1, 1]),
-        ([1, 2, True], [1, 1, 1]), ([1, 2, 3.0], [1, 1, 1]),
-        ([1, 2], [1, 1, 1]), ([1, 2, 3], "abc"),
+    @pytest.mark.parametrize("init", [
+        [[1, 2, 3], None], [None, [9, 9, 9]], [5, [1, 1, 1]],
+        [[1, 2, 30], [1, 1, 1]], [[1, 2, -1], [1, 1, 1]],
+        [[1, 2, True], [1, 1, 1]], [[1, 2, 3.0], [1, 1, 1]],
+        [[1, 2], [1, 1, 1]], [[1, 2, 3], "abc"],
+        # The preset name and the lists are one field: neither is
+        # accepted beside the other, nor one list alone.
+        [[1, 2, 3]], [[1, 2, 3], [1, 1, 1], [1, 1, 1]], 5, {"a": 1},
+        "no-such-preset", ["mid-bias", [1, 2, 3], [1, 1, 1]],
     ], ids=["a-only", "b-only", "not-a-list", "above-c-max", "negative",
-            "bool-score", "float-score", "short", "text"])
-    def test_rejects_bad_initial_scores(self, a, b):
+            "bool-score", "float-score", "short", "text", "one-list",
+            "three-lists", "number", "object", "unknown-preset",
+            "preset-beside-lists"])
+    def test_rejects_bad_initial_scores(self, init):
         # Checked at construction, before a trace file is opened.
         with pytest.raises(ConfigError):
-            self.make_cfg(n_a=3, n_b=3, c_max=10, init_scores_a=a,
-                          init_scores_b=b)
+            self.make_cfg(n_a=3, n_b=3, c_max=10, init=init)
 
 
 class TestAttentionSim:
@@ -433,13 +434,15 @@ class TestAttentionSim:
             self.make_cfg(omniscient=1)
 
     @pytest.mark.parametrize("rates", [
-        [True, 5], [1.0], [1.0, 0.0], [1.0, "2"], 5, [1.0, 10 ** 400],
-        [1.0, 700.5],
+        [True, 5], [1.0], [1.0, 0.0], [1.0, "2"], {"a": 5}, [1.0, 10 ** 400],
+        [1.0, 700.5], True, -5.0, 0, 800, 10 ** 400, "8", None,
     ], ids=["bool-rate", "short", "zero-rate", "text-rate", "not-a-list",
-            "huge-rate", "above-max-rate"])
+            "huge-rate", "above-max-rate", "bool-scalar", "negative-scalar",
+            "zero-scalar", "scalar-above-max-rate", "huge-scalar",
+            "text-scalar", "null"])
     def test_rejects_bad_initial_rates(self, rates):
         with pytest.raises(ConfigError):
-            self.make_cfg(l=2, k=2, lambda_init_per_location=rates)
+            self.make_cfg(l=2, k=2, lambda_init=rates)
 
 
 # --------------------------------------------------------------------
@@ -471,6 +474,12 @@ TRACE_DIGESTS = [
     ("lending-one-member", dict(_LENDING, n_a=1),
      {1: "37c9c256700f91c503e15942f785c50ede16a078d8d7a95b3dc0f3b0ae98faf0",
       2: "5b507bf7c182af7aaf5b4cde5c7418f665dd2b7bb5f9846a31da9e56c252ae48"}),
+    # Explicit scores, 0 and c_max among them; B starts above A.
+    ("lending-explicit-scores",
+     dict(_LENDING, policy="eq_opp",
+          init=[list(range(30)), list(range(21, 41))]),
+     {1: "8989864d3d71e29bf137f9c78c422a257da70e90f6ac519556a82bd40cc1232f",
+      2: "554572da024178b1618d2dc1dff2fbc85182deb6881cb203e7b5af9dbbe0e023"}),
     ("attention-uniform", dict(_ATTENTION, policy="uniform"),
      {1: "132502fee843426fcf59e9300303e41c81e8ee1b117020601a21ceec7ed29dd7",
       2: "8ce96790f91538b2d521933948a2ec65b2467b83aee79d2b253f50329dc988f4"}),
@@ -498,18 +507,17 @@ TRACE_DIGESTS = [
       2: "f2467641c11ad4299525685a53efb348954de85fcad9daa7a429f513b1b8e96a"}),
     # Integer initial rates: the first step's truth holds the ints.
     ("attention-int-rates",
-     dict(_ATTENTION, policy="greedy",
-          lambda_init_per_location=[8, 9, 3, 12]),
-     {1: "dd2f022e982df574eb975da3cff7d07267483ab19041f01159ef9e1208d6ac25",
-      2: "03f34ab37332e5280c3af2b7463ebcf7457366690a82b8aeb935678979e13752"}),
+     dict(_ATTENTION, policy="greedy", lambda_init=[8, 9, 3, 12]),
+     {1: "91cf4a55810dc97d156f5fc7cd87615fccdddfae3e190632a82246777347b696",
+      2: "38eb8e4234d073212c0d922bb1fe8321fcb8d1c6db755c6ecd641bcedd45f852"}),
     # Uniform draws the monitored pair and skips the rest.  Locations 2
     # and 3 start at or below the inversion cutoff (3 to 29 of the 400
     # steps) and drift above it; location 4 stays above.
     ("attention-uniform-skips-across-the-cutoff",
      dict(_ATTENTION, l=5, policy="uniform",
-          lambda_init_per_location=[8.0, 8.0, 9.999, 10.0, 40.0]),
-     {1: "266502619918c5c235cfa28d53a2be36ba0665187644190a2522ca374e609e76",
-      2: "5b216755a2b149543b213b18fc5e96030350c2c290b06b6524972184fb816ee5"}),
+          lambda_init=[8.0, 8.0, 9.999, 10.0, 40.0]),
+     {1: "bbcc0ba7ce4cff96bdfc78f19ea158db7b822654064b999b9812d9889d9b0d51",
+      2: "d2c5ca920a8597924d0b6c9792c0637c656eab1e0a7b2cb07c04fbcefb006051"}),
     ("coin", {"kind": "coin", "p1": 0.5, "epsilon": 0.001,
               "horizon": 400},
      {1: "2cb2c79eabb960fe3b3ab0d35b3bf3db404df09afdcc9e1b29f9e6a727041080",

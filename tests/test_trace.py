@@ -330,7 +330,7 @@ class TestTraceLines:
 
     def test_int_initial_rates_are_written_as_ints(self, tmp_path):
         kind, cfg = runner.build_sim(
-            dict(ATTENTION_SIM, lambda_init_per_location=[8, 9]))
+            dict(ATTENTION_SIM, lambda_init=[8, 9]))
         generate = runner._simulators()[kind][1]
         lines = _written_lines(tmp_path / "trace.jsonl", kind, generate(cfg))
         assert lines == [_json_line(p) for p in generate(cfg)]
