@@ -62,6 +62,13 @@ class AttentionSimConfig(FrozenConfig):
                 f"lambda_init must be at most {MAX_RATE}, the largest "
                 f"rate the discovery probability is computed at, got "
                 f"{rates!r}")
+        if (self.alpha != AttentionSimConfig.alpha
+                and self.policy != "constrained_greedy"):
+            raise ConfigError(f"alpha is read only by policy "
+                              f"'constrained_greedy', not by {self.policy!r}")
+        if self.omniscient and self.policy == "uniform":
+            raise ConfigError("omniscient is read only by the greedy "
+                              "policies, not by 'uniform'")
         if many:
             object.__setattr__(self, "lambda_init", tuple(rates))
 
@@ -106,6 +113,9 @@ class AllocationPolicy:
         self.learns = cfg.policy != "uniform" and not cfg.omniscient
         self._count_sums = [0.0] * cfg.l
         self._n = 0
+        # Greedy is constrained greedy with no floor.
+        self._floor = (int(cfg.alpha * cfg.k / cfg.l)
+                       if cfg.policy == "constrained_greedy" else 0)
 
     def _beliefs(self, env):
         if self.cfg.omniscient:
@@ -122,13 +132,9 @@ class AllocationPolicy:
             for i in range(offset, offset + k % l):
                 alloc[i % l] += 1
             return alloc
-        beliefs = self._beliefs(env)
-        if self._policy == "greedy":
-            return _largest_remainder(beliefs, k, rng)
-        base = int(self.cfg.alpha * k / l)
-        alloc = [base] * l
-        extra = _largest_remainder(beliefs, k - base * l, rng)
-        return [a + e for a, e in zip(alloc, extra)]
+        floor = self._floor
+        extra = _largest_remainder(self._beliefs(env), k - floor * l, rng)
+        return [floor + e for e in extra]
 
     def observe(self, counts):
         self._n += 1

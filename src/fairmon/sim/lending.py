@@ -66,6 +66,9 @@ class LendingSimConfig(FrozenConfig):
                 f"{self.n_b} scores in [0, {self.c_max}], got {init!r}")
         else:
             object.__setattr__(self, "init", tuple(map(tuple, init)))
+        if not self.use_true_tallies and self.policy != "eq_opp":
+            raise ConfigError(f"use_true_tallies is read only by policy "
+                              f"'eq_opp', not by {self.policy!r}")
 
 
 def _spread_scores(n, lo_frac, hi_frac, c_max):

@@ -25,7 +25,7 @@ except ImportError:  # CPython 3.12+
         from hashlib import sha256
 
 from .errors import TraceFormatError, a_or_an
-from .monitors import MONITORS, AttentionMonitor, CoinMonitor, LendingMonitor
+from .monitors import MONITORS, AttentionMonitor, LendingMonitor
 
 # file kind -> (format version, {metadata field after "kind": JSON type})
 HEADERS = {
@@ -65,13 +65,13 @@ _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 _scan_once = json.JSONDecoder().scan_once
 
 
-# Trace lines of the payloads the simulators yield are filled into one
-# template per kind, like estimate lines.  A template applies only to a
-# dict with exactly its keys in its order, ints of type int (json writes
-# a bool as true), a str group (escaped by json's own function) and
-# finite floats of type float as truth; it then gives the bytes _dumps
-# gives.  Any other payload goes through _dumps, with json's bytes and
-# errors.
+# Trace lines of the payloads the lending and attention simulators yield
+# are filled into one template per kind, like estimate lines.  A template
+# applies only to a dict with exactly its keys in its order, ints of type
+# int (json writes a bool as true), a str group (escaped by json's own
+# function) and finite floats of type float as truth; it then gives the
+# bytes _dumps gives.  Any other payload goes through _dumps, with json's
+# bytes and errors.
 _quote = json.encoder.encode_basestring_ascii
 _isfinite = math.isfinite
 _INF = math.inf
@@ -116,21 +116,10 @@ def _attention_line(p):
     return _dumps(p)
 
 
-def _coin_line(p):
-    if type(p) is dict and tuple(p) == ("t", "x", "truth"):
-        t, x, truth = p.values()
-        if (type(t) is int and type(x) is int and type(truth) is dict
-                and tuple(truth) == ("phi",)):
-            phi, = truth.values()
-            if type(phi) is float and _isfinite(phi):
-                return f'{{"t":{t!r},"x":{x!r},"truth":{{"phi":{phi!r}}}}}'
-    return _dumps(p)
-
-
 # kind -> its trace-line function; the kind names live in the monitors.
+# Coin has none: its lines go through _dumps.
 _TRACE_LINES = {LendingMonitor.kind: _lending_line,
-                AttentionMonitor.kind: _attention_line,
-                CoinMonitor.kind: _coin_line}
+                AttentionMonitor.kind: _attention_line}
 
 
 def _write(path, file, kind, values, lines=()):
@@ -151,13 +140,13 @@ def write_trace(path, kind, config, payloads):
     """Write a trace file; ``payloads`` yields per-step dicts with "t".
 
     Each line is what ``json`` writes for its payload (compact
-    separators, no NaN).  A payload laid out as the kind's simulator
-    yields it is filled into the kind's template; any other goes through
-    the JSON encoder."""
+    separators, no NaN).  A lending or attention payload laid out as the
+    kind's simulator yields it is filled into the kind's template; any
+    other, and every coin payload, goes through the JSON encoder."""
     if kind not in MONITORS:
         raise TraceFormatError(f"unknown trace kind {kind!r}")
     _write(path, "trace", kind, (config, config_hash(config)),
-           map(_TRACE_LINES[kind], payloads))
+           map(_TRACE_LINES.get(kind, _dumps), payloads))
 
 
 def _check_utf8(path, lineno, line):

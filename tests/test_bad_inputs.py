@@ -808,6 +808,19 @@ ROWS = [
           ("lambda_init_per_location", "an attention",
            dict(_SMALL_ATTENTION, lambda_init=-5.0,
                 lambda_init_per_location=[6.0, 3.0]))]],
+    # A policy-only field away from its default is refused under a policy
+    # that does not read it, rather than recorded in the trace's config
+    # as if it had an effect.
+    *[config_error(f"simulate-{field}-unread-by-{policy}", SIMULATE,
+                   f"{field} is read only by {readers}, not by {policy!r}",
+                   ("config", 1, _field("simulator", sim)))
+      for field, policy, readers, sim in [
+          ("alpha", "greedy", "policy 'constrained_greedy'",
+           dict(_SMALL_ATTENTION, policy="greedy", alpha=0.1)),
+          ("omniscient", "uniform", "the greedy policies",
+           dict(_SMALL_ATTENTION, omniscient=True)),
+          ("use_true_tallies", "max_reward", "policy 'eq_opp'",
+           dict(_SMALL_LENDING, use_true_tallies=False))]],
     # A field the config class does not have, or one it needs, is named.
     *[config_error(f"{command}-{id}", argv, message, *edits)
       for command, argv, id, message, *edits in [

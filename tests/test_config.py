@@ -49,10 +49,10 @@ CASES = [
       "rho_max": 0.95, "init": "mid-bias", "use_true_tallies": True}),
     (AttentionSimConfig, ("sim", "attention"),
      {"l": 3, "k": 6, "gamma": 0.0025, "horizon": 7, "seed": 42,
-      "policy": "greedy", "alpha": 0.5, "lambda_init": (4.0, 5.0, 6.0),
-      "omniscient": True},
+      "policy": "constrained_greedy", "alpha": 0.5,
+      "lambda_init": (4.0, 5.0, 6.0), "omniscient": True},
      "AttentionSimConfig(l=3, k=6, gamma=0.0025, horizon=7, seed=42, "
-     "policy='greedy', alpha=0.5, lambda_init=(4.0, 5.0, 6.0), "
+     "policy='constrained_greedy', alpha=0.5, lambda_init=(4.0, 5.0, 6.0), "
      "omniscient=True)",
      {"policy": "uniform", "alpha": 0.75, "lambda_init": 10.0,
       "omniscient": False}),

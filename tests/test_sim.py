@@ -353,14 +353,16 @@ class TestAttentionSim:
         assert sum(alloc) == cfg.k
 
     def test_greedy_allocation_respects_capacity(self):
-        cfg = self.make_cfg(policy="greedy")
-        env = attention.AttentionEnv(cfg)
-        policy = attention.AllocationPolicy(cfg)
-        rng = random.Random(0)
-        policy.observe([10, 0, 0, 0, 0])
-        alloc = policy.allocate(env, rng)
-        assert sum(alloc) == cfg.k
-        assert alloc[0] == cfg.k  # all mass on the only observed counts
+        # At k = 10 the default alpha would give each location a floor of 1.
+        for k in (6, 10):
+            cfg = self.make_cfg(policy="greedy", k=k)
+            env = attention.AttentionEnv(cfg)
+            policy = attention.AllocationPolicy(cfg)
+            rng = random.Random(0)
+            policy.observe([10, 0, 0, 0, 0])
+            alloc = policy.allocate(env, rng)
+            assert sum(alloc) == cfg.k
+            assert alloc[0] == cfg.k  # all mass on the only observed counts
 
     def test_constrained_greedy_keeps_fairness_floor(self):
         cfg = self.make_cfg(l=2, k=8, policy="constrained_greedy",
@@ -376,16 +378,12 @@ class TestAttentionSim:
 
     def test_low_base_constrained_greedy_reduces_to_greedy(self):
         # int(alpha*k/l) = 0 here, so the floor vanishes
-        cfg_c = self.make_cfg(policy="constrained_greedy", alpha=0.75)
-        cfg_g = self.make_cfg(policy="greedy")
-        env = attention.AttentionEnv(cfg_c)
-        pol_c = attention.AllocationPolicy(cfg_c)
-        pol_g = attention.AllocationPolicy(cfg_g)
-        counts = [3, 1, 4, 1, 5]
-        pol_c.observe(counts)
-        pol_g.observe(counts)
-        assert pol_c.allocate(env, random.Random(4)) == \
-            pol_g.allocate(env, random.Random(4))
+        for alpha, omniscient in [(0.75, False), (0.0, False), (0.0, True)]:
+            cfg_c = self.make_cfg(policy="constrained_greedy", alpha=alpha,
+                                  omniscient=omniscient)
+            cfg_g = self.make_cfg(policy="greedy", omniscient=omniscient)
+            assert list(attention.generate(cfg_c)) == \
+                list(attention.generate(cfg_g))
 
     def test_aborts_when_rate_hits_zero(self):
         cfg = self.make_cfg(l=2, k=8, gamma=0.3, lambda_init=1.0,

@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -285,9 +286,10 @@ _OFF_TEMPLATE = {
 
 
 class TestTraceLines:
-    """write_trace writes each payload as json.dumps does; a payload of
-    its simulator's layout is filled into the kind's template, any other
-    goes through the JSON encoder."""
+    """write_trace writes each payload as json.dumps does; a lending or
+    attention payload of its simulator's layout is filled into the kind's
+    template, any other, and every coin payload, goes through the JSON
+    encoder."""
 
     @pytest.mark.parametrize("seed", [1, 7, 12])
     @pytest.mark.parametrize("config", [
@@ -311,7 +313,8 @@ class TestTraceLines:
         monkeypatch.setattr(traceio, "_dumps", counting_encode)
         lines = _written_lines(tmp_path / "trace.jsonl", kind, generate(cfg))
         assert lines == [_json_line(p) for p in generate(cfg)]
-        assert len(encoded) == 1  # the metadata line
+        # The metadata line; coin has no template, so each of its lines too.
+        assert len(encoded) == 1 + (len(lines) if kind == "coin" else 0)
 
     @pytest.mark.parametrize("kind, payload", list(_OFF_TEMPLATE.values()),
                              ids=list(_OFF_TEMPLATE))
@@ -781,6 +784,14 @@ class TestBench:
         sim, mon = runner.BENCHES[kind]
         assert sim["kind"] == mon["kind"] == kind
         runner.check_model("bench", sim["kind"], sim, mon)
+
+    def test_configs_are_the_perfbench_stream_workloads(self, kind):
+        path = Path(__file__).resolve().parents[1] / "perfbench/workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        _, sim, mon, *_ = workloads.WORKLOADS[f"{kind}-stream"]
+        assert runner.BENCHES[kind] == (sim, mon)
 
 
 @trace_tests
