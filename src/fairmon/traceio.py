@@ -235,13 +235,15 @@ def _records(path, expected_file, start_t):
         for lineno, line in enumerate(fh, start=2):
             if not line.isascii():
                 _check_utf8(path, lineno, line)
-            if not line.strip():
-                continue
             try:
                 rec, end = _scan_once(line, 0)
             except (StopIteration, ValueError, RecursionError):
-                end = 0  # the line is not blank, so not "\n" from 0
-            if line[end:] != "\n":
+                # No value starts the line: it is blank, or json.loads
+                # parses it whole and words its error.
+                if not line.strip():
+                    continue
+                end = -1
+            if end < 0 or line[end:] != "\n":
                 try:
                     rec = parse_json(line)
                 except ValueError as exc:  # the digit limit included
@@ -406,7 +408,32 @@ def read_estimates(path):
 
 
 def _steps(records, one_group):
+    """The steps of ``records``.  One test accepts a well-formed record
+    of a two-group monitor: each group a list of two finite floats lo <=
+    hi, phi and its midpoint finite, and bool flags, every type checked
+    before any arithmetic.  Every other record goes through
+    :func:`_step`, which checks it and words its error."""
     for rec in records:
+        if not one_group:
+            try:
+                t, a, b, clamped, floor_violation = _estimate_fields(rec)
+                a_lo, a_hi = a
+                b_lo, b_hi = b
+            except (KeyError, TypeError, ValueError):
+                pass
+            else:
+                if type(a) is list and type(b) is list \
+                        and type(a_lo) is float and type(a_hi) is float \
+                        and type(b_lo) is float and type(b_hi) is float \
+                        and -_INF < a_lo <= a_hi < _INF \
+                        and -_INF < b_lo <= b_hi < _INF \
+                        and type(clamped) is bool \
+                        and type(floor_violation) is bool:
+                    lo, hi = a_lo - b_hi, a_hi - b_lo
+                    # An infinite end of phi makes its midpoint inf or nan.
+                    if _isfinite(0.5 * (lo + hi)):
+                        yield t, (lo, hi), clamped, floor_violation, a, b
+                        continue
         try:
             step = _step(rec, one_group)
         except ValueError as exc:

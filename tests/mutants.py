@@ -95,6 +95,23 @@ MUTANTS = [
            "writer = csv.writer(fh)",
            "writer = csv.writer(fh, lineterminator='\\n')",
            ["tests/test_trace.py::TestCsvExport::test_header_and_rows"]),
+    # eval's one test of a well-formed estimates record checks what
+    # _step checks.
+    Mutant("fast-step-accepts-lo-above-hi", "traceio.py",
+           "and -_INF < a_lo <= a_hi < _INF \\\n"
+           "                        and -_INF < b_lo <= b_hi < _INF \\\n",
+           "and -_INF < a_lo < _INF and -_INF < a_hi < _INF \\\n"
+           "                        and -_INF < b_lo < _INF and -_INF < b_hi"
+           " < _INF \\\n",
+           [_BAD + "[estimates-record-A-lo-above-hi-eval]",
+            _PIPELINE + "test_evaluate_reports_bad_v2_record[B-lo-above-hi]"]),
+    Mutant("fast-step-skips-flag-check", "traceio.py",
+           "type(clamped) is bool \\\n"
+           "                        and type(floor_violation) is bool:",
+           "True:",
+           [_BAD + "[estimates-record-int-clamped-eval]",
+            _PIPELINE + "test_evaluate_reports_bad_record[int-flag]",
+            _PIPELINE + "test_evaluate_reports_bad_v2_record[null-flag]"]),
     # A config names an unknown or missing field before its class is
     # called, which would raise the interpreter's TypeError.
     Mutant("from-fields-calls-the-class-first", "estimator.py",

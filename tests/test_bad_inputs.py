@@ -447,10 +447,12 @@ ROWS = [
            lambda rec: rec.update(y_a=10 ** 400, k=2 * 10 ** 400),
            f"y_a={10 ** 400} is too large for a float"),
       ]],
-    # Blank lines before a bad record count in its line number.
+    # Blank lines before a bad record count in its line number; a form
+    # feed and U+3000 are whitespace too.
     *[data_error(f"bad-record-after-blank-lines-{command}", argv,
-                 f"{{{file}}}:11: bad record t=7: {message}",
-                 (file, 8, edit), (file, 6, _preceded_by(b"\n  \t\n")),
+                 f"{{{file}}}:13: bad record t=7: {message}",
+                 (file, 8, edit),
+                 (file, 6, _preceded_by(b"\n  \t\n\x0c\n\xe3\x80\x80\n")),
                  (file, 3, _preceded_by(b"\n")), left=left)
       for command, argv, file, edit, message, left in [
           ("monitor", MONITOR, "trace", _field("x", "bad"),

@@ -11,6 +11,10 @@ report a usage error (exit 1); none of them ever raises.  A field of a lending, 
 ``state`` or ``monitor_config``, at any depth, is mutated the same way,
 and ``monitor --resume`` from it must exit 0 or 2: a snapshot is data,
 its config included.
+
+Estimates records are also read directly, with ``traceio._step`` as the
+oracle: ``read_estimates`` must yield ``_step``'s step for each record
+or raise its error, whichever of its checks the record fails.
 """
 
 import contextlib
@@ -21,7 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairmon import cli, runner
+from fairmon import cli, runner, traceio
+from fairmon.errors import TraceFormatError
+from fairmon.monitors import MONITORS
 
 HORIZON = 12
 SETUPS = {
@@ -217,3 +223,76 @@ def test_resume_with_huge_config_field_is_config_error(files, snapshots,
     _main(["monitor", "--trace", rest, "--resume", str(snap), "-o",
            str(out)], codes=(2,), where=(f"{snap}:1: bad monitor_config: ",))
     assert not out.exists()
+
+
+# Finite interval ends, half of them near the checks' edges (pairs whose
+# phi or midpoint overflows); then any float (infinities and nan), small
+# ints, ints past float range and bools.
+_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e308, -1e308,
+                           1.7e308, -1.7e308]) \
+    | st.floats(allow_nan=False, allow_infinity=False)
+_ENDS = _FLOATS | st.floats() | st.integers(-2, 2) | huge_ints \
+    | st.booleans()
+
+
+@st.composite
+def _groups(draw):
+    """A group interval: mostly two ordered finite floats, else two
+    floats lo >= hi, any ends in a list of 1-3, null, or another JSON
+    value."""
+    pick = draw(st.integers(0, 19))
+    if pick < 16:
+        return sorted(draw(st.lists(_FLOATS, min_size=2, max_size=2)),
+                      reverse=pick >= 14)
+    if pick < 18:
+        return draw(st.lists(_ENDS, min_size=1, max_size=3))
+    return None if pick == 18 else draw(other_values)
+
+
+@st.composite
+def _estimate_records(draw, one_group):
+    """Records t = 1, 2, ... of an estimates file; in some, one field is
+    dropped or given another value."""
+    recs = []
+    for t in range(1, draw(st.integers(1, 4)) + 1):
+        rec = {"t": t, "A": draw(_groups()),
+               "B": None if one_group else draw(_groups()),
+               "clamped": draw(st.booleans()),
+               "floor_violation": draw(st.booleans())}
+        pick = draw(st.integers(0, 9))
+        if pick < 3:
+            field = draw(st.sampled_from(
+                ["A", "B", "clamped", "floor_violation"]))
+            if pick == 0:
+                del rec[field]
+            else:
+                rec[field] = draw(_groups() | _ENDS | st.none())
+        recs.append(rec)
+    return recs
+
+
+@settings(derandomize=True, database=None, max_examples=300,
+          deadline=None)
+@given(st.data())
+def test_read_estimates_matches_the_step_oracle(files, data):
+    root, base = files
+    kind = data.draw(st.sampled_from(sorted(SETUPS)))
+    one_group = len(MONITORS[kind].groups) == 1
+    lines = [json.dumps(rec)
+             for rec in data.draw(_estimate_records(one_group))]
+    path = root / "oracle.est"
+    path.write_text("\n".join([base[kind]["estimates"][0], *lines]) + "\n")
+    _, steps = traceio.read_estimates(str(path))
+    for lineno, line in enumerate(lines, start=2):
+        rec = json.loads(line)
+        try:
+            want = traceio._step(rec, one_group)
+        except ValueError as exc:
+            with pytest.raises(TraceFormatError) as info:
+                next(steps)
+            assert str(info.value) == \
+                f"{path}:{lineno}: bad record t={rec['t']}: {exc}"
+            return
+        # repr tells -0.0 from 0.0
+        assert repr(next(steps)) == repr(want)
+    assert next(steps, None) is None

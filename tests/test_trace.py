@@ -384,7 +384,7 @@ _TRICKY_LINES = {
     "huge-int": b'{"t":2,"x":' + _HUGE.encode() + b'}\n',
     "huge-t": b'{"t":' + _HUGE.encode() + b',"x":1}\n',
     "big-float": b'{"t":2,"x":1e400}\n',
-    "blank-lines": b'\n   \n{"t":2,"x":1}\n\n',
+    "blank-lines": b'\n   \n\x0c\n\xe3\x80\x80\n{"t":2,"x":1}\n\n',
     "truncated": b'{"t":2,"x":',
     "unclosed-string": b'{"t":2,"x":"ab\n',
     "control-char": b'{"t":2,"x":"a\tb"}\n',
