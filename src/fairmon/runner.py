@@ -22,14 +22,16 @@ LATENCY_SAMPLES = 1024
 
 
 def _simulators():
-    """kind -> (config type, payload generator).  The simulators are
-    imported here, so monitoring, evaluating and exporting never load
-    them."""
+    """kind -> (config type, payload generator, trace-line generator or
+    None).  The simulators are imported here, so monitoring, evaluating
+    and exporting never load them."""
     from .sim import attention, coin, lending
     return {
-        "coin": (coin.CoinConfig, coin.generate),
-        "lending": (lending.LendingSimConfig, lending.generate),
-        "attention": (attention.AttentionSimConfig, attention.generate),
+        "coin": (coin.CoinConfig, coin.generate, None),
+        "lending": (lending.LendingSimConfig, lending.generate,
+                    lending.trace_lines),
+        "attention": (attention.AttentionSimConfig, attention.generate,
+                      attention.trace_lines),
     }
 
 
@@ -47,7 +49,12 @@ def build_sim(config):
 def simulate(config, out_path, include_truth=True):
     """Generate a trace file; deterministic per (config, seed)."""
     kind, cfg = build_sim(config)
-    payloads = _simulators()[kind][1](cfg)
+    _, generate, trace_lines = _simulators()[kind]
+    if include_truth and trace_lines is not None:
+        traceio.write_trace_lines(out_path, kind, dict(config),
+                                  trace_lines(cfg))
+        return kind
+    payloads = generate(cfg)
     if not include_truth:
         payloads = (
             {k: v for k, v in p.items() if k != "truth"} for p in payloads)

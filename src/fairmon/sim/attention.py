@@ -15,6 +15,7 @@ from ..discovery import MAX_RATE
 from ..errors import AssumptionViolation, ConfigError
 from ..estimator import _FLOAT_MAX, FrozenConfig, check_sim_size, is_real
 from ..monitors import AttentionObservation, attention_change
+from ..traceio import _INF, _dumps
 from .sampling import poisson, skip_poisson
 
 _new = tuple.__new__
@@ -46,6 +47,8 @@ class AttentionSimConfig(FrozenConfig):
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
         if self.horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown allocation policy {self.policy!r}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -196,13 +199,33 @@ class AttentionEnv:
         return obs, truth
 
 
-def generate(cfg):
-    """Yield per-step trace payloads for the monitored pair."""
+def _steps(cfg):
+    """Yield each step's (observation, truth): the one step loop of
+    generate and trace_lines."""
     rng = random.Random(cfg.seed)
     env = AttentionEnv(cfg)
     policy = AllocationPolicy(cfg)
     step = env.step
-    for t in range(1, cfg.horizon + 1):
-        (x_a, x_b, y_a, y_b, k), truth = step(policy, rng)
+    for _ in range(cfg.horizon):
+        yield step(policy, rng)
+
+
+def generate(cfg):
+    """Yield per-step trace payloads for the monitored pair."""
+    for t, ((x_a, x_b, y_a, y_b, k), truth) in enumerate(_steps(cfg), 1):
         yield {"t": t, "x_a": x_a, "x_b": x_b, "y_a": y_a, "y_b": y_b,
                "k": k, "truth": truth}
+
+
+def trace_lines(cfg):
+    """Yield each step's line as ``json`` writes generate's payload, an
+    int rate as an int; the encoder sees only truth whose sum is not
+    finite, and refuses a NaN."""
+    for t, ((x_a, x_b, y_a, y_b, k), truth) in enumerate(_steps(cfg), 1):
+        w_a, w_b, phi, lam_a, lam_b = truth.values()
+        if not -_INF < w_a + w_b + phi + lam_a + lam_b < _INF:
+            _dumps(truth)
+        yield (f'{{"t":{t!r},"x_a":{x_a!r},"x_b":{x_b!r},"y_a":{y_a!r},'
+               f'"y_b":{y_b!r},"k":{k!r},"truth":{{"omega_a":{w_a!r},'
+               f'"omega_b":{w_b!r},"phi":{phi!r},"lam_a":{lam_a!r},'
+               f'"lam_b":{lam_b!r}}}}}')

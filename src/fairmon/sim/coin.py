@@ -22,6 +22,8 @@ class CoinConfig(FrozenConfig):
             raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if self.horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 class CoinProcess:

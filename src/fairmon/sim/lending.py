@@ -14,6 +14,7 @@ import random
 from ..errors import ConfigError
 from ..estimator import FrozenConfig, _check_population, check_sim_size
 from ..monitors import LendingObservation, lending_change
+from ..traceio import _INF, _dumps
 
 _new = tuple.__new__
 
@@ -46,6 +47,8 @@ class LendingSimConfig(FrozenConfig):
         check_sim_size("n_b", self.n_b)
         if self.horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.policy not in ("max_reward", "eq_opp"):
             raise ConfigError(f"unknown lending policy {self.policy!r}")
         if not 0.0 <= self.rho_min <= self.rho_max <= 1.0:
@@ -220,12 +223,29 @@ def make_policy(cfg):
     return EqOppPolicy(cfg.theta_bank, cfg.use_true_tallies)
 
 
-def generate(cfg):
-    """Yield per-step trace payloads with exact group means as truth."""
+def _steps(cfg):
+    """Yield each step's (observation, truth): the one step loop of
+    generate and trace_lines."""
     rng = random.Random(cfg.seed)
     env = LendingEnv(cfg)
     policy = make_policy(cfg)
     step = env.step
-    for t in range(1, cfg.horizon + 1):
-        (x, g, y, z), truth = step(policy, rng)
+    for _ in range(cfg.horizon):
+        yield step(policy, rng)
+
+
+def generate(cfg):
+    """Yield per-step trace payloads with exact group means as truth."""
+    for t, ((x, g, y, z), truth) in enumerate(_steps(cfg), 1):
         yield {"t": t, "x": x, "g": g, "y": y, "z": z, "truth": truth}
+
+
+def trace_lines(cfg):
+    """Yield each step's line as ``json`` writes generate's payload; the
+    encoder sees only truth whose sum is not finite, and refuses a NaN."""
+    for t, ((x, g, y, z), truth) in enumerate(_steps(cfg), 1):
+        a, b, phi = truth.values()
+        if not -_INF < a + b + phi < _INF:
+            _dumps(truth)
+        yield (f'{{"t":{t!r},"x":{x!r},"g":"{g}","y":{y!r},"z":{z!r},'
+               f'"truth":{{"psi_a":{a!r},"psi_b":{b!r},"phi":{phi!r}}}}}')

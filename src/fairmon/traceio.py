@@ -25,7 +25,7 @@ except ImportError:  # CPython 3.12+
         from hashlib import sha256
 
 from .errors import TraceFormatError, a_or_an
-from .monitors import MONITORS, AttentionMonitor, LendingMonitor
+from .monitors import MONITORS
 
 # file kind -> (format version, {metadata field after "kind": JSON type})
 HEADERS = {
@@ -64,62 +64,8 @@ _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 # message stay the same.  The scanner clears its key memo after each call.
 _scan_once = json.JSONDecoder().scan_once
 
-
-# Trace lines of the payloads the lending and attention simulators yield
-# are filled into one template per kind, like estimate lines.  A template
-# applies only to a dict with exactly its keys in its order, ints of type
-# int (json writes a bool as true), a str group (escaped by json's own
-# function) and finite floats of type float as truth; it then gives the
-# bytes _dumps gives.  Any other payload goes through _dumps, with json's
-# bytes and errors.
-_quote = json.encoder.encode_basestring_ascii
 _isfinite = math.isfinite
 _INF = math.inf
-
-
-def _lending_line(p):
-    if type(p) is dict and tuple(p) == ("t", "x", "g", "y", "z", "truth"):
-        t, x, g, y, z, truth = p.values()
-        if (type(t) is int and type(x) is int and type(g) is str
-                and type(y) is int and type(z) is int
-                and type(truth) is dict
-                and tuple(truth) == ("psi_a", "psi_b", "phi")):
-            a, b, phi = truth.values()
-            if (type(a) is float and type(b) is float and type(phi) is float
-                    and _isfinite(a) and _isfinite(b) and _isfinite(phi)):
-                return (f'{{"t":{t!r},"x":{x!r},"g":{_quote(g)},'
-                        f'"y":{y!r},"z":{z!r},"truth":{{"psi_a":{a!r},'
-                        f'"psi_b":{b!r},"phi":{phi!r}}}}}')
-    return _dumps(p)
-
-
-def _attention_line(p):
-    if type(p) is dict and tuple(p) == ("t", "x_a", "x_b", "y_a", "y_b",
-                                        "k", "truth"):
-        t, x_a, x_b, y_a, y_b, k, truth = p.values()
-        if (type(t) is int and type(x_a) is int and type(x_b) is int
-                and type(y_a) is int and type(y_b) is int and type(k) is int
-                and type(truth) is dict
-                and tuple(truth) == ("omega_a", "omega_b", "phi", "lam_a",
-                                     "lam_b")):
-            w_a, w_b, phi, lam_a, lam_b = truth.values()
-            if (type(w_a) is float and type(w_b) is float
-                    and type(phi) is float and type(lam_a) is float
-                    and type(lam_b) is float and _isfinite(w_a)
-                    and _isfinite(w_b) and _isfinite(phi)
-                    and _isfinite(lam_a) and _isfinite(lam_b)):
-                return (f'{{"t":{t!r},"x_a":{x_a!r},"x_b":{x_b!r},'
-                        f'"y_a":{y_a!r},"y_b":{y_b!r},"k":{k!r},'
-                        f'"truth":{{"omega_a":{w_a!r},"omega_b":{w_b!r},'
-                        f'"phi":{phi!r},"lam_a":{lam_a!r},'
-                        f'"lam_b":{lam_b!r}}}}}')
-    return _dumps(p)
-
-
-# kind -> its trace-line function; the kind names live in the monitors.
-# Coin has none: its lines go through _dumps.
-_TRACE_LINES = {LendingMonitor.kind: _lending_line,
-                AttentionMonitor.kind: _attention_line}
 
 
 def _write(path, file, kind, values, lines=()):
@@ -137,16 +83,17 @@ def _write(path, file, kind, values, lines=()):
 
 
 def write_trace(path, kind, config, payloads):
-    """Write a trace file; ``payloads`` yields per-step dicts with "t".
+    """Write a trace file; ``payloads`` yields per-step dicts with "t",
+    each written by the JSON encoder (compact separators, no NaN)."""
+    write_trace_lines(path, kind, config, map(_dumps, payloads))
 
-    Each line is what ``json`` writes for its payload (compact
-    separators, no NaN).  A lending or attention payload laid out as the
-    kind's simulator yields it is filled into the kind's template; any
-    other, and every coin payload, goes through the JSON encoder."""
+
+def write_trace_lines(path, kind, config, lines):
+    """Write a trace file whose records are ``lines``, each one JSON
+    object with "t", without its newline."""
     if kind not in MONITORS:
         raise TraceFormatError(f"unknown trace kind {kind!r}")
-    _write(path, "trace", kind, (config, config_hash(config)),
-           map(_TRACE_LINES.get(kind, _dumps), payloads))
+    _write(path, "trace", kind, (config, config_hash(config)), lines)
 
 
 def _check_utf8(path, lineno, line):

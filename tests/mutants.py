@@ -34,6 +34,7 @@ class Mutant(namedtuple("Mutant", "id file old new killers")):
 
 _PIPELINE = "tests/test_trace.py::TestMonitorPipeline::"
 _BAD = "tests/test_bad_inputs.py::test_bad_input"
+_LINES = "tests/test_trace.py::TestTraceLines::"
 
 MUTANTS = [
     # Each group interval must hold at 1 - delta/len(groups) for their
@@ -159,6 +160,20 @@ MUTANTS = [
             "[attention-uniform-skips-across-the-cutoff-1]",
             "tests/test_sim.py::test_trace_bytes_are_pinned"
             "[attention-uniform-skips-across-the-cutoff-2]"]),
+    # Each simulator formats its own trace lines: every value under its
+    # own key, and a line whose truth is not finite left to the encoder,
+    # which refuses a NaN as json does.
+    Mutant("lending-line-swaps-the-means", "sim/lending.py",
+           '"psi_a":{a!r},"psi_b":{b!r}', '"psi_a":{b!r},"psi_b":{a!r}',
+           [_LINES + "test_simulated_lines_are_json_from_the_template"
+            "[max_reward-1]",
+            "tests/test_sim.py::test_trace_bytes_are_pinned"
+            "[lending-max-reward-1]"]),
+    Mutant("attention-line-without-finiteness-fallback", "sim/attention.py",
+           "if not -_INF < w_a + w_b + phi + lam_a + lam_b < _INF:",
+           "if False:",
+           [_LINES + "test_nan_truth_raises_json_error[attention-omega_b]",
+            _LINES + "test_nan_truth_raises_json_error[attention-lam_a]"]),
 ]
 
 # Runs pytest, then reports where the package it tested came from.

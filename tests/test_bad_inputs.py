@@ -712,6 +712,14 @@ ROWS = [
           ("simulate-seed-by-set", SIMULATE + " --set seed=5"),
           ("run-seed-in-config", RUN,
            ("config", 1, _field("simulator.seed", 5)))]],
+    # random.Random seeds by absolute value: seed -1 would write seed 1's
+    # records under another config_hash.
+    *[config_error(f"{command}-seed-negative", argv,
+                   "seed must be nonnegative, got -1")
+      for command, argv in [
+          ("simulate", SIMULATE.replace("--seed 1", "--seed -1")),
+          ("run", RUN.replace("--seed 1", "--seed -1")),
+          ("bench", "bench --kind lending --updates 10 --seed -1")]],
     config_error("monitor-without-config",
                  "monitor --trace {trace} -o {out}",
                  "monitor needs --config or --resume"),

@@ -169,5 +169,5 @@ def test_readme_lists_every_config_field():
     want = {("monitor", kind): list(cls.config_type._fields)
             for kind, cls in MONITORS.items()}
     want.update({("simulator", kind): list(cls._fields)
-                 for kind, (cls, _) in runner._simulators().items()})
+                 for kind, (cls, _, _) in runner._simulators().items()})
     assert _readme_fields() == want

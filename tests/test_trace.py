@@ -23,6 +23,7 @@ from fairmon import ConfidenceInterval, MonitorOutput, cli, runner, traceio
 from fairmon.errors import TraceFormatError
 from fairmon.intervals import interval_sub
 from fairmon.monitors import MONITORS, build_monitor
+from fairmon.sim import attention, lending
 from oracles import json_loads_records, oracle_record_v2
 from test_bad_inputs import (ATTENTION_MON, ATTENTION_SIM, COIN_META,
                              COIN_MON, COIN_SIM, MON, SIM, trace_tests)
@@ -251,7 +252,7 @@ def _lending(truth=None, **fields):
 
 # Payloads off the simulators' layout, each of which write_trace must
 # write as json does, or refuse with json's exception and message.
-_OFF_TEMPLATE = {
+_OTHER_PAYLOADS = {
     "bool-field": ("lending", _lending(y=True)),
     "bool-t": ("lending", _lending(t=True)),
     "bool-capacity": ("attention", dict(_ATTENTION, k=True)),
@@ -286,22 +287,28 @@ _OFF_TEMPLATE = {
 
 
 class TestTraceLines:
-    """write_trace writes each payload as json.dumps does; a lending or
-    attention payload of its simulator's layout is filled into the kind's
-    template, any other, and every coin payload, goes through the JSON
-    encoder."""
+    """runner.simulate writes each payload as json.dumps does.  The
+    lending and attention simulators format their own lines, so the
+    encoder sees only the metadata line; coin lines, --no-truth lines
+    and any payload given to write_trace go through the JSON encoder."""
 
     @pytest.mark.parametrize("seed", [1, 7, 12])
     @pytest.mark.parametrize("config", [
         SIM, dict(SIM, policy="eq_opp"),
         dict(SIM, policy="eq_opp", use_true_tallies=False),
+        dict(SIM, init=[[0, 3, 5, 9, 10], [1, 1, 2, 8, 10]]),
         ATTENTION_SIM, dict(ATTENTION_SIM, policy="greedy"),
-        dict(ATTENTION_SIM, policy="constrained_greedy"), COIN_SIM],
-        ids=["max_reward", "eq_opp", "eq_opp-seen", "uniform", "greedy",
-             "constrained_greedy", "coin"])
+        dict(ATTENTION_SIM, policy="constrained_greedy"),
+        dict(ATTENTION_SIM, l=3, k=5, policy="greedy", omniscient=True),
+        dict(ATTENTION_SIM, l=3, lambda_init=[8, 9, 3], gamma=0),
+        dict(ATTENTION_SIM, lambda_init=8), COIN_SIM],
+        ids=["max_reward", "eq_opp", "eq_opp-seen", "explicit-init",
+             "uniform", "greedy", "constrained_greedy", "omniscient",
+             "int-rates-gamma-0", "int-rate", "coin"])
     def test_simulated_lines_are_json_from_the_template(
             self, tmp_path, monkeypatch, config, seed):
-        kind, cfg = runner.build_sim(dict(config, seed=seed, horizon=300))
+        config = dict(config, seed=seed, horizon=300)
+        kind, cfg = runner.build_sim(config)
         generate = runner._simulators()[kind][1]
         encoded = []
         encode = traceio._dumps
@@ -310,14 +317,25 @@ class TestTraceLines:
             encoded.append(obj)
             return encode(obj)
 
-        monkeypatch.setattr(traceio, "_dumps", counting_encode)
-        lines = _written_lines(tmp_path / "trace.jsonl", kind, generate(cfg))
-        assert lines == [_json_line(p) for p in generate(cfg)]
-        # The metadata line; coin has no template, so each of its lines too.
-        assert len(encoded) == 1 + (len(lines) if kind == "coin" else 0)
+        # The simulators' fallback for a line that is not finite, too.
+        for module in (traceio, lending, attention):
+            monkeypatch.setattr(module, "_dumps", counting_encode)
+        path = tmp_path / "trace.jsonl"
+        for include_truth in (True, False):
+            encoded.clear()
+            runner.simulate(config, str(path), include_truth)
+            lines = path.read_text().split("\n")[1:-1]
+            assert lines == [
+                _json_line(p if include_truth else
+                           {k: v for k, v in p.items() if k != "truth"})
+                for p in generate(cfg)]
+            # The metadata line, and each line the simulator leaves to
+            # the encoder.
+            by_encoder = include_truth is False or kind == "coin"
+            assert len(encoded) == 1 + (len(lines) if by_encoder else 0)
 
-    @pytest.mark.parametrize("kind, payload", list(_OFF_TEMPLATE.values()),
-                             ids=list(_OFF_TEMPLATE))
+    @pytest.mark.parametrize("kind, payload", list(_OTHER_PAYLOADS.values()),
+                             ids=list(_OTHER_PAYLOADS))
     def test_other_payloads_are_written_as_json_writes_them(
             self, tmp_path, kind, payload):
         path = tmp_path / "trace.jsonl"
@@ -332,13 +350,57 @@ class TestTraceLines:
             assert _written_lines(path, kind, [payload]) == [want]
 
     def test_int_initial_rates_are_written_as_ints(self, tmp_path):
-        kind, cfg = runner.build_sim(
-            dict(ATTENTION_SIM, lambda_init=[8, 9]))
-        generate = runner._simulators()[kind][1]
-        lines = _written_lines(tmp_path / "trace.jsonl", kind, generate(cfg))
-        assert lines == [_json_line(p) for p in generate(cfg)]
+        config = dict(ATTENTION_SIM, lambda_init=[8, 9])
+        path = tmp_path / "trace.jsonl"
+        runner.simulate(config, str(path))
+        lines = path.read_text().split("\n")[1:-1]
+        assert lines == [_json_line(p) for p in _payloads(config)]
         assert lines[0].endswith(',"lam_a":8,"lam_b":9}}')
         assert '"lam_a":8,' not in lines[1]
+
+    @pytest.mark.parametrize("env, field", [
+        (lending.LendingEnv, "psi_a"), (lending.LendingEnv, "phi"),
+        (attention.AttentionEnv, "omega_b"),
+        (attention.AttentionEnv, "lam_a")],
+        ids=["lending-psi_a", "lending-phi", "attention-omega_b",
+             "attention-lam_a"])
+    def test_nan_truth_raises_json_error(self, tmp_path, monkeypatch, env,
+                                         field):
+        step = env.step
+
+        def nan_step(sim, policy, rng):
+            obs, truth = step(sim, policy, rng)
+            truth[field] = math.nan
+            return obs, truth
+
+        monkeypatch.setattr(env, "step", nan_step)
+        config = SIM if env is lending.LendingEnv else ATTENTION_SIM
+        with pytest.raises(ValueError) as got:
+            runner.simulate(config, str(tmp_path / "trace.jsonl"))
+        with pytest.raises(ValueError) as want:
+            _json_line({"truth": {field: math.nan}})
+        assert type(got.value) is ValueError
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("env", [lending.LendingEnv,
+                                     attention.AttentionEnv],
+                             ids=["lending", "attention"])
+    def test_finite_truth_whose_sum_overflows_is_written(
+            self, tmp_path, monkeypatch, env):
+        # The encoder accepts this truth; the line is still json's.
+        step = env.step
+
+        def huge_step(sim, policy, rng):
+            obs, truth = step(sim, policy, rng)
+            return obs, dict.fromkeys(truth, 1.5e308)
+
+        monkeypatch.setattr(env, "step", huge_step)
+        config = SIM if env is lending.LendingEnv else ATTENTION_SIM
+        path = tmp_path / "trace.jsonl"
+        runner.simulate(config, str(path))
+        lines = path.read_text().split("\n")[1:-1]
+        assert lines == [_json_line(p) for p in _payloads(config)]
+        assert "1.5e+308" in lines[0]
 
     @pytest.mark.parametrize("config", [
         SIM, dict(SIM, policy="eq_opp"), ATTENTION_SIM,
