@@ -30,7 +30,10 @@ def _load_config(path):
             config = traceio.parse_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # bytes not UTF-8 and the digit limit too
+    except UnicodeDecodeError as exc:  # worded as a data file's line
+        raise ConfigError(
+            f"config {path} is not UTF-8 text ({exc.reason})") from exc
+    except ValueError as exc:  # the digit limit too
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object, got "

@@ -19,6 +19,16 @@ from .intervals import trusted_interval
 MAX_RATE = 700.0
 
 
+def check_max_rate(name, rates):
+    """Raise ConfigError if the config field ``name``, a rate or a list
+    of rates, holds one past :data:`MAX_RATE`."""
+    highest = max(rates) if isinstance(rates, (list, tuple)) else rates
+    if highest > MAX_RATE:
+        raise ConfigError(
+            f"{name} must be at most {MAX_RATE}, the largest rate the "
+            f"discovery probability is computed at, got {rates!r}")
+
+
 def _check_units(y):
     """Attention units as an int: an integral real (not a bool, nan or
     inf) of at least 1.  An in-range int, such as the units a monitor's

@@ -177,6 +177,16 @@ def check_sim_size(name, value):
             f"{name} must be at most {MAX_SIM_SIZE}, got {value}")
 
 
+def check_run(horizon, seed):
+    """Raise ConfigError unless a simulator's ``horizon`` and ``seed``
+    are nonnegative: ``random.Random`` seeds by absolute value, so seed
+    -1 would repeat seed 1's draws under another config."""
+    if horizon < 0:
+        raise ConfigError(f"horizon must be nonnegative, got {horizon}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+
+
 def azuma_epsilon(t, delta, params):
     """Interval half-width after t updates at confidence budget delta.
 
@@ -292,3 +302,16 @@ def state_field(state, path, key, want):
     if not STATE_FIELDS[want](value):
         raise TypeError(f"{path}.{key} must be {want}, got {value!r}")
     return value
+
+
+def check_known_fields(state, layout, path="state"):
+    """Raise ValueError naming the first field of ``state``, or of an
+    object in it, that ``layout`` does not hold at the same path.
+    ``state`` is a state read back from a snapshot, each of its fields
+    already read, and ``layout`` what ``state_dict`` writes: a snapshot
+    restores exactly the object that wrote it."""
+    for key, value in state.items():
+        if key not in layout:
+            raise ValueError(f"unknown field {path}.{key}")
+        if type(value) is dict:
+            check_known_fields(value, layout[key], f"{path}.{key}")

@@ -9,11 +9,12 @@ estimate; the coin monitor reports the interval of its one group, A.
 
 from collections import namedtuple
 
-from .discovery import MAX_RATE, eta_interval, poisson_subexp_params
+from .discovery import (MAX_RATE, check_max_rate, eta_interval,
+                        poisson_subexp_params)
 from .errors import ConfigError, a_or_an
 from .estimator import (_FLOAT_MAX, FrozenConfig, ShiftedMeanEstimator,
                         SubExpParams, _check_delta, _check_population,
-                        azuma_epsilon, state_field)
+                        azuma_epsilon, check_known_fields, state_field)
 from .intervals import ConfidenceInterval, interval_sub, trusted_interval
 
 GROUPS = ("A", "B")
@@ -102,8 +103,9 @@ class Monitor:
     def load_state_dict(self, state):
         """Restore what :meth:`state_dict` returned, read back from a
         snapshot; a missing or ill-typed field raises ValueError or
-        TypeError naming its path from ``state``, and facts that
-        disagree raise ValueError (:meth:`_check_state`)."""
+        TypeError naming its path from ``state``, then a field that
+        :meth:`state_dict` does not write raises ValueError naming it,
+        and facts that disagree raise ValueError (:meth:`_check_state`)."""
         self.t = state_field(state, "state", "t", "a nonnegative integer")
         estimators = state_field(state, "state", "estimators", "an object")
         last = state_field(state, "state", "last", "an object")
@@ -121,6 +123,7 @@ class Monitor:
                 float(raw[0]), float(raw[1]), self._confidence)
         self.floor_violation = state_field(state, "state", "floor_violation",
                                            "a bool")
+        check_known_fields(state, self.state_dict())
         self._check_state()
 
     def _check_state(self):
@@ -231,18 +234,20 @@ class AttentionConfig(FrozenConfig):
     delta: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
+        check_gamma(self.gamma)
         if not 0 < self.lambda_min < self.lambda_max:
             raise ConfigError(
                 "rate bounds must satisfy 0 < lambda_min < lambda_max, got "
                 f"[{self.lambda_min}, {self.lambda_max}]")
-        if self.lambda_max > MAX_RATE:
-            raise ConfigError(
-                f"lambda_max must be at most {MAX_RATE}, the largest rate "
-                f"the discovery probability is computed at, got "
-                f"{self.lambda_max}")
+        check_max_rate("lambda_max", self.lambda_max)
         _check_delta(self.delta)
+
+
+def check_gamma(gamma):
+    """Raise ConfigError unless the rate step ``gamma`` of
+    :func:`attention_change` is nonnegative."""
+    if gamma < 0:
+        raise ConfigError(f"gamma must be nonnegative, got {gamma}")
 
 
 def attention_change(y_units, gamma):
@@ -348,9 +353,15 @@ class CoinMonitorConfig(FrozenConfig):
     delta: float
 
     def __post_init__(self):
-        if not 0 <= self.epsilon < 1:
-            raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        check_epsilon(self.epsilon)
         _check_delta(self.delta)
+
+
+def check_epsilon(epsilon):
+    """Raise ConfigError unless the bias step ``epsilon`` of
+    :func:`coin_change` is in [0, 1)."""
+    if not 0 <= epsilon < 1:
+        raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
 
 
 def coin_change(obs, epsilon):

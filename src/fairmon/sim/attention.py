@@ -11,10 +11,11 @@ fairness floor per location, remainder greedy).
 import random
 
 from .. import kernels
-from ..discovery import MAX_RATE
+from ..discovery import MAX_RATE, check_max_rate
 from ..errors import AssumptionViolation, ConfigError
-from ..estimator import _FLOAT_MAX, FrozenConfig, check_sim_size, is_real
-from ..monitors import AttentionObservation, attention_change
+from ..estimator import (_FLOAT_MAX, FrozenConfig, check_run, check_sim_size,
+                         is_real)
+from ..monitors import AttentionObservation, attention_change, check_gamma
 from ..traceio import _INF, _dumps
 from .sampling import poisson, skip_poisson
 
@@ -43,12 +44,8 @@ class AttentionSimConfig(FrozenConfig):
         if not 1 <= self.k <= _FLOAT_MAX:
             raise ConfigError(
                 f"k must be in [1, {_FLOAT_MAX:.6g}], got {self.k}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_gamma(self.gamma)
+        check_run(self.horizon, self.seed)
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown allocation policy {self.policy!r}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -60,11 +57,7 @@ class AttentionSimConfig(FrozenConfig):
                 or not all(is_real(v) and v > 0 for v in values)):
             raise ConfigError(f"lambda_init must be a positive real or a "
                               f"list of {self.l} of them, got {rates!r}")
-        if max(values) > MAX_RATE:
-            raise ConfigError(
-                f"lambda_init must be at most {MAX_RATE}, the largest "
-                f"rate the discovery probability is computed at, got "
-                f"{rates!r}")
+        check_max_rate("lambda_init", rates)
         if (self.alpha != AttentionSimConfig.alpha
                 and self.policy != "constrained_greedy"):
             raise ConfigError(f"alpha is read only by policy "
@@ -74,12 +67,6 @@ class AttentionSimConfig(FrozenConfig):
                               "policies, not by 'uniform'")
         if many:
             object.__setattr__(self, "lambda_init", tuple(rates))
-
-    def initial_rates(self):
-        """The listed rates as given, ints included, or l float copies."""
-        if type(self.lambda_init) is tuple:
-            return list(self.lambda_init)
-        return [float(self.lambda_init)] * self.l
 
 
 def _largest_remainder(weights, k, rng):
@@ -149,7 +136,10 @@ class AttentionEnv:
     def __init__(self, cfg):
         self.cfg = cfg
         self._k, self._gamma = cfg.k, cfg.gamma
-        self.rates = cfg.initial_rates()
+        # The listed rates as given, ints included, or l float copies.
+        rates = cfg.lambda_init
+        self.rates = (list(rates) if type(rates) is tuple
+                      else [float(rates)] * cfg.l)
         self.t = 0
 
     def _omega(self, i, y):

@@ -3,8 +3,8 @@
 import random
 
 from ..errors import AssumptionViolation, ConfigError
-from ..estimator import FrozenConfig
-from ..monitors import CoinObservation, coin_change
+from ..estimator import FrozenConfig, check_run
+from ..monitors import CoinObservation, check_epsilon, coin_change
 
 _new = tuple.__new__
 
@@ -18,12 +18,8 @@ class CoinConfig(FrozenConfig):
     def __post_init__(self):
         if not 0.0 < self.p1 < 1.0:
             raise ConfigError(f"p1 must be in (0, 1), got {self.p1}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_epsilon(self.epsilon)
+        check_run(self.horizon, self.seed)
 
 
 class CoinProcess:

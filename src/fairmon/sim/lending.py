@@ -12,7 +12,8 @@ that would-repay applicants of both groups are granted at the same rate.
 import random
 
 from ..errors import ConfigError
-from ..estimator import FrozenConfig, _check_population, check_sim_size
+from ..estimator import (FrozenConfig, _check_population, check_run,
+                         check_sim_size)
 from ..monitors import LendingObservation, lending_change
 from ..traceio import _INF, _dumps
 
@@ -45,10 +46,7 @@ class LendingSimConfig(FrozenConfig):
         _check_population(self.n_a, self.n_b, self.c_max)
         check_sim_size("n_a", self.n_a)
         check_sim_size("n_b", self.n_b)
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_run(self.horizon, self.seed)
         if self.policy not in ("max_reward", "eq_opp"):
             raise ConfigError(f"unknown lending policy {self.policy!r}")
         if not 0.0 <= self.rho_min <= self.rho_max <= 1.0:

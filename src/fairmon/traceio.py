@@ -4,6 +4,8 @@ Every file starts with one metadata line, laid out as :data:`HEADERS`
 gives for its file kind: the one format version it is written at and
 read at, then ``file``, ``kind`` and the kind's fields, each of one JSON
 type.  :func:`_write` writes the line and :func:`_read_meta` checks it.
+An estimates or snapshot header holds exactly these fields; a trace
+header may hold more, as may a trace record.
 Each following line is one record.  Files are UTF-8 text, whatever the
 locale.  Floats are written as ``float.__repr__``, as ``json`` writes
 them, which round-trips doubles exactly.  Corrupt lines abort with their
@@ -34,6 +36,8 @@ HEADERS = {
     "snapshot": (2, {"monitor_config": dict, "trace_config_hash": str,
                      "state": dict}),
 }
+# The fields every metadata line starts with, before its kind's.
+_LEAD = ("format", "file", "kind")
 # Python type of a parsed JSON value -> its JSON type name, for messages.
 JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
               float: "number", bool: "boolean", type(None): "null"}
@@ -150,10 +154,15 @@ def _read_meta(fh, path, expected_file):
         if got != want:
             raise TraceFormatError(f"{path}:1: config_hash {got!r} is not "
                                    f"{want!r}, the hash of its config")
-    elif meta["monitor_config"].get("kind") != kind:
+        return meta  # deployed systems write traces, so it may hold more
+    if meta["monitor_config"].get("kind") != kind:
         raise TraceFormatError(
             f"{path}:1: {expected_file} kind {kind!r} differs from its "
             f"monitor_config kind {meta['monitor_config'].get('kind')!r}")
+    for field in meta:
+        if field not in fields and field not in _LEAD:
+            raise TraceFormatError(f"{path}:1: unknown metadata field "
+                                   f"{field!r} for {a_file}")
     return meta
 
 

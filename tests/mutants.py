@@ -174,6 +174,16 @@ MUTANTS = [
            "if False:",
            [_LINES + "test_nan_truth_raises_json_error[attention-omega_b]",
             _LINES + "test_nan_truth_raises_json_error[attention-lam_a]"]),
+    # A snapshot restores exactly the monitor that wrote it, and an
+    # estimates or snapshot header holds exactly its fields.
+    Mutant("state-accepts-unknown-fields", "estimator.py",
+           "if key not in layout:", "if False:",
+           [_BAD + "[snapshot-state-unknown-field-state.foo]",
+            _BAD + "[snapshot-state-unknown-field-state.estimators.A.bar]"]),
+    Mutant("header-accepts-unknown-fields", "traceio.py",
+           "if field not in fields and field not in _LEAD:", "if False:",
+           [_BAD + "[snapshot-unknown-metadata-field-resume]",
+            _BAD + "[estimates-unknown-metadata-field-eval]"]),
 ]
 
 # Runs pytest, then reports where the package it tested came from.

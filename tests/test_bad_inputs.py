@@ -260,6 +260,14 @@ ROWS = [
     data_error("empty-trace", MONITOR,
                "{trace}: empty file, missing metadata line",
                ("trace", None, b"")),
+    # An estimates or snapshot header holds exactly its fields.
+    *[data_error(f"{file}-unknown-metadata-field-{command}", argv,
+                 f"{{{file}}}:1: unknown metadata field 'note' for {a_file}",
+                 (file, 1, _field("note", "x")))
+      for file, a_file, command, argv in [
+          ("snapshot", "a snapshot file", "resume", RESUME),
+          ("estimates", "an estimates file", "eval", EVAL),
+          ("estimates", "an estimates file", "export", EXPORT)]],
     data_error("trace-is-not-a-snapshot",
                "monitor --trace {trace} --resume {trace} -o {out}",
                "{trace}:1: expected a snapshot file, got 'trace'"),
@@ -654,7 +662,17 @@ ROWS = [
           ("coin-last-null-after-updates", "coin",
            _field("state.last.A", None), _NULL_LAST.format("A")),
           ("coin-no-estimators", "coin", _field("state.estimators"),
-           "state.estimators is missing")]],
+           "state.estimators is missing"),
+          # A field the state does not hold, at each level of it, once
+          # every field it holds has been read.
+          *[(f"unknown-field-{path}", "lending", _field(path, 0),
+             f"unknown field {path}")
+            for path in ("state.foo", "state.estimators.C",
+                         "state.estimators.A.bar", "state.last.Z")],
+          ("coin-estimator-of-group-B", "coin",
+           _field("state.estimators.B", {"t": 0, "e1_hat": 0.0, "d": 0.0,
+                                         "d_comp": 0.0}),
+           "unknown field state.estimators.B")]],
     # Snapshots written before the state layout every kind shares.
     *[data_error(f"snapshot-old-state-layout-{base}", RESUME,
                  _STATE + message, ("snapshot", 1, older), base=base)
@@ -685,8 +703,7 @@ ROWS = [
           ("huge-int", b'{"simulator": {"n_a": ' + b"9" * 5000 + b"}}",
            _NOT_JSON + _DIGIT_LIMIT),
           ("not-utf8", b'{"simulator": "\xff"}',
-           _NOT_JSON + "'utf-8' codec can't decode byte 0xff in position "
-           "15: invalid start byte"),
+           "config {config} is not UTF-8 text (invalid start byte)"),
           ("nested-too-deeply", _NESTED,
            _NOT_JSON + "JSON nested too deeply")]
       for command, argv in [
@@ -714,12 +731,18 @@ ROWS = [
            ("config", 1, _field("simulator.seed", 5)))]],
     # random.Random seeds by absolute value: seed -1 would write seed 1's
     # records under another config_hash.
+    # Each simulator checks it.
     *[config_error(f"{command}-seed-negative", argv,
-                   "seed must be nonnegative, got -1")
-      for command, argv in [
-          ("simulate", SIMULATE.replace("--seed 1", "--seed -1")),
-          ("run", RUN.replace("--seed 1", "--seed -1")),
-          ("bench", "bench --kind lending --updates 10 --seed -1")]],
+                   "seed must be nonnegative, got -1", base=base)
+      for command, argv, base in [
+          ("simulate", SIMULATE.replace("--seed 1", "--seed -1"), "lending"),
+          ("simulate-attention", SIMULATE.replace("--seed 1", "--seed -1"),
+           "attention"),
+          ("simulate-coin", SIMULATE.replace("--seed 1", "--seed -1"),
+           "coin"),
+          ("run", RUN.replace("--seed 1", "--seed -1"), "lending"),
+          ("bench", "bench --kind lending --updates 10 --seed -1",
+           "lending")]],
     config_error("monitor-without-config",
                  "monitor --trace {trace} -o {out}",
                  "monitor needs --config or --resume"),
@@ -869,6 +892,8 @@ ROWS = [
            "epsilon must be in [0, 1), got 1"),
           ("simulate", SIMULATE, "attention", "gamma", "negative", "-0.5",
            "gamma must be nonnegative, got -0.5"),
+          ("simulate", SIMULATE, "coin", "epsilon", "one", "1",
+           "epsilon must be in [0, 1), got 1"),
           *[("simulate", SIMULATE, base, "horizon", "negative", "-1",
              "horizon must be nonnegative, got -1")
             for base in ("attention", "coin", "lending")],

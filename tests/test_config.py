@@ -3,9 +3,12 @@ positional construction, the simulator configs' defaults, ``repr``,
 equality and hash, immutability, and a ``TypeError`` (a ``ConfigError``
 naming the field through ``build_monitor`` and ``build_sim``) on an
 unknown or missing field.  README's table of config fields lists the
-fields of every monitor and simulator config."""
+fields of every monitor and simulator config, and each config rule is
+written once in the package."""
 
+import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -171,3 +174,17 @@ def test_readme_lists_every_config_field():
     want.update({("simulator", kind): list(cls._fields)
                  for kind, (cls, _, _) in runner._simulators().items()})
     assert _readme_fields() == want
+
+
+def test_each_config_error_message_is_written_once():
+    """Two ``raise ConfigError(...)`` with the same message are one rule
+    written twice: the configs that share a rule call one function."""
+    package = Path(__file__).resolve().parents[1] / "src" / "fairmon"
+    messages = Counter()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(call, ast.Call) and \
+                    getattr(call.func, "id", None) == "ConfigError":
+                messages[ast.unparse(call.args[0])] += 1
+    assert [m for m, n in messages.items() if n > 1] == []

@@ -10,7 +10,8 @@ line or record, and ``export`` of a mutated estimates file may also
 report a usage error (exit 1); none of them ever raises.  A field of a lending, attention or coin snapshot's
 ``state`` or ``monitor_config``, at any depth, is mutated the same way,
 and ``monitor --resume`` from it must exit 0 or 2: a snapshot is data,
-its config included.
+its config included.  A field put into the header or into an object of
+the state, where that object holds no field of its name, must exit 2.
 
 Estimates records are also read directly, with ``traceio._step`` as the
 oracle: ``read_estimates`` must yield ``_step``'s step for each record
@@ -179,30 +180,50 @@ def snapshots(files):
     return out
 
 
+# Per kind, the key path of the header and of each object in a
+# snapshot's state.
+_OBJECTS = {kind: [(), ("state",), ("state", "estimators"),
+                   *[("state", "estimators", g) for g in cls.groups],
+                   ("state", "last")]
+            for kind, cls in MONITORS.items()}
+
+
 @settings(derandomize=True, database=None, max_examples=200,
           deadline=None)
 @given(st.data())
 def test_resume_from_mutated_snapshot_never_raises(files, snapshots, data):
     root, _ = files
     blob, rest, paths = snapshots[data.draw(st.sampled_from(sorted(SETUPS)))]
-    path = data.draw(st.sampled_from(
-        paths[data.draw(st.sampled_from(sorted(paths)))]))
+    blob = json.loads(json.dumps(blob))
     # Huge ints weighted up: config fields squared or divided into as
     # floats must not overflow.
     value = data.draw(huge_ints | other_values)
-    blob = json.loads(json.dumps(blob))
-    parent = blob
-    for key in path[:-1]:
-        parent = parent[key]
-    if data.draw(st.booleans()) and isinstance(parent, dict):
-        del parent[path[-1]]
+    codes, where = (0, 2), ()
+    if data.draw(st.integers(0, 4)) == 0:
+        # A field the header or a state object does not hold: each holds
+        # exactly the fields fairmon writes into it.
+        path = data.draw(st.sampled_from(_OBJECTS[blob["kind"]]))
+        parent = blob
+        for key in path:
+            parent = parent[key]
+        parent[data.draw(st.text(max_size=4).filter(
+            lambda key: key not in parent))] = value
+        codes, where = (2,), ("unknown field", "unknown metadata field")
     else:
-        parent[path[-1]] = value
+        path = data.draw(st.sampled_from(
+            paths[data.draw(st.sampled_from(sorted(paths)))]))
+        parent = blob
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()) and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
     snap = root / "mutated.snap"
     snap.write_text(json.dumps(blob) + "\n")
     _main(["monitor", "--trace", rest, "--resume", str(snap), "-o",
            str(root / "resumed.est"), "--snapshot", str(root / "again.snap")],
-          codes=(0, 2))
+          codes=codes, where=where)
 
 
 @pytest.mark.parametrize("kind, field", [

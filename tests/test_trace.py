@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from fairmon import ConfidenceInterval, MonitorOutput, cli, runner, traceio
-from fairmon.errors import TraceFormatError
+from fairmon.errors import ConfigError, TraceFormatError
 from fairmon.intervals import interval_sub
 from fairmon.monitors import MONITORS, build_monitor
 from fairmon.sim import attention, lending
@@ -50,6 +50,14 @@ class TestTraceFiles:
         assert meta["config_hash"] == traceio.config_hash(SIM)
         assert [r["t"] for r in records] == list(range(1, 11))
         assert all("truth" in r for r in records)
+
+    def test_unknown_kind_is_refused_before_the_file_is_opened(self,
+                                                                 tmp_path):
+        out = tmp_path / "trace.jsonl"
+        with pytest.raises(TraceFormatError,
+                           match="^unknown trace kind 'nope'$"):
+            traceio.write_trace(str(out), "nope", {}, [])
+        assert not out.exists()
 
     def test_no_truth_flag_strips_ground_truth(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -854,6 +862,11 @@ class TestBench:
         spec.loader.exec_module(workloads)
         _, sim, mon, *_ = workloads.WORKLOADS[f"{kind}-stream"]
         assert runner.BENCHES[kind] == (sim, mon)
+
+
+def test_bench_of_a_kind_without_a_workload_is_config_error():
+    with pytest.raises(ConfigError, match="^no benchmark for kind 'coin'$"):
+        runner.bench("coin", 10)
 
 
 @trace_tests
