@@ -186,7 +186,8 @@ def _cmd_eval(args):
     report = runner.evaluate(args.estimates, args.trace)
     text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with traceio.output(args.out) as fh:
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -208,7 +209,8 @@ def _cmd_run(args):
     runner.simulate(sim_section, trace)
     runner.monitor_trace(str(trace), mon_section, str(estimates))
     report = runner.evaluate(str(estimates), str(trace))
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    with traceio.output(report_path) as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
     print(f"pipeline outputs in {out_dir}")
     containment = report["containment"]
     if containment is not None:

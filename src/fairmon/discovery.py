@@ -29,6 +29,12 @@ def check_max_rate(name, rates):
             f"discovery probability is computed at, got {rates!r}")
 
 
+def _rate_out_of_range(rate):
+    """Raise the ConfigError of a rate outside (0, MAX_RATE]; only a
+    check that failed calls it."""
+    raise ConfigError(f"rate must be in (0, {MAX_RATE}], got {rate}")
+
+
 def _check_units(y):
     """Attention units as an int: an integral real (not a bool, nan or
     inf) of at least 1.  An in-range int, such as the units a monitor's
@@ -45,7 +51,7 @@ def eta(y, lam):
     """Closed-form discovery probability for y >= 1 units at rate lam > 0."""
     y = _check_units(y)
     if not 0.0 < lam <= MAX_RATE:
-        raise ConfigError(f"rate must be in (0, {MAX_RATE}], got {lam}")
+        _rate_out_of_range(lam)
     return kernels.eta(y, float(lam))
 
 
@@ -62,7 +68,7 @@ def eta_interval(y, lambda_ci):
         raise ConfigError(f"rate interval touches zero: lo={lo}")
     y = _check_units(y)
     if hi > MAX_RATE:
-        raise ConfigError(f"rate must be in (0, {MAX_RATE}], got {hi}")
+        _rate_out_of_range(hi)
     return trusted_interval(kernels.eta(y, float(hi)),
                             kernels.eta(y, float(lo)), confidence)
 

@@ -4,6 +4,8 @@ Every file starts with one metadata line, laid out as :data:`HEADERS`
 gives for its file kind: the one format version it is written at and
 read at, then ``file``, ``kind`` and the kind's fields, each of one JSON
 type.  :func:`_write` writes the line and :func:`_read_meta` checks it.
+Every output file, these and the CSV and report files, is written
+through :func:`output`, which removes a file whose write failed.
 An estimates or snapshot header holds exactly these fields; a trace
 header may hold more, as may a trace record.
 Each following line is one record.  Files are UTF-8 text, whatever the
@@ -14,6 +16,9 @@ line number: the per-sequence guarantee does not survive silent gaps.
 
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager
 from operator import itemgetter
 
 # SHA-256 from CPython's built-in module, as random.py takes SHA-512:
@@ -72,6 +77,26 @@ _isfinite = math.isfinite
 _INF = math.inf
 
 
+@contextmanager
+def output(path, newline=None):
+    """Open ``path`` for writing UTF-8 text and yield the file.  If the
+    body raises anything, the interpreter's interrupt included, the file
+    is closed, removed and the exception re-raised, so a failed command
+    leaves no partial output.  Only a regular file is removed: a device
+    such as ``os.devnull``, a FIFO or a symbolic link stays."""
+    fh = open(path, "w", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        try:
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        except OSError:  # already gone, or not ours to remove
+            pass
+        raise
+
+
 def _write(path, file, kind, values, lines=()):
     """Write a ``file`` of ``kind``: its metadata line, in which the
     fields of ``HEADERS[file]`` take ``values`` in order, then each of
@@ -80,7 +105,7 @@ def _write(path, file, kind, values, lines=()):
     meta = {"format": version, "file": file, "kind": kind}
     meta.update(zip(fields, values))
     header = _dumps(meta) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path) as fh:
         fh.write(header)
         for line in lines:
             fh.write(line + "\n")
@@ -447,7 +472,7 @@ def export_csv(estimates_path, csv_path):
     import csv
 
     _, steps = read_estimates(estimates_path)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with output(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for t, phi, clamped, floor_violation, a, b in steps:

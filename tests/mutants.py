@@ -5,10 +5,12 @@ A row of MUTANTS names a file under ``src/fairmon``, the exact text to
 replace (which must occur once in it), the new text, and the pytest
 node ids that must fail once the fault is in.  :func:`problems` plants
 one mutant in a copy of ``src/`` and runs only its node ids, in a
-subprocess whose ``PYTHONPATH`` is the copy.  ``tests/test_mutants.py``
-checks each row under pytest; run as a script,
+subprocess whose ``PYTHONPATH`` is the copy.  Run as a script,
 ``python tests/mutants.py`` checks every row, prints each row's wall
-time and the table's total, and exits 1 if one survives.
+time and the table's total, and exits 1 if one survives; CI runs it as
+a step of its own.  Tier 1 (``tests/test_mutants.py``) runs no
+subprocess: it checks that each row can be planted and that its killers
+exist.
 
 A refactor that removes a mutant's old text fails its row: update the
 row to the new code rather than drop it.  Standard library only.
@@ -184,6 +186,13 @@ MUTANTS = [
            "if field not in fields and field not in _LEAD:", "if False:",
            [_BAD + "[snapshot-unknown-metadata-field-resume]",
             _BAD + "[estimates-unknown-metadata-field-eval]"]),
+    # A command that fails removes the output file it had begun to write.
+    Mutant("failed-output-left-in-place", "traceio.py",
+           "os.remove(path)", "pass",
+           [_BAD + "[coin-toss-of-2]",
+            _BAD + "[estimates-record-int-A-export]",
+            "tests/test_trace.py::TestOutput::test_failed_write_leaves_nothing"
+            "[new]"]),
 ]
 
 # Runs pytest, then reports where the package it tested came from.
@@ -196,16 +205,15 @@ _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
 _IMPORTED = re.compile(r"^fairmon imported from (.*)$", re.M)
 
 
-def plant(mutant, src):
-    """Apply ``mutant`` to the copy of ``src/`` at ``src``; raise
-    ValueError unless its old text occurs exactly once."""
-    path = Path(src) / "fairmon" / mutant.file
-    text = path.read_text(encoding="utf-8")
+def planted(mutant, src=ROOT / "src"):
+    """The text of ``mutant.file`` under ``src`` with ``mutant``
+    planted; raise ValueError unless its old text occurs exactly once."""
+    text = (Path(src) / "fairmon" / mutant.file).read_text(encoding="utf-8")
     found = text.count(mutant.old)
     if found != 1:
         raise ValueError(f"{mutant.id}: old text occurs {found} times in "
                          f"{mutant.file}, not once")
-    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return text.replace(mutant.old, mutant.new)
 
 
 def problems(mutant, work):
@@ -217,7 +225,8 @@ def problems(mutant, work):
     shutil.copytree(ROOT / "src", src,
                     ignore=shutil.ignore_patterns("__pycache__",
                                                   "*.egg-info"))
-    plant(mutant, src)
+    (src / "fairmon" / mutant.file).write_text(planted(mutant, src),
+                                               encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", _RUN, "-q", "-rfE", "-p", "no:cacheprovider",

@@ -5,8 +5,8 @@ command and checks:
 
 * the exit code and the exact stderr;
 * that stdout is empty;
-* whether the command left its output ``{out}`` (``output_left``: a
-  command that fails after it has begun to write leaves what it wrote);
+* that the command left no output ``{out}``: a command that fails
+  removes what it had begun to write;
 * that every file in the row's directory keeps its bytes, and that no
   file appears outside ``{out}``.
 
@@ -74,7 +74,7 @@ FILES = {"trace": "trace.jsonl", "estimates": "estimates.jsonl",
          "config": "config.json", "link": "link"}
 
 
-class Row(namedtuple("Row", "id base edits argv code stderr output_left")):
+class Row(namedtuple("Row", "id base edits argv code stderr")):
     """One bad input.  ``argv`` is split on spaces; it and ``stderr``
     name files as ``{trace}``, ``{estimates}``, ``{snapshot}``,
     ``{rest}``, ``{config}`` and ``{link}``, the output as ``{out}`` and
@@ -102,8 +102,8 @@ class Pattern(str):
         return Pattern(str.__add__(escaped, self))
 
 
-def row(id, argv, code, stderr, *edits, base="lending", left=False):
-    return Row(id, base, edits, argv, code, stderr, left)
+def row(id, argv, code, stderr, *edits, base="lending"):
+    return Row(id, base, edits, argv, code, stderr)
 
 
 def data_error(id, argv, message, *edits, **kwargs):
@@ -404,31 +404,31 @@ ROWS = [
       for base, field, was, value in [("lending", "n_a", 5, 6),
                                       ("coin", "epsilon", 0.001, 0.002)]],
 
-    # Trace records: the monitor writes the estimates of the records
-    # before the bad one.
+    # Trace records: the monitor removes the estimates it had written of
+    # the records before the bad one.
     data_error("record-not-json", MONITOR,
                "{trace}:3: corrupt record: " + _JSON_ERROR,
-               ("trace", 3, b"{not json\n"), base="coin", left=True),
+               ("trace", 3, b"{not json\n"), base="coin"),
     *[data_error(f"record-{id}", MONITOR,
                  "{trace}:3: record is not a JSON object",
-                 ("trace", 3, line), base="coin", left=True)
+                 ("trace", 3, line), base="coin")
       for id, line in [("number", b"5\n"), ("list", b"[1, 2]\n"),
                        ("string", b'"t"\n'), ("null", b"null\n")]],
     data_error("record-number-at-line-6", MONITOR,
                "{trace}:6: record is not a JSON object",
-               ("trace", 6, b"5\n"), left=True),
+               ("trace", 6, b"5\n")),
     *[data_error(f"record-{id}-t", MONITOR,
                  f"{{trace}}:2: expected t=1, got {t!r}",
-                 ("trace", 2, _field("t", t)), base="coin", left=True)
+                 ("trace", 2, _field("t", t)), base="coin")
       for id, t in [("json-true", True), ("float", 1.0)]],
     data_error("record-t-skips", MONITOR, "{trace}:3: expected t=2, got 3",
-               ("trace", 3, _field("t", 3)), base="coin", left=True),
+               ("trace", 3, _field("t", 3)), base="coin"),
     data_error("coin-toss-of-2", MONITOR,
                "{trace}:4: bad record t=3: coin outcome must be 0 or 1, "
-               "got 2", ("trace", 4, _field("x", 2)), base="coin", left=True),
+               "got 2", ("trace", 4, _field("x", 2)), base="coin"),
     *[data_error(f"observation-{id}", MONITOR,
                  f"{{trace}}:6: bad record t=5: {message}",
-                 ("trace", 6, edit), base=base, left=True)
+                 ("trace", 6, edit), base=base)
       for id, base, edit, message in [
           ("text-score", "lending", _field("x", "7"),
            _INTEGERS.format("x='7', g='B', y=1, z=1")),
@@ -461,20 +461,19 @@ ROWS = [
                  f"{{{file}}}:13: bad record t=7: {message}",
                  (file, 8, edit),
                  (file, 6, _preceded_by(b"\n  \t\n\x0c\n\xe3\x80\x80\n")),
-                 (file, 3, _preceded_by(b"\n")), left=left)
-      for command, argv, file, edit, message, left in [
+                 (file, 3, _preceded_by(b"\n")))
+      for command, argv, file, edit, message in [
           ("monitor", MONITOR, "trace", _field("x", "bad"),
-           _INTEGERS.format("x='bad', g='B', y=1, z=1"), True),
-          ("eval", EVAL, "estimates", _field("A"), "missing field 'A'",
-           False),
-          ("export", EXPORT, "estimates", _field("A"), "missing field 'A'",
-           True)]],
+           _INTEGERS.format("x='bad', g='B', y=1, z=1")),
+          ("eval", EVAL, "estimates", _field("A"), "missing field 'A'"),
+          ("export", EXPORT, "estimates", _field("A"),
+           "missing field 'A'")]],
     data_error("bad-record-in-resumed-batch", RESUME,
                "{rest}:5: bad record t=10: "
                + _INTEGERS.format("x='bad', g='B', y=1, z=1"),
                ("rest", 4, _field("x", "bad")),
                ("rest", 3, _preceded_by(b"\n")),
-               base="lending-20", left=True),
+               base="lending-20"),
 
     # Truth is checked on every step, the inconclusive t=1 included.
     *[data_error(f"truth-{id}", EVAL,
@@ -490,15 +489,15 @@ ROWS = [
           ("t1-null-phi", 2, {"phi": None},
            "truth phi must be a finite number, got None")]],
 
-    # Estimates records, read by eval and by export; export writes the
-    # rows before the bad record.  A record derives phi from its group
-    # intervals, A - B.
+    # Estimates records, read by eval and by export; export removes the
+    # rows it had written before the bad record.  A record derives phi
+    # from its group intervals, A - B.
     data_error("estimates-record-not-json", EVAL,
                "{estimates}:10: corrupt record: " + _JSON_ERROR,
                ("estimates", 10, b"{broken\n")),
     *[data_error(f"estimates-record-{id}-{command}", argv,
                  f"{{estimates}}:{line}: bad record t={line - 1}: {message}",
-                 ("estimates", line, edit), left=command == "export")
+                 ("estimates", line, edit))
       for command, argv, line in [("eval", EVAL, 10), ("export", EXPORT, 4)]
       for id, edit, message in [
           ("no-A", _field("A"), "missing field 'A'"),
@@ -534,13 +533,13 @@ ROWS = [
            _FLAGS.format(False, None))]],
     *[data_error(f"estimates-record-without-t-{command}", argv,
                  "{estimates}:10: expected t=9, got None",
-                 ("estimates", 10, _field("t")), left=command == "export")
+                 ("estimates", 10, _field("t")))
       for command, argv in [("eval", EVAL), ("export", EXPORT)]],
     # An estimates file starts at its first record's t, which a resumed
     # run makes past 1, but never below 1.
     *[data_error(f"estimates-first-t-0-{command}", argv,
                  "{estimates}:2: expected t >= 1, got 0",
-                 ("estimates", 2, _field("t", 0)), left=command == "export")
+                 ("estimates", 2, _field("t", 0)))
       for command, argv in [("eval", EVAL), ("export", EXPORT)]],
     # eval pairs the two files step by step from their first records.
     data_error("eval-files-start-at-different-steps", EVAL,
@@ -552,8 +551,7 @@ ROWS = [
     *[data_error(f"coin-estimates-with-a-B-interval-{command}", argv,
                  "{estimates}:4: bad record t=3: group B interval must be "
                  "null for a monitor with one group; got [0.25, 0.5]",
-                 ("estimates", 4, _field("B", [0.25, 0.5])), base="coin",
-                 left=command == "export")
+                 ("estimates", 4, _field("B", [0.25, 0.5])), base="coin")
       for command, argv in [("eval", EVAL), ("export", EXPORT)]],
 
     # An int past json's digit limit, or a byte that is not UTF-8, on a
@@ -562,28 +560,27 @@ ROWS = [
                  f"{{{file}}}:{line}: " + (problem or f"corrupt "
                      f"{'metadata' if line == 1 else 'record'}: "
                      + _DIGIT_LIMIT),
-                 (file, line, _with_bad_field(value)), base="lending-400",
-                 left=left)
+                 (file, line, _with_bad_field(value)), base="lending-400")
       for id, value, problem in [
           ("huge-int", b"9" * 5000, None),
           ("not-utf8", b'"\xff"',
            "line is not UTF-8 text (invalid start byte)")]
-      for where, file, line, argv, left in [
-          ("trace-metadata", "trace", 1, MONITOR, False),
-          ("trace-record", "trace", 6, MONITOR, True),
-          ("trace-late-record", "trace", 301, MONITOR, True),
-          ("eval-trace-late-record", "trace", 301, EVAL, False),
-          ("estimates-metadata", "estimates", 1, EVAL, False),
-          ("estimates-record", "estimates", 6, EXPORT, True),
-          ("estimates-late-record", "estimates", 301, EVAL, False),
-          ("export-estimates-late-record", "estimates", 301, EXPORT, True),
-          ("snapshot", "snapshot", 1, RESUME, False)]],
+      for where, file, line, argv in [
+          ("trace-metadata", "trace", 1, MONITOR),
+          ("trace-record", "trace", 6, MONITOR),
+          ("trace-late-record", "trace", 301, MONITOR),
+          ("eval-trace-late-record", "trace", 301, EVAL),
+          ("estimates-metadata", "estimates", 1, EVAL),
+          ("estimates-record", "estimates", 6, EXPORT),
+          ("estimates-late-record", "estimates", 301, EVAL),
+          ("export-estimates-late-record", "estimates", 301, EXPORT),
+          ("snapshot", "snapshot", 1, RESUME)]],
     data_error("trace-metadata-nested-too-deeply", MONITOR,
                "{trace}:1: corrupt metadata: JSON nested too deeply",
                ("trace", 1, _NESTED + b"\n")),
     data_error("trace-record-nested-too-deeply", MONITOR,
                "{trace}:2: corrupt record: JSON nested too deeply",
-               ("trace", 2, _NESTED + b"\n"), left=True),
+               ("trace", 2, _NESTED + b"\n")),
 
     # Snapshots.  Blank lines after the metadata line are skipped; past
     # the reader's first decoded chunk a byte that is not UTF-8 is a data
@@ -913,7 +910,7 @@ ROWS = [
         "p=-0.19999999999999998 (at step 1)",
         ("config", 1, _field("simulator", {"kind": "coin", "p1": 0.1,
                                            "epsilon": 0.3,
-                                           "horizon": 1000})), left=True),
+                                           "horizon": 1000}))),
 
     # An output that names an input, or another output, is refused before
     # anything is written.  run writes its trace, estimates and report
@@ -1280,7 +1277,7 @@ def check(row, bases, work, call):
         assert stderr == want, (want, stderr)
     assert (code, stdout) == (row.code, ""), (code, stdout)
     out = Path(paths["out"])
-    assert out.exists() == row.output_left, f"{out} left: {out.exists()}"
+    assert not out.exists(), f"{out} left"
     after = {path: data for path, data in _contents(work).items()
              if work / path != out and out not in (work / path).parents}
     assert after == before, "files changed, added or removed"

@@ -176,6 +176,16 @@ def test_readme_lists_every_config_field():
     assert _readme_fields() == want
 
 
+def _message_text(node):
+    """The text of a message, each f-string placeholder as ``{}``, so
+    that one rule written twice with different value names is one
+    text."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant)
+                       else "{}" for part in node.values)
+    return ast.unparse(node)
+
+
 def test_each_config_error_message_is_written_once():
     """Two ``raise ConfigError(...)`` with the same message are one rule
     written twice: the configs that share a rule call one function."""
@@ -186,5 +196,5 @@ def test_each_config_error_message_is_written_once():
             call = node.exc if isinstance(node, ast.Raise) else None
             if isinstance(call, ast.Call) and \
                     getattr(call.func, "id", None) == "ConfigError":
-                messages[ast.unparse(call.args[0])] += 1
+                messages[_message_text(call.args[0])] += 1
     assert [m for m, n in messages.items() if n > 1] == []

@@ -410,21 +410,6 @@ class TestTraceLines:
         assert lines == [_json_line(p) for p in _payloads(config)]
         assert "1.5e+308" in lines[0]
 
-    @pytest.mark.parametrize("config", [
-        SIM, dict(SIM, policy="eq_opp"), ATTENTION_SIM,
-        dict(ATTENTION_SIM, policy="greedy"), COIN_SIM],
-        ids=["max_reward", "eq_opp", "uniform", "greedy", "coin"])
-    def test_no_truth_lines_are_json(self, tmp_path, config):
-        config = dict(config, horizon=300)
-        kind, cfg = runner.build_sim(config)
-        generate = runner._simulators()[kind][1]
-        path = tmp_path / "trace.jsonl"
-        runner.simulate(config, str(path), include_truth=False)
-        lines = path.read_text().split("\n")[1:-1]
-        assert lines == [
-            _json_line({k: v for k, v in p.items() if k != "truth"})
-            for p in generate(cfg)]
-
 
 _META = json.dumps(COIN_META).encode() + b"\n"
 _HUGE = "9" * 5000
@@ -1037,6 +1022,39 @@ class TestCsvExport:
             assert point["width"] == widths[point["t"]]
 
 
+class TestOutput:
+    """traceio.output, the one writer of every output file, removes a
+    file whose write failed, and only a regular file."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "old"])
+    def test_failed_write_leaves_nothing(self, tmp_path, existing):
+        path = tmp_path / "out"
+        if existing:
+            path.write_text("an earlier run's output\n")
+        with pytest.raises(KeyboardInterrupt):
+            with traceio.output(path) as fh:
+                fh.write("partial\n")
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("special", ["devnull", "symlink"])
+    def test_failed_write_spares_a_special_file(self, tmp_path, monkeypatch,
+                                                special):
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        path = os.devnull
+        if special == "symlink":
+            path = tmp_path / "link"
+            path.symlink_to(tmp_path / "target")
+        with pytest.raises(TraceFormatError):
+            with traceio.output(path) as fh:
+                fh.write("partial\n")
+                raise TraceFormatError("bad record")
+        assert removed == []
+        if special == "symlink":
+            assert path.is_symlink()
+
+
 @trace_tests
 class TestCli:
 
@@ -1219,14 +1237,20 @@ class TestCli:
         assert "usage: fairmon" in proc.stdout
 
 
+_CI = Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
+
+
 class TestCiWorkflow:
     """Every pipeline check lives in the tests, which gate each change;
     CI's installed-script step runs the bad-input table and one
-    ``fairmon run``, and keeps no second copy of a check."""
+    ``fairmon run``, and keeps no second copy of a check.  The mutation
+    table, which tier 1 does not run, has a step of its own."""
+
+    def test_mutation_table_runs_in_its_own_step(self):
+        assert "\n        run: python tests/mutants.py\n" in _CI.read_text()
 
     def test_installed_script_step_runs_one_pipeline(self):
-        ci = Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
-        step = ci.read_text().split(
+        step = _CI.read_text().split(
             "- name: Installed console script runs the pipeline\n")[1]
         step = step.split("- name:")[0]
         # Drop the bodies of here-documents and the comments.
